@@ -43,9 +43,9 @@ __all__ = [
     "wwzb_pair",
     "bell_operator",
     "expectation_bell",
+    "affine_coefficients",
     "expectation_bell_fast",
     "omega",
-    "omega_fast",
     "random_settings",
 ]
 
@@ -174,56 +174,72 @@ def expectation_bell(rho, m: MeasurementSettings, i: int) -> float:
     return expectation_matrix(bell_operator(m, i), as_density(rho))
 
 
-def _d_values(alpha, beta, gamma, q, s, t, which=None):
-    """Batched <D_i> from Pauli coefficients and (possibly non-unit) s/t vectors.
+# einsum subscripts contracting Q on the two slots other than the free one
+_FREE_SLOT = {1: "...ijk,...j,...k->...i", 2: "...ijk,...i,...k->...j", 3: "...ijk,...i,...j->...k"}
 
-    ``s`` and ``t`` have shape (..., 3, 3), slot-major.  ``which`` selects one
-    index in {1, 2, 3}; None stacks all three along a trailing axis.  The
-    vectors are NOT required to satisfy the unit-settings constraints - each
-    expectation is affine in every individual a_j or b_j, which the optimizer
-    exploits by probing zero and basis vectors.
+
+def _contract(q, free: int, vectors: dict) -> np.ndarray:
+    """Q contracted with ``vectors[k]`` on both slots k != ``free``; the free slot remains."""
+    x, y = (vectors[k] for k in (1, 2, 3) if k != free)
+    return np.einsum(_FREE_SLOT[free], q, x, y)
+
+
+def affine_coefficients(local, q, a, b, i: int, j: int, is_b: bool):
+    """Coefficients (c, g) of <D_i> = c + g . v in the one setting vector v = a_j (or b_j).
+
+    ``local`` (..., 3, 3) stacks the single-qubit Bloch vectors alpha, beta,
+    gamma; ``q`` (..., 3, 3, 3) is the three-body tensor; ``a`` and ``b``
+    (..., 3, 3) are slot-major setting vectors, which need not be unit.
+    Leading axes broadcast, so one state's coefficients serve a whole stack
+    of settings and per-row coefficients serve per-row settings.  Returns c
+    with the broadcast leading shape and g with a trailing axis of 3; the
+    current a_j (or b_j) is not used.
+
+    With s = (a+b)/2, t = (a-b)/2 and (p, r) the other slots of i,
+    <D_i> = s_i . M_i + t_i . alpha_i where M_i = Q(.; s_p, a_r) + Q(.; t_p, b_r).
+    So on slot i itself g = (M_i +/- alpha_i)/2 (+ for a_i).  On a pair slot
+    j, with k the third slot, g = Q(s_i; ., s_k) for a_j and Q(s_i; ., t_k)
+    for b_j.  In both cases c is the other vector of slot j dotted with its
+    own g, plus t_i . alpha_i when j != i.
     """
-    s1, s2, s3 = s[..., 0, :], s[..., 1, :], s[..., 2, :]
-    t1, t2, t3 = t[..., 0, :], t[..., 1, :], t[..., 2, :]
-    values = []
-    if which in (None, 1):
-        m1 = (
-            np.einsum("ijk,...j,...k->...i", q, s2, s3)
-            + np.einsum("ijk,...j,...k->...i", q, s2, t3)
-            + np.einsum("ijk,...j,...k->...i", q, t2, s3)
-            - np.einsum("ijk,...j,...k->...i", q, t2, t3)
-        )
-        values.append(np.einsum("...i,...i->...", s1, m1) + t1 @ alpha)
-    if which in (None, 2):
-        m2 = (
-            np.einsum("ijk,...i,...k->...j", q, s1, s3)
-            + np.einsum("ijk,...i,...k->...j", q, s1, t3)
-            + np.einsum("ijk,...i,...k->...j", q, t1, s3)
-            - np.einsum("ijk,...i,...k->...j", q, t1, t3)
-        )
-        values.append(np.einsum("...i,...i->...", s2, m2) + t2 @ beta)
-    if which in (None, 3):
-        m3 = (
-            np.einsum("ijk,...i,...j->...k", q, s1, s2)
-            + np.einsum("ijk,...i,...j->...k", q, s1, t2)
-            + np.einsum("ijk,...i,...j->...k", q, t1, s2)
-            - np.einsum("ijk,...i,...j->...k", q, t1, t2)
-        )
-        values.append(np.einsum("...i,...i->...", s3, m3) + t3 @ gamma)
-    if which is None:
-        return np.stack(values, axis=-1)
-    if which not in (1, 2, 3):
-        raise ValidationError(f"operator index must be 1, 2 or 3, got {which!r}")
-    return values[0]
+    p, r = _pair_indices(i)  # validates i
+    if j not in (1, 2, 3):
+        raise ValidationError(f"slot must be 1, 2 or 3, got {j!r}")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = (a + b) * 0.5
+    t = (a - b) * 0.5
+    slot = lambda x, k: x[..., k - 1, :]
+    alpha = slot(np.asarray(local, dtype=float), i)
+    if j == i:
+        m = _contract(q, i, {p: slot(s, p), r: slot(a, r)})
+        m = m + _contract(q, i, {p: slot(t, p), r: slot(b, r)})
+        g_a, g_b = (m + alpha) * 0.5, (m - alpha) * 0.5
+        offset = 0.0
+    else:
+        k = 6 - i - j
+        g_a = _contract(q, j, {i: slot(s, i), k: slot(s, k)})
+        g_b = _contract(q, j, {i: slot(s, i), k: slot(t, k)})
+        offset = np.sum(slot(t, i) * alpha, axis=-1)
+    g, other, other_g = (g_b, slot(a, j), g_a) if is_b else (g_a, slot(b, j), g_b)
+    return np.sum(other * other_g, axis=-1) + offset, g
+
+
+def _local_vectors(d: PauliDecomposition) -> np.ndarray:
+    """alpha, beta, gamma stacked slot-major, shape (3, 3)."""
+    return np.stack([d.alpha, d.beta, d.gamma])
 
 
 def expectation_bell_fast(d: PauliDecomposition, st: DerivedSettingVectors, i: int) -> float:
     """<D_i> via the Pauli-coefficient contraction path.
 
     Agrees with :func:`expectation_bell` to machine precision for valid
-    inputs; this is the path used inside optimization loops.
+    inputs; :func:`affine_coefficients`, which it evaluates at a_i, is the
+    contraction used inside optimization loops.
     """
-    return float(_d_values(d.alpha, d.beta, d.gamma, d.Q, st.s, st.t, which=i))
+    a = st.s + st.t
+    c, g = affine_coefficients(_local_vectors(d), d.Q, a, st.s - st.t, i, i, False)
+    return float(c + g @ a[i - 1])
 
 
 def omega(rho, m: MeasurementSettings) -> float:
@@ -234,12 +250,6 @@ def omega(rho, m: MeasurementSettings) -> float:
     exceed 3; strongly entangled states can, at finely tuned settings.
     """
     return float(sum(expectation_bell(rho, m, i) ** 2 for i in (1, 2, 3)))
-
-
-def omega_fast(d: PauliDecomposition, st: DerivedSettingVectors) -> float:
-    """Fast-path omega from a precomputed decomposition."""
-    vals = _d_values(d.alpha, d.beta, d.gamma, d.Q, st.s, st.t, which=None)
-    return float(np.sum(vals**2))
 
 
 def random_settings(seed: int) -> MeasurementSettings:

@@ -101,10 +101,14 @@ class RegionPoint:
     source_class: str
 
 
+def _check_margin(margin: float) -> None:
+    if not np.isfinite(margin) or margin <= 0:
+        raise ValidationError(f"margin must be a finite number > 0, got {margin}")
+
+
 def excluded_classes(m, margin: float) -> tuple:
     """Classes ruled out by optimized maxima ``m`` at threshold 1 + margin."""
-    if margin <= 0:
-        raise ValidationError(f"margin must be > 0, got {margin}")
+    _check_margin(margin)
     out: set = set()
     for axis, value in enumerate(m, start=1):
         if value > 1.0 + margin:
@@ -114,6 +118,7 @@ def excluded_classes(m, margin: float) -> tuple:
 
 def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> ClassificationReport:
     """Optimize all three |<D_i>| plus omega and report which classes are excluded."""
+    _check_margin(margin)
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
     results = [seesaw_max_abs_d(rho, i, cfg) for i in (1, 2, 3)]
@@ -175,6 +180,8 @@ def sample_region(
         )
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if mode not in ("fixed-settings", "optimized"):
         raise ValidationError(f"mode must be 'fixed-settings' or 'optimized', got {mode!r}")
     rng = np.random.default_rng(seed)

@@ -162,12 +162,17 @@ def load_state(source: str):
 def load_settings(path: str) -> MeasurementSettings:
     """Load measurement settings from a JSON file."""
     data = _load_json(path, "settings")
+    rows = []
     for key in ("a", "b"):
         if key not in data:
             raise ValidationError(f"settings file missing key {key!r}")
-    a = np.asarray(data["a"], dtype=float)
-    b = np.asarray(data["b"], dtype=float)
-    return MeasurementSettings(a, b, tol=FILE_TOL)
+        try:
+            rows.append(np.asarray(data[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"settings {key!r} must be three numeric 3-vectors, got {data[key]!r}"
+            ) from exc
+    return MeasurementSettings(*rows, tol=FILE_TOL)
 
 
 def _settings_payload(m: MeasurementSettings) -> dict:

@@ -1,23 +1,25 @@
 """Maximization of Bell-operator expectations over measurement settings.
 
-Two optimizers, both multi-start and deterministic in the configured seed:
+Two optimizers, both multi-start and deterministic in the configured seed,
+share one block-coordinate ascent driver.  Each expectation <D_i> is affine
+in every individual setting vector, <D_i> = c + g . v, and
+:func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
+directly into (c, g).  Sweeps cycle j = 1..3 over a_j then b_j and replace
+the active vector by a per-coordinate step:
 
-* :func:`seesaw_max_abs_d` - coordinate ascent on |<D_i>| for one index i.
-  Each expectation is affine in every individual setting vector, so the
-  coefficients of that affine form are recovered exactly by probing the zero
-  vector and the three basis vectors, and the per-coordinate maximizer
-  v = +/- g/|g| is exact.  The objective never decreases.
-* :func:`maximize_omega` - same sweep structure for the sum of the three
-  squared expectations at one shared setting.  Per coordinate the objective
-  is a quadratic on the unit sphere, ascended by projected gradient steps
-  with accept/reject step-size control (monotone by construction).
+* :func:`seesaw_max_abs_d` - the exact maximizer v = +/- g/|g| of |<D_i>|
+  for one index i.  The objective never decreases.
+* :func:`maximize_omega` - the sum of the three squared expectations at one
+  shared setting.  Per coordinate the objective is a quadratic on the unit
+  sphere, ascended by projected gradient steps with accept/reject step-size
+  control (monotone by construction).
 
 Every start draws its six initial unit vectors from an independent RNG
-stream derived from (seed, start index), and all starts advance in lockstep
-as one batched computation.  :func:`seesaw_max_abs_d_many` extends the same
-lockstep across a whole list of states, which is how the Monte Carlo bound
-sweeps stay fast; it performs the identical per-row updates as the
-single-state entry point.
+stream derived from (seed, start index), and all starts of all states
+advance in lockstep as one batched computation.
+:func:`seesaw_max_abs_d_many` runs a whole list of states that way, which is
+how the Monte Carlo bound sweeps stay fast; each row's updates are the same
+as the single-state entry point's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import MeasurementSettings, _d_values, expectation_bell, omega as omega_matrix
+from .bell import (
+    MeasurementSettings,
+    _local_vectors,
+    affine_coefficients,
+    expectation_bell,
+    omega as omega_matrix,
+)
 from .core import ConsistencyError, ValidationError
 from .pauli import decompose
 from .states import as_density, ghz, to_density
@@ -44,9 +52,6 @@ __all__ = [
 
 GRAD_FLOOR = 1e-14
 _MONOTONE_SLACK = 1e-12
-_PROBES = np.array(
-    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-)
 
 
 @dataclass(frozen=True)
@@ -91,98 +96,18 @@ def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
     return vecs
 
 
-class _RowProblem:
-    """Per-row Pauli coefficients for a stack of (state, start) rows."""
+def _coefficients(local, q, vecs, ops, j: int, ab: int):
+    """(c, g) of every operator in ``ops`` in the vector a_j (ab=0) or b_j (ab=1).
 
-    def __init__(self, states, n_starts: int):
-        decs = [decompose(as_density(s)) for s in states]
-        rep = lambda arrs: np.repeat(np.stack(arrs), n_starts, axis=0)
-        self.alpha = rep([d.alpha for d in decs])
-        self.beta = rep([d.beta for d in decs])
-        self.gamma = rep([d.gamma for d in decs])
-        self.q = rep([d.Q for d in decs])
-        self.n_states = len(states)
-        self.n_starts = n_starts
-
-    def take(self, rows):
-        sub = _RowProblem.__new__(_RowProblem)
-        sub.alpha = self.alpha[rows]
-        sub.beta = self.beta[rows]
-        sub.gamma = self.gamma[rows]
-        sub.q = self.q[rows]
-        return sub
-
-    def values(self, a_slots, b_slots, which):
-        """<D_which> per row (and probe axis), from slot vectors (rows, p, 3).
-
-        Uses the bilinear regrouping P(s,s') + P(s,t') = P(s, a') so each
-        operator costs two tensor contractions.  ``which=None`` stacks all
-        three operators along a trailing axis.
-        """
-        q = self.q
-
-        def s_of(k):
-            return (a_slots[k] + b_slots[k]) * 0.5
-
-        def t_of(k):
-            return (a_slots[k] - b_slots[k]) * 0.5
-
-        def one(i):
-            if i == 1:
-                m = np.einsum("nijk,npj,npk->npi", q, s_of(1), a_slots[2]) + np.einsum(
-                    "nijk,npj,npk->npi", q, t_of(1), b_slots[2]
-                )
-            elif i == 2:
-                m = np.einsum("nijk,npi,npk->npj", q, s_of(0), a_slots[2]) + np.einsum(
-                    "nijk,npi,npk->npj", q, t_of(0), b_slots[2]
-                )
-            else:
-                m = np.einsum("nijk,npi,npj->npk", q, s_of(0), a_slots[1]) + np.einsum(
-                    "nijk,npi,npj->npk", q, t_of(0), b_slots[1]
-                )
-            local = (self.alpha, self.beta, self.gamma)[i - 1]
-            si, ti = s_of(i - 1), t_of(i - 1)
-            return np.einsum("npi,npi->np", si, m) + np.einsum("npi,ni->np", ti, local)
-
-        if which is None:
-            return np.stack([one(i) for i in (1, 2, 3)], axis=-1)
-        return one(which)
-
-
-def _slot_views(vecs, slot=None, is_b=False, n_probe: int = 1):
-    """Per-slot a/b arrays (rows, n_probe, 3); the active slot gets the probes."""
-    n = vecs.shape[0]
-    a_slots = [np.broadcast_to(vecs[:, 0, k, None, :], (n, n_probe, 3)) for k in range(3)]
-    b_slots = [np.broadcast_to(vecs[:, 1, k, None, :], (n, n_probe, 3)) for k in range(3)]
-    if slot is not None:
-        probe = np.broadcast_to(_PROBES[None, :, :], (n, 4, 3))
-        (b_slots if is_b else a_slots)[slot] = probe
-    return a_slots, b_slots
-
-
-def _affine_form(problem, vecs, slot: int, is_b: bool, which):
-    """Exact affine coefficients of <D> in the active setting vector.
-
-    Evaluates the fast path with the active vector replaced by the zero
-    vector and each basis vector.  For a single index ``which`` returns
-    (c, g) with shapes (n,), (n, 3); for which=None shapes (n, 3) and
-    (n, 3, 3) with axis 1 the operator index.
+    Shapes (rows, len(ops)) and (rows, len(ops), 3).
     """
-    a_slots, b_slots = _slot_views(vecs, slot, is_b, n_probe=4)
-    vals = problem.values(a_slots, b_slots, which)
-    if which is None:
-        c = vals[:, 0, :]
-        g = np.swapaxes(vals[:, 1:4, :] - vals[:, 0:1, :], 1, 2)
-    else:
-        c = vals[:, 0]
-        g = vals[:, 1:4] - vals[:, 0:1]
-    return c, g
+    pairs = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j, ab) for i in ops]
+    return np.stack([c for c, _ in pairs], axis=1), np.stack([g for _, g in pairs], axis=1)
 
 
-def _current_values(problem, vecs, which):
-    a_slots, b_slots = _slot_views(vecs, n_probe=1)
-    vals = problem.values(a_slots, b_slots, which)
-    return vals[:, 0] if which is not None else vals[:, 0, :]
+def _at(g, c, v):
+    """Operator values c + g . v per row, shape (rows, len(ops))."""
+    return c + np.einsum("noc,nc->no", g, v)
 
 
 def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective, recheck_tol=1e-10):
@@ -204,23 +129,31 @@ def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, o
     )
 
 
-def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
-    """Batched :func:`seesaw_max_abs_d` over a list of states (one result each).
+def _ascend(states, ops, step, objective, dense_objective, cfg):
+    """Lockstep multi-start block-coordinate ascent; one result per state.
 
-    All states share the configured start vectors and advance in lockstep;
-    each row's update sequence is identical to the single-state driver's.
+    Rows are (state, start) pairs, all starting from the configured start
+    vectors.  For each active vector the rows' coefficients (c, g) of the
+    operators in ``ops`` give the new vector ``step(g, c, v)`` together
+    with a per-row count of degenerate updates, and ``objective`` maps the
+    operator values c + g . v to each row's objective, which must not
+    decrease.  A row stops after the first sweep that gains less than
+    ``cfg.abs_tol``.  Each state's best row is rechecked on the dense path
+    by ``dense_objective``.
     """
-    if i not in (1, 2, 3):
-        raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
     cfg = cfg or OptimizerConfig()
     states = [as_density(s) for s in states]
     if not states:
         return []
-    problem = _RowProblem(states, cfg.n_starts)
-    n = problem.n_states * cfg.n_starts
-    vecs = np.tile(_initial_vectors(cfg), (problem.n_states, 1, 1, 1))
+    k = cfg.n_starts
+    decs = [decompose(rho) for rho in states]
+    local = np.repeat(np.stack([_local_vectors(d) for d in decs]), k, axis=0)
+    q = np.repeat(np.stack([d.Q for d in decs]), k, axis=0)
+    vecs = np.tile(_initial_vectors(cfg), (len(states), 1, 1, 1))
+    n = vecs.shape[0]
 
-    obj = np.abs(_current_values(problem, vecs, i))
+    c, g = _coefficients(local, q, vecs, ops, 1, 0)
+    obj = objective(_at(g, c, vecs[:, 0, 0]))
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     sweeps_done = np.full(n, cfg.max_sweeps, dtype=int)
@@ -230,49 +163,62 @@ def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
         rows = np.nonzero(active)[0]
         if rows.size == 0:
             break
-        sub = vecs[rows]
-        sub_problem = problem.take(rows)
-        sub_obj = obj[rows]
-        sub_degenerate = np.zeros(rows.size, dtype=int)
-        for slot in range(3):
-            for is_b in (False, True):
-                c, g = _affine_form(sub_problem, sub, slot, is_b, which=i)
-                gnorm = np.linalg.norm(g, axis=1)
-                ok = gnorm > GRAD_FLOOR
-                sub_degenerate += ~ok
-                sign = np.where(c >= 0.0, 1.0, -1.0)
-                cur = sub[:, 1 if is_b else 0, slot, :]
-                new = np.where(
-                    ok[:, None],
-                    sign[:, None] * g / np.maximum(gnorm, GRAD_FLOOR)[:, None],
-                    cur,
-                )
-                sub[:, 1 if is_b else 0, slot, :] = new
-                new_obj = np.abs(c + np.einsum("nc,nc->n", g, new))
+        sub, sub_local, sub_q, sub_obj = vecs[rows], local[rows], q[rows], obj[rows]
+        for j in (1, 2, 3):
+            for ab in (0, 1):
+                c, g = _coefficients(sub_local, sub_q, sub, ops, j, ab)
+                new, n_degenerate = step(g, c, sub[:, ab, j - 1])
+                new_obj = objective(_at(g, c, new))
                 if np.any(new_obj < sub_obj - _MONOTONE_SLACK):
-                    raise ConsistencyError("see-saw objective decreased during an update")
+                    raise ConsistencyError("objective decreased during a coordinate update")
+                sub[:, ab, j - 1] = new
                 sub_obj = new_obj
+                degenerate[rows] += n_degenerate
         gain = sub_obj - obj[rows]
         vecs[rows] = sub
         obj[rows] = sub_obj
-        degenerate[rows] += sub_degenerate
-        done = gain < cfg.abs_tol
-        done_rows = rows[done]
-        sweeps_done[done_rows] = sweep
-        converged[done_rows] = True
-        active[done_rows] = False
+        done = rows[gain < cfg.abs_tol]
+        sweeps_done[done] = sweep
+        converged[done] = True
+        active[done] = False
 
     results = []
-    k = cfg.n_starts
     for s, rho in enumerate(states):
         sl = slice(s * k, (s + 1) * k)
         results.append(
             _result_for_rows(
                 rho, obj[sl], vecs[sl], sweeps_done[sl], converged[sl],
-                int(degenerate[sl].sum()), lambda r, m: abs(expectation_bell(r, m, i)),
+                int(degenerate[sl].sum()), dense_objective,
             )
         )
     return results
+
+
+def _align(g, c, v):
+    """Exact maximizer +/- g/|g| of |c + g . v| on the unit sphere (one operator).
+
+    The sign follows c; a vanishing g keeps v and counts as degenerate.
+    """
+    g, c = g[:, 0], c[:, 0]
+    gnorm = np.linalg.norm(g, axis=1)
+    ok = gnorm > GRAD_FLOOR
+    sign = np.where(c >= 0.0, 1.0, -1.0)
+    new = np.where(ok[:, None], sign[:, None] * g / np.maximum(gnorm, GRAD_FLOOR)[:, None], v)
+    return new, (~ok).astype(int)
+
+
+def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
+    """Batched :func:`seesaw_max_abs_d` over a list of states (one result each).
+
+    All states share the configured start vectors and advance in lockstep;
+    each row's update sequence is identical to the single-state driver's.
+    """
+    if i not in (1, 2, 3):
+        raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
+    return _ascend(
+        states, (i,), _align, lambda d: np.abs(d[:, 0]),
+        lambda r, m: abs(expectation_bell(r, m, i)), cfg,
+    )
 
 
 def seesaw_max_abs_d(rho, i: int, cfg: OptimizerConfig | None = None) -> OptimizationResult:
@@ -291,10 +237,10 @@ def _ascend_sphere_quadratic(g, c, v0, max_iter=60):
 
     Steps are accepted only if they improve the objective; rejected steps
     halve the per-start step size, accepted ones grow it.  Returns
-    (v, values, n_stalled) and never lowers any start's objective.
+    (v, n_stalled) and never lowers any start's objective.
     """
     v = v0.copy()
-    r = np.einsum("nic,nc->ni", g, v) + c
+    r = _at(g, c, v)
     w = np.sum(r * r, axis=1)
     eta = np.ones(v.shape[0])
     stalled = np.zeros(v.shape[0], dtype=bool)
@@ -309,7 +255,7 @@ def _ascend_sphere_quadratic(g, c, v0, max_iter=60):
         nrm = np.linalg.norm(cand, axis=1)
         valid = live & (nrm > GRAD_FLOOR)
         cand = np.where(valid[:, None], cand / np.maximum(nrm, GRAD_FLOOR)[:, None], v)
-        rc = np.einsum("nic,nc->ni", g, cand) + c
+        rc = _at(g, c, cand)
         wc = np.sum(rc * rc, axis=1)
         accept = valid & (wc > w)
         v = np.where(accept[:, None], cand, v)
@@ -318,7 +264,7 @@ def _ascend_sphere_quadratic(g, c, v0, max_iter=60):
         eta = np.where(accept, np.minimum(eta * 1.5, 4.0), eta * 0.5)
         if not np.any(eta >= 1e-16):
             break
-    return v, w, stalled.astype(int)
+    return v, stalled.astype(int)
 
 
 def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResult:
@@ -328,51 +274,10 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     local optima for generic entangled states, so raise ``n_starts`` when a
     certified-quality maximum matters.
     """
-    cfg = cfg or OptimizerConfig()
-    rho = as_density(rho)
-    problem = _RowProblem([rho], cfg.n_starts)
-    n = cfg.n_starts
-    vecs = _initial_vectors(cfg)
-
-    vals0 = _current_values(problem, vecs, which=None)
-    obj = np.sum(vals0**2, axis=1)
-    active = np.ones(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
-    sweeps_done = np.full(n, cfg.max_sweeps, dtype=int)
-    degenerate = np.zeros(n, dtype=int)
-
-    for sweep in range(1, cfg.max_sweeps + 1):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        sub = vecs[rows]
-        sub_problem = problem.take(rows)
-        sub_obj = obj[rows]
-        sub_degenerate = np.zeros(rows.size, dtype=int)
-        for slot in range(3):
-            for is_b in (False, True):
-                c, g = _affine_form(sub_problem, sub, slot, is_b, which=None)
-                cur = sub[:, 1 if is_b else 0, slot, :]
-                new, new_obj, ndeg = _ascend_sphere_quadratic(g, c, cur)
-                sub_degenerate += ndeg
-                if np.any(new_obj < sub_obj - _MONOTONE_SLACK):
-                    raise ConsistencyError("omega objective decreased during an update")
-                sub[:, 1 if is_b else 0, slot, :] = new
-                sub_obj = new_obj
-        gain = sub_obj - obj[rows]
-        vecs[rows] = sub
-        obj[rows] = sub_obj
-        degenerate[rows] += sub_degenerate
-        done = gain < cfg.abs_tol
-        done_rows = rows[done]
-        sweeps_done[done_rows] = sweep
-        converged[done_rows] = True
-        active[done_rows] = False
-
-    return _result_for_rows(
-        rho, obj, vecs, sweeps_done, converged, int(degenerate.sum()),
-        objective=lambda r, m: omega_matrix(r, m),
-    )
+    return _ascend(
+        [rho], (1, 2, 3), _ascend_sphere_quadratic, lambda d: np.sum(d * d, axis=1),
+        omega_matrix, cfg,
+    )[0]
 
 
 def planar_case_settings(theta1: float, theta2: float, theta3: float) -> MeasurementSettings:
@@ -423,20 +328,14 @@ def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
         raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
     d = decompose(as_density(state))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    g1, g2, g3 = np.meshgrid(angles, angles, angles, indexing="ij")
-    shape = g1.shape
-    s = np.zeros(shape + (3, 3))
-    t = np.zeros(shape + (3, 3))
+    grids = np.meshgrid(angles, angles, angles, indexing="ij")
+    a = np.zeros(grids[0].shape + (3, 3))
+    b = np.zeros_like(a)
     others = [j for j in (1, 2, 3) if j != i]
-    grids = {i: g1, others[0]: g2, others[1]: g3}
-    for slot, grid in grids.items():
-        if slot == i:
-            s[..., slot - 1, 0] = np.cos(grid)
-            s[..., slot - 1, 1] = np.sin(grid)
-        else:
-            s[..., slot - 1, 0] = np.cos(grid) / np.sqrt(2.0)
-            s[..., slot - 1, 1] = np.sin(grid) / np.sqrt(2.0)
-            t[..., slot - 1, 0] = -np.sin(grid) / np.sqrt(2.0)
-            t[..., slot - 1, 1] = np.cos(grid) / np.sqrt(2.0)
-    vals = _d_values(d.alpha, d.beta, d.gamma, d.Q, s, t, which=i)
+    for slot, grid in zip([i] + others, grids):
+        shift = 0.0 if slot == i else np.pi / 4
+        a[..., slot - 1, :2] = np.stack([np.cos(grid + shift), np.sin(grid + shift)], axis=-1)
+        b[..., slot - 1, :2] = np.stack([np.cos(grid - shift), np.sin(grid - shift)], axis=-1)
+    c, g = affine_coefficients(_local_vectors(d), d.Q, a, b, i, i, False)
+    vals = c + np.sum(g * a[..., i - 1, :], axis=-1)
     return float(np.max(np.abs(vals)))

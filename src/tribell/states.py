@@ -20,7 +20,6 @@ __all__ = [
     "AcinParameters",
     "PARTITIONS",
     "FULLY_SEPARABLE",
-    "separated_slot",
     "ghz",
     "generalized_ghz",
     "acin_state",
@@ -61,11 +60,6 @@ def _check_partition(partition: str) -> str:
     if partition not in PARTITIONS:
         raise ValidationError(f"unknown bipartition label {partition!r}; expected one of {PARTITIONS}")
     return partition
-
-
-def separated_slot(partition: str) -> int:
-    """Slot number of the qubit split off by the given bipartition."""
-    return _SEPARATED[_check_partition(partition)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from tribell.bell import (
     MeasurementSettings,
+    affine_coefficients,
     bell_operator,
     derive_st,
     expectation_bell,
@@ -16,7 +19,7 @@ from tribell.bell import (
 )
 from tribell.core import I2, SX, SY, SZ, ValidationError, is_hermitian
 from tribell.pauli import decompose
-from tribell.states import ghz, maximally_mixed, random_pure, to_density
+from tribell.states import ghz, maximally_mixed, random_in_class, random_pure, to_density
 
 SQ2 = np.sqrt(2.0)
 X_HAT = np.array([1.0, 0.0, 0.0])
@@ -204,6 +207,76 @@ class TestFastPath:
             local = (d.alpha, d.beta, d.gamma)[i - 1]
             delta = expectation_bell_fast(d, st2, i) - expectation_bell_fast(d, st, i)
             assert delta == pytest.approx(-2.0 * float(st.t[i - 1] @ local), abs=1e-12)
+
+
+def local_vectors(d):
+    return np.stack([d.alpha, d.beta, d.gamma])
+
+
+def draw_state(kind, seed):
+    if kind == "pure":
+        return to_density(random_pure(seed))
+    return random_in_class(kind, 1 + seed % 3, seed)
+
+
+UNIT_VECTORS = (
+    hst.lists(hst.floats(-1.0, 1.0), min_size=3, max_size=3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+class TestAffineCoefficients:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        kind=hst.sampled_from(["pure", "fully-separable", "1-23", "2-13", "12-3"]),
+        state_seed=hst.integers(0, 2**32 - 1),
+        settings_seed=hst.integers(0, 2**32 - 1),
+        i=hst.sampled_from((1, 2, 3)),
+        j=hst.sampled_from((1, 2, 3)),
+        is_b=hst.booleans(),
+        v=UNIT_VECTORS,
+    )
+    def test_affine_form_matches_matrix_path(self, kind, state_seed, settings_seed, i, j, is_b, v):
+        """c + g . v is <D_i> with v substituted for a_j (or b_j), on the dense path."""
+        rho = draw_state(kind, state_seed)
+        m = random_settings(settings_seed)
+        d = decompose(rho)
+        c, g = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j, is_b)
+        a, b = m.a.copy(), m.b.copy()
+        (b if is_b else a)[j - 1] = v
+        dense = expectation_bell(rho, MeasurementSettings(a, b), i)
+        assert abs(float(c + g @ v) - dense) <= 1e-10
+
+    def test_leading_axes_broadcast(self):
+        """One state against stacked settings and per-row states both match row by row."""
+        rng = np.random.default_rng(17)
+        decs = [decompose(to_density(random_pure(int(rng.integers(2**63))))) for _ in range(4)]
+        ms = [random_settings(int(rng.integers(2**63))) for _ in range(4)]
+        a = np.stack([m.a for m in ms])
+        b = np.stack([m.b for m in ms])
+        local = np.stack([local_vectors(d) for d in decs])
+        q = np.stack([d.Q for d in decs])
+        for i, j, is_b in [(1, 1, False), (2, 3, True), (3, 1, False)]:
+            c_rows, g_rows = affine_coefficients(local, q, a, b, i, j, is_b)
+            c_one, g_one = affine_coefficients(local[0], q[0], a, b, i, j, is_b)
+            assert c_rows.shape == (4,) and g_rows.shape == (4, 3)
+            for n, (d, m) in enumerate(zip(decs, ms)):
+                c, g = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j, is_b)
+                np.testing.assert_allclose(c_rows[n], c, atol=1e-15)
+                np.testing.assert_allclose(g_rows[n], g, atol=1e-15)
+                c0, g0 = affine_coefficients(local[0], q[0], m.a, m.b, i, j, is_b)
+                np.testing.assert_allclose(c_one[n], c0, atol=1e-15)
+                np.testing.assert_allclose(g_one[n], g0, atol=1e-15)
+
+    def test_bad_indices_rejected(self):
+        d = decompose(to_density(ghz()))
+        m = random_settings(3)
+        with pytest.raises(ValidationError):
+            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 4, 1, False)
+        with pytest.raises(ValidationError):
+            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, 0, False)
 
 
 class TestOmega:

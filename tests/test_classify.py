@@ -1,5 +1,7 @@
 """Exclusion logic, region sampling, and the projection table."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ class TestExclusionRules:
     def test_margin_must_be_positive(self):
         with pytest.raises(ValidationError, match="margin"):
             excluded_classes((1.0, 1.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("margin", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_bad_margin_rejected_before_optimizing(self, margin, monkeypatch):
+        # the package's ``classify`` attribute is the function, not this module
+        classify_mod = importlib.import_module("tribell.classify")
+
+        def unexpected(*args, **kwargs):
+            pytest.fail("classify optimized before checking the margin")
+
+        monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
+        with pytest.raises(ValidationError, match="margin"):
+            classify(to_density(ghz()), CFG, margin=margin)
 
 
 class TestClassify:

@@ -101,6 +101,21 @@ class TestEvaluate:
         assert code == EXIT_INPUT
         assert "'b'" in err
 
+    @pytest.mark.parametrize(
+        "a, shown",
+        [
+            ([["x", 0.0, 0.0]] * 3, "'x'"),
+            ([[1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "[1.0, 0.0]"),
+        ],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_settings_bad_rows_rejected(self, tmp_path, capsys, a, shown):
+        settings = write_settings(tmp_path / "bad.json", a, ALL_X)
+        code, _, err = run_cli(capsys, "evaluate", "builtin:ghz", settings, "1")
+        assert code == EXIT_INPUT
+        assert "'a'" in err
+        assert shown in err
+
     def test_dual_path_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import tribell.cli as cli_mod
 
@@ -162,6 +177,13 @@ class TestClassify:
         assert payload["excluded"] == []
         assert payload["genuine_tripartite_indicated"] is False
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0"])
+    def test_bad_margin_exits_2(self, capsys, margin):
+        code, out, err = run_cli(capsys, "classify", "builtin:000", "--margin", margin)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"got {float(margin)}" in err
+
 
 class TestSampleAndFigure:
     def test_sample_fully_separable_cube(self, capsys):
@@ -186,6 +208,12 @@ class TestSampleAndFigure:
         _, out1, _ = run_cli(capsys, "sample", "--class", "ghz-family", "-n", "20", "--seed", "9")
         _, out2, _ = run_cli(capsys, "sample", "--class", "ghz-family", "-n", "20", "--seed", "9")
         assert out1 == out2
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--class", "haar-pure", "-n", "5", "--seed", "-1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "seed" in err and "-1" in err
 
     def test_unknown_class_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
