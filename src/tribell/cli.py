@@ -77,11 +77,16 @@ def _emit_json(obj, stream) -> None:
     stream.write("\n")
 
 
+def _is_number(x) -> bool:
+    """True for a JSON number; JSON booleans load as bool, an int subclass, and are refused."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_pair(entry, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(x, (int, float)) for x in entry)
+        or not all(_is_number(x) for x in entry)
     ):
         raise ValidationError(f"{where} must be a [re, im] pair of numbers, got {entry!r}")
     return complex(entry[0], entry[1])
@@ -166,12 +171,16 @@ def load_settings(path: str) -> MeasurementSettings:
     for key in ("a", "b"):
         if key not in data:
             raise ValidationError(f"settings file missing key {key!r}")
+        value = data[key]
+        bad = ValidationError(f"settings {key!r} must be three numeric 3-vectors, got {value!r}")
+        if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(_is_number(x) for x in row) for row in value
+        ):
+            raise bad
         try:
-            rows.append(np.asarray(data[key], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"settings {key!r} must be three numeric 3-vectors, got {data[key]!r}"
-            ) from exc
+            rows.append(np.asarray(value, dtype=float))
+        except ValueError as exc:
+            raise bad from exc
     return MeasurementSettings(*rows, tol=FILE_TOL)
 
 

@@ -10,9 +10,11 @@ the active vector by a per-coordinate step:
 * :func:`seesaw_max_abs_d` - the exact maximizer v = +/- g/|g| of |<D_i>|
   for one index i.  The objective never decreases.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
-  shared setting.  Per coordinate the objective is a quadratic on the unit
-  sphere, ascended by projected gradient steps with accept/reject step-size
-  control (monotone by construction).
+  shared setting.  Per coordinate the objective |G v + c|^2 is a quadratic
+  on the unit sphere, and the step is its exact global maximizer: the
+  solution of a 3-D trust-region subproblem, including the hard case where
+  G^T c is orthogonal to the top eigenvector of G^T G.  A row keeps its
+  vector unless the step strictly improves it (monotone by construction).
 
 Every start draws its six initial unit vectors from an independent RNG
 stream derived from (seed, start index), and all starts of all states
@@ -232,51 +234,63 @@ def seesaw_max_abs_d(rho, i: int, cfg: OptimizerConfig | None = None) -> Optimiz
     return seesaw_max_abs_d_many([rho], i, cfg)[0]
 
 
-def _ascend_sphere_quadratic(g, c, v0, max_iter=60):
-    """Projected gradient ascent for sum_i (g_i . v + c_i)^2 on the unit sphere.
+def _sum_squares(d):
+    """Per-row omega sum_o d_o^2 of the operator values d, shape (rows, ops)."""
+    return np.sum(d * d, axis=1)
 
-    Steps are accepted only if they improve the objective; rejected steps
-    halve the per-start step size, accepted ones grow it.  Returns
-    (v, n_stalled) and never lowers any start's objective.
+
+def _maximize_sphere_quadratic(g, c, v0):
+    """Exact maximizer of |G v + c|^2 over unit v: a 3-D trust-region subproblem.
+
+    With A = G^T G = Q diag(mu) Q^T (mu ascending) and b = G^T c, the global
+    maximizer solves (lam I - A) v = b with lam >= mu_max, and lam is the
+    largest real eigenvalue of [[A, I], [b b^T, A]] (Adachi, Iwata,
+    Nakatsukasa & Takeda, SIAM J. Optim. 27 (2017)).  In the eigenbasis the
+    lower coordinates are beta_k / (lam - mu_k) with beta = Q^T b, and the top
+    one is filled from |v| = 1.  That fill also covers the hard case
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)): b orthogonal to
+    the top eigenvector, lam = mu_max, where the top coordinate takes the
+    sign nearer v0.  Rows with G = 0 keep v0 and count as degenerate, and
+    every row keeps v0 unless the candidate's objective is strictly higher.
+    Returns (v, n_degenerate).
     """
-    v = v0.copy()
-    r = _at(g, c, v)
-    w = np.sum(r * r, axis=1)
-    eta = np.ones(v.shape[0])
-    stalled = np.zeros(v.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        grad = 2.0 * np.einsum("ni,nic->nc", r, g)
-        gn = np.linalg.norm(grad, axis=1)
-        live = gn > GRAD_FLOOR
-        stalled |= ~live
-        if not live.any():
-            break
-        cand = v + eta[:, None] * grad
-        nrm = np.linalg.norm(cand, axis=1)
-        valid = live & (nrm > GRAD_FLOOR)
-        cand = np.where(valid[:, None], cand / np.maximum(nrm, GRAD_FLOOR)[:, None], v)
-        rc = _at(g, c, cand)
-        wc = np.sum(rc * rc, axis=1)
-        accept = valid & (wc > w)
-        v = np.where(accept[:, None], cand, v)
-        r = np.where(accept[:, None], rc, r)
-        w = np.where(accept, wc, w)
-        eta = np.where(accept, np.minimum(eta * 1.5, 4.0), eta * 0.5)
-        if not np.any(eta >= 1e-16):
-            break
-    return v, stalled.astype(int)
+    n = v0.shape[0]
+    a = np.einsum("noc,nod->ncd", g, g)
+    b = np.einsum("noc,no->nc", g, c)
+    mu, q = np.linalg.eigh(a)
+    beta = np.einsum("ncd,nc->nd", q, b)
+    pencil = np.zeros((n, 6, 6))
+    pencil[:, :3, :3] = pencil[:, 3:, 3:] = a
+    pencil[:, :3, 3:] = np.eye(3)
+    pencil[:, 3:, :3] = b[:, :, None] * b[:, None, :]
+    lam = np.maximum(np.linalg.eigvals(pencil).real.max(axis=1), mu[:, 2])
+    # lam - mu_k >= |beta_k| holds at the root; the floor keeps rounding from
+    # dividing by a vanishing gap
+    gap = np.maximum(lam[:, None] - mu[:, :2], np.maximum(np.abs(beta[:, :2]), GRAD_FLOOR))
+    low = beta[:, :2] / gap
+    side = np.where(beta[:, 2] != 0.0, beta[:, 2], np.einsum("nc,nc->n", q[:, :, 2], v0))
+    fill = np.sqrt(np.maximum(1.0 - np.sum(low * low, axis=1), 0.0))
+    top = np.where(side < 0.0, -fill, fill)
+    cand = np.einsum("ncd,nd->nc", q, np.concatenate([low, top[:, None]], axis=1))
+    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    degenerate = np.linalg.norm(g, axis=(1, 2)) <= GRAD_FLOOR
+    better = ~degenerate & (_sum_squares(_at(g, c, cand)) > _sum_squares(_at(g, c, v0)))
+    return np.where(better[:, None], cand, v0), degenerate.astype(int)
 
 
 def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResult:
     """Largest omega (sum of three squared expectations) found over shared settings.
 
-    Best across the configured starts; the quadratic landscape has genuine
-    local optima for generic entangled states, so raise ``n_starts`` when a
-    certified-quality maximum matters.
+    Block-coordinate ascent: each update replaces one setting vector by the
+    exact maximizer of omega in that vector alone, a trust-region step on the
+    unit sphere (see :func:`_maximize_sphere_quadratic`).  Coordinates where
+    omega does not depend on the vector keep it and are counted in
+    ``degenerate_updates``.  Best across the configured starts; the joint
+    landscape has genuine local optima for generic entangled states, so raise
+    ``n_starts`` when a certified-quality maximum matters.
     """
     return _ascend(
-        [rho], (1, 2, 3), _ascend_sphere_quadratic, lambda d: np.sum(d * d, axis=1),
-        omega_matrix, cfg,
+        [rho], (1, 2, 3), _maximize_sphere_quadratic, _sum_squares, omega_matrix, cfg,
     )[0]
 
 

@@ -60,6 +60,13 @@ class TestDecompose:
         assert code == EXIT_INPUT
         assert "norm" in err
 
+    def test_boolean_amplitude_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"kind": "pure", "data": [[True, False]] + [[0.0, 0.0]] * 7}))
+        code, _, err = run_cli(capsys, "decompose", str(path))
+        assert code == EXIT_INPUT
+        assert "amplitude 0" in err
+
     def test_builtin_acin(self, capsys):
         name = "builtin:acin:" + ",".join(str(x) for x in [1 / np.sqrt(5)] * 5) + ",1.5707963267948966"
         code, out, _ = run_cli(capsys, "decompose", name)
@@ -106,8 +113,10 @@ class TestEvaluate:
         [
             ([["x", 0.0, 0.0]] * 3, "'x'"),
             ([[1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "[1.0, 0.0]"),
+            ([["1", "0", "0"]] * 3, "'1'"),
+            ([[True, False, False]] * 3, "True"),
         ],
-        ids=["non-numeric", "ragged"],
+        ids=["non-numeric", "ragged", "numeric-string", "boolean"],
     )
     def test_settings_bad_rows_rejected(self, tmp_path, capsys, a, shown):
         settings = write_settings(tmp_path / "bad.json", a, ALL_X)

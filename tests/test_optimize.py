@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from tribell.bell import expectation_bell, omega
+from tribell.classify import _draw_state
 from tribell.core import ValidationError
 from tribell.optimize import (
     OptimizerConfig,
+    _maximize_sphere_quadratic,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
@@ -14,15 +18,19 @@ from tribell.optimize import (
     seesaw_max_abs_d,
 )
 from tribell.states import (
+    AcinParameters,
     PureState,
+    acin_state,
     apply_local_unitaries,
     canonical_biseparable,
     ghz,
     maximally_mixed,
+    phi_plus_otimes_zero,
     random_in_class,
     random_local_unitaries,
     random_pure,
     to_density,
+    w_state,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -34,6 +42,37 @@ def ket000():
     amp = np.zeros(8, dtype=complex)
     amp[0] = 1.0
     return to_density(PureState(amp))
+
+
+def drawn_1_23(k):
+    """The k-th of twelve 1-23 states drawn from default_rng(2024)."""
+    rng = np.random.default_rng(2024)
+    return [_draw_state("1-23", rng) for _ in range(12)][k]
+
+
+def fibonacci_sphere(n):
+    """n nearly uniform unit vectors (golden-angle spiral)."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    r = np.sqrt(1.0 - z * z)
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * k
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+FIB_GRID = fibonacci_sphere(6000)
+ENTRIES = hst.floats(-2.0, 2.0, allow_nan=False)
+UNIT_VECTORS = (
+    hst.lists(hst.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+def sphere_objective(g, c, v):
+    """|G v + c|^2 for each row of v."""
+    r = v @ g.T + c
+    return np.sum(r * r, axis=-1)
 
 
 def plus_phi_plus():
@@ -147,6 +186,29 @@ class TestMaximizeOmega:
     def test_maximally_mixed_is_zero(self):
         res = maximize_omega(maximally_mixed(), CFG)
         assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert res.degenerate_updates > 0
+
+    @pytest.mark.parametrize(
+        "make_state, target, tol",
+        [
+            # a local ascent stalled at omega = 3 and reported converged
+            pytest.param(lambda: drawn_1_23(5), 3.1, None, id="1-23-draw-5"),
+            pytest.param(lambda: drawn_1_23(6), 3.06, None, id="1-23-draw-6"),
+            pytest.param(w_state, 3.390460397, 1e-8, id="w"),
+            pytest.param(phi_plus_otimes_zero, 3.222517085, 1e-8, id="phi-plus-otimes-0"),
+            pytest.param(
+                lambda: acin_state(AcinParameters(np.array([0.5, 0.5, 0.5, 0.5, 0.0]), 0.0)),
+                3.546253018, 1e-8, id="acin-0.5",
+            ),
+        ],
+    )
+    def test_default_config_values(self, make_state, target, tol):
+        """Pinned omega under the default config; floors where only a bound is known."""
+        value = maximize_omega(make_state(), CFG).value
+        if tol is None:
+            assert value >= target
+        else:
+            assert value == pytest.approx(target, abs=tol)
 
     def test_ghz_exceeds_aligned_saturation(self):
         """The tuned quadratic maximum for GHZ sits at 3(u + 4u^2(1-u)), u=(2+sqrt7)/6.
@@ -178,6 +240,47 @@ class TestMaximizeOmega:
         for seed in range(4):
             rho = random_in_class(None, 3, seed)
             assert maximize_omega(rho, FAST_CFG).value <= 3.0 + 1e-9
+
+
+class TestSphereQuadraticStep:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        g=hst.lists(ENTRIES, min_size=9, max_size=9),
+        c=hst.lists(ENTRIES, min_size=3, max_size=3),
+        rank=hst.integers(0, 3),
+        c_kind=hst.sampled_from(["free", "zero", "off-top"]),
+        v0=UNIT_VECTORS,
+    )
+    def test_step_is_the_global_maximizer(self, g, c, rank, c_kind, v0):
+        """Unit, never below v0, at least the best of a 6000-point grid, and optimal.
+
+        Rank-deficient G, G = 0 and c = 0 or c off the top singular direction
+        (the hard case when b = G^T c misses the top eigenvector) included.
+        Optimality is the More-Sorensen certificate: with A = G^T G, b = G^T c
+        and lam = v . (A v + b), (lam I - A) v = b and lam >= mu_max(A).
+        """
+        u, s, vt = np.linalg.svd(np.reshape(g, (3, 3)))
+        s[rank:] = 0.0
+        g = u @ np.diag(s) @ vt
+        c = np.asarray(c)
+        if c_kind == "zero":
+            c = np.zeros(3)
+        elif c_kind == "off-top":
+            c = 0.1 * (c[1] * u[:, 1] + c[2] * u[:, 2])
+        v, n_degenerate = _maximize_sphere_quadratic(g[None], c[None], v0[None])
+        v = v[0]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        value = sphere_objective(g, c, v)
+        assert value >= sphere_objective(g, c, v0)
+        assert value >= sphere_objective(g, c, FIB_GRID).max() - 1e-12
+        a, b = g.T @ g, g.T @ c
+        lam = v @ (a @ v + b)
+        scale = 1.0 + np.linalg.norm(a) + np.linalg.norm(b)
+        assert np.linalg.norm(lam * v - a @ v - b) <= 1e-7 * scale
+        assert lam >= np.linalg.eigvalsh(a)[-1] - 1e-12 * scale
+        assert n_degenerate[0] == (rank == 0)
+        if c_kind == "zero":
+            assert v @ v0 >= 0.0  # the hard case's sign stays on v0's side
 
 
 class TestPlanarOracle:
