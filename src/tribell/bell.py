@@ -18,10 +18,12 @@ maximally entangled state; finely tuned settings on strongly entangled
 states can push it above 3 (to about 3.947 for the maximally entangled
 state), so omega is a diagnostic quantity, not a certified bound.
 
-Expectations come in two independently implemented flavors: a dense
-matrix-trace path and a fast contraction of the state's Pauli coefficients
-with the half-sum/half-difference vectors s_j = (a_j + b_j)/2,
-t_j = (a_j - b_j)/2.  The two are cross-checked in the test suite.
+Expectations come in two independently implemented flavors, both taking the
+same settings (a, b): a dense matrix-trace path and a fast contraction of the
+state's Pauli coefficients.  Inside the contraction the settings enter
+through the half-sum and half-difference vectors s_j = (a_j + b_j)/2 and
+t_j = (a_j - b_j)/2, which satisfy |s_j|^2 + |t_j|^2 = 1 and s_j . t_j = 0
+for unit a_j, b_j.  The two paths are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from .states import as_density
 __all__ = [
     "UNIT_TOL",
     "MeasurementSettings",
-    "DerivedSettingVectors",
     "observable",
-    "derive_st",
     "wwzb_pair",
     "bell_operator",
     "expectation_bell",
@@ -87,33 +87,6 @@ class MeasurementSettings:
         return cls(rows, rows.copy())
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedSettingVectors:
-    """Half-sum and half-difference vectors s_j, t_j of a settings choice.
-
-    For unit a_j, b_j these satisfy |s_j|^2 + |t_j|^2 = 1 and s_j . t_j = 0.
-    """
-
-    s: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        if s.shape != (3, 3) or t.shape != (3, 3):
-            raise ValidationError("s and t must each be three 3-vectors")
-        sums = np.sum(s**2, axis=1) + np.sum(t**2, axis=1)
-        dots = np.sum(s * t, axis=1)
-        if np.any(np.abs(sums - 1.0) > UNIT_TOL) or np.any(np.abs(dots) > UNIT_TOL):
-            raise ValidationError(
-                "derived vectors must satisfy |s|^2+|t|^2=1 and s.t=0 per qubit"
-            )
-        s.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-
 def observable(v) -> np.ndarray:
     """The dichotomic observable v . sigma for a unit Bloch vector v."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -124,11 +97,6 @@ def observable(v) -> np.ndarray:
             f"Bloch vector must be unit length within {UNIT_TOL:g}, got |v|^2 = {np.sum(v**2)!r}"
         )
     return v[0] * SX + v[1] * SY + v[2] * SZ
-
-
-def derive_st(m: MeasurementSettings) -> DerivedSettingVectors:
-    """s_j = (a_j + b_j)/2 and t_j = (a_j - b_j)/2 for j = 1, 2, 3."""
-    return DerivedSettingVectors((m.a + m.b) / 2.0, (m.a - m.b) / 2.0)
 
 
 def _pair_indices(excluded: int) -> tuple[int, int]:
@@ -230,16 +198,15 @@ def _local_vectors(d: PauliDecomposition) -> np.ndarray:
     return np.stack([d.alpha, d.beta, d.gamma])
 
 
-def expectation_bell_fast(d: PauliDecomposition, st: DerivedSettingVectors, i: int) -> float:
+def expectation_bell_fast(d: PauliDecomposition, m: MeasurementSettings, i: int) -> float:
     """<D_i> via the Pauli-coefficient contraction path.
 
     Agrees with :func:`expectation_bell` to machine precision for valid
     inputs; :func:`affine_coefficients`, which it evaluates at a_i, is the
     contraction used inside optimization loops.
     """
-    a = st.s + st.t
-    c, g = affine_coefficients(_local_vectors(d), d.Q, a, st.s - st.t, i, i, False)
-    return float(c + g @ a[i - 1])
+    c, g = affine_coefficients(_local_vectors(d), d.Q, m.a, m.b, i, i, False)
+    return float(c + g @ m.a[i - 1])
 
 
 def omega(rho, m: MeasurementSettings) -> float:

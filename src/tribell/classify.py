@@ -170,9 +170,10 @@ def sample_region(
 
     In ``fixed-settings`` mode all states share a single random setting drawn
     from the seed and the coordinates are the three simultaneous expectations
-    at that setting.  In ``optimized`` mode each coordinate is the signed
-    expectation at that index's own optimized settings, which exposes the
-    cube/cuboid boundaries instead.
+    at that setting.  In ``optimized`` mode coordinate i is the optimized
+    m_i = max |<D_i>| >= 0, the value the optimizer rechecked on the dense
+    path at its own settings, which exposes the cube/cuboid boundaries
+    instead.
     """
     if source_class not in SOURCE_CLASSES:
         raise ValidationError(
@@ -193,10 +194,8 @@ def sample_region(
         ]
     else:
         base = cfg or OptimizerConfig(seed=int(rng.integers(0, 2**31)))
-        coords = [[0.0, 0.0, 0.0] for _ in range(n)]
-        for i in (1, 2, 3):
-            for k, res in enumerate(seesaw_max_abs_d_many(states, i, base)):
-                coords[k][i - 1] = expectation_bell(states[k], res.settings, i)
+        columns = [[res.value for res in seesaw_max_abs_d_many(states, i, base)] for i in (1, 2, 3)]
+        coords = list(zip(*columns))
     return [
         RegionPoint(c[0], c[1], c[2], source_class) for c in coords
     ]

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bell import MeasurementSettings, derive_st, expectation_bell, expectation_bell_fast
+from .bell import MeasurementSettings, expectation_bell, expectation_bell_fast
 from .classify import (
     CLASSIFICATION_NOTE,
     GENUINE_FLAG,
@@ -212,7 +212,7 @@ def _cmd_evaluate(args, out) -> int:
     rho = load_state(args.state)
     settings = load_settings(args.settings)
     value = expectation_bell(rho, settings, args.i)
-    fast = expectation_bell_fast(decompose(rho), derive_st(settings), args.i)
+    fast = expectation_bell_fast(decompose(rho), settings, args.i)
     if abs(value - fast) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"dual-path mismatch: matrix {value!r} vs pauli {fast!r} exceeds {DUAL_PATH_TOL:g}"
@@ -290,6 +290,8 @@ def _read_sample_csv(stream):
             d1, d2, d3 = (float(p) for p in parts[:3])
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: non-numeric coordinate") from exc
+        if not np.all(np.isfinite((d1, d2, d3))):
+            raise ValidationError(f"line {lineno}: non-finite coordinate")
         points.append(RegionPoint(d1, d2, d3, parts[3]))
     return points
 

@@ -54,6 +54,10 @@ __all__ = [
 
 GRAD_FLOOR = 1e-14
 _MONOTONE_SLACK = 1e-12
+#: a row stops after the first sweep that gains less than this
+ABS_TOL = 1e-12
+#: largest allowed gap between an optimizer value and its dense-path recheck
+RECHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class OptimizerConfig:
 
     n_starts: int = 32
     max_sweeps: int = 500
-    abs_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -70,8 +73,6 @@ class OptimizerConfig:
             raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.max_sweeps < 1:
             raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not self.abs_tol > 0:
-            raise ValidationError(f"abs_tol must be > 0, got {self.abs_tol}")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -112,12 +113,12 @@ def _at(g, c, v):
     return c + np.einsum("noc,nc->no", g, v)
 
 
-def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective, recheck_tol=1e-10):
+def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective):
     best = int(np.argmax(obj))
     settings = MeasurementSettings(vecs[best, 0].copy(), vecs[best, 1].copy())
     value = float(obj[best])
     check = objective(rho, settings)
-    if abs(check - value) > recheck_tol:
+    if abs(check - value) > RECHECK_TOL:
         raise ConsistencyError(
             f"optimizer value {value!r} disagrees with matrix-path recomputation {check!r}"
         )
@@ -140,7 +141,7 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
     with a per-row count of degenerate updates, and ``objective`` maps the
     operator values c + g . v to each row's objective, which must not
     decrease.  A row stops after the first sweep that gains less than
-    ``cfg.abs_tol``.  Each state's best row is rechecked on the dense path
+    ``ABS_TOL``.  Each state's best row is rechecked on the dense path
     by ``dense_objective``.
     """
     cfg = cfg or OptimizerConfig()
@@ -179,7 +180,7 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
         gain = sub_obj - obj[rows]
         vecs[rows] = sub
         obj[rows] = sub_obj
-        done = rows[gain < cfg.abs_tol]
+        done = rows[gain < ABS_TOL]
         sweeps_done[done] = sweep
         converged[done] = True
         active[done] = False

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from tribell.bell import (
-    derive_st,
     expectation_bell,
     expectation_bell_fast,
     omega,
@@ -221,7 +220,7 @@ def test_criterion_07_dual_path_oracle():
         m = random_settings(int(rng.integers(2**63)))
         i = int(rng.integers(1, 4))
         slow = expectation_bell(rho, m, i)
-        fast = expectation_bell_fast(decompose(rho), derive_st(m), i)
+        fast = expectation_bell_fast(decompose(rho), m, i)
         worst = max(worst, abs(slow - fast))
         assert abs(slow - fast) <= 1e-12
     print(f"\nACCEPTANCE 7 PASS: 1000 dual-path evaluations agree (worst gap {worst:.2e})")

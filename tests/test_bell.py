@@ -9,7 +9,6 @@ from tribell.bell import (
     MeasurementSettings,
     affine_coefficients,
     bell_operator,
-    derive_st,
     expectation_bell,
     expectation_bell_fast,
     observable,
@@ -53,33 +52,6 @@ class TestObservable:
     def test_non_unit_rejected(self):
         with pytest.raises(ValidationError, match="unit"):
             observable(np.array([1.0, 1.0, 0.0]))
-
-
-class TestDerivedVectors:
-    def test_equal_settings(self):
-        st = derive_st(MeasurementSettings.aligned(Z_HAT))
-        np.testing.assert_allclose(st.s, np.tile(Z_HAT, (3, 1)), atol=0)
-        np.testing.assert_allclose(st.t, 0.0, atol=0)
-
-    def test_orthogonal_settings_split_evenly(self):
-        m = MeasurementSettings(np.tile(X_HAT, (3, 1)), np.tile(Y_HAT, (3, 1)))
-        st = derive_st(m)
-        np.testing.assert_allclose(np.linalg.norm(st.s, axis=1), 1 / SQ2, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(st.t, axis=1), 1 / SQ2, atol=1e-12)
-
-    def test_anti_aligned(self):
-        m = MeasurementSettings(np.tile(X_HAT, (3, 1)), np.tile(-X_HAT, (3, 1)))
-        st = derive_st(m)
-        np.testing.assert_allclose(st.s, 0.0, atol=0)
-        np.testing.assert_allclose(st.t, np.tile(X_HAT, (3, 1)), atol=0)
-
-    def test_invariants_on_random_settings(self):
-        for seed in range(20):
-            st = derive_st(random_settings(seed))
-            sums = np.sum(st.s**2, axis=1) + np.sum(st.t**2, axis=1)
-            dots = np.sum(st.s * st.t, axis=1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-            np.testing.assert_allclose(dots, 0.0, atol=1e-12)
 
 
 class TestWwzbPair:
@@ -177,19 +149,19 @@ class TestFastPath:
             m = random_settings(int(rng.integers(2**63)))
             i = int(rng.integers(1, 4))
             slow = expectation_bell(rho, m, i)
-            fast = expectation_bell_fast(decompose(rho), derive_st(m), i)
+            fast = expectation_bell_fast(decompose(rho), m, i)
             assert slow == pytest.approx(fast, abs=1e-12)
 
     def test_maximally_mixed_vanishes(self):
         d = decompose(maximally_mixed())
-        st = derive_st(random_settings(5))
+        m = random_settings(5)
         for i in (1, 2, 3):
-            assert expectation_bell_fast(d, st, i) == pytest.approx(0.0, abs=1e-15)
+            assert expectation_bell_fast(d, m, i) == pytest.approx(0.0, abs=1e-15)
 
     def test_ghz_aligned_x_contracts_to_q111(self):
         d = decompose(ghz())
-        st = derive_st(MeasurementSettings.aligned(X_HAT))
-        assert expectation_bell_fast(d, st, 1) == pytest.approx(1.0, abs=1e-12)
+        m = MeasurementSettings.aligned(X_HAT)
+        assert expectation_bell_fast(d, m, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_swapping_one_pair_negates_local_term_only(self):
         """a_i <-> b_i flips t_i (the local contribution) and fixes s_i."""
@@ -201,12 +173,10 @@ class TestFastPath:
             a2, b2 = m.a.copy(), m.b.copy()
             a2[i - 1], b2[i - 1] = m.b[i - 1], m.a[i - 1]
             swapped = MeasurementSettings(a2, b2)
-            st, st2 = derive_st(m), derive_st(swapped)
-            np.testing.assert_allclose(st2.s[i - 1], st.s[i - 1], atol=0)
-            np.testing.assert_allclose(st2.t[i - 1], -st.t[i - 1], atol=0)
+            t_i = (m.a[i - 1] - m.b[i - 1]) / 2.0
             local = (d.alpha, d.beta, d.gamma)[i - 1]
-            delta = expectation_bell_fast(d, st2, i) - expectation_bell_fast(d, st, i)
-            assert delta == pytest.approx(-2.0 * float(st.t[i - 1] @ local), abs=1e-12)
+            delta = expectation_bell_fast(d, swapped, i) - expectation_bell_fast(d, m, i)
+            assert delta == pytest.approx(-2.0 * float(t_i @ local), abs=1e-12)
 
 
 def local_vectors(d):

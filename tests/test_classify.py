@@ -8,6 +8,7 @@ import pytest
 from tribell.classify import (
     CLASS_LABELS,
     RegionPoint,
+    _draw_state,
     classify,
     excluded_classes,
     figure_projection,
@@ -15,7 +16,7 @@ from tribell.classify import (
     sample_region,
 )
 from tribell.core import ValidationError
-from tribell.optimize import OptimizerConfig
+from tribell.optimize import OptimizerConfig, seesaw_max_abs_d_many
 from tribell.states import (
     PureState,
     ghz,
@@ -126,6 +127,20 @@ class TestSampleRegion:
         """The canonical pair states push the distinguished axis beyond 1."""
         points = sample_region("2-13", 30, seed=5, mode="optimized")
         assert any(abs(pt.d2) > 1.0 + 1e-6 for pt in points)
+
+    def test_optimized_coordinates_are_the_certified_maxima(self):
+        """Optimized coordinates are the optimizer's m_i, not a signed re-trace."""
+        cfg = OptimizerConfig(n_starts=8, seed=3)
+        points = sample_region("1-23", 12, seed=10, mode="optimized", cfg=cfg)
+        rng = np.random.default_rng(10)
+        rng.integers(0, 2**63)  # the shared fixed-settings draw
+        states = [_draw_state("1-23", rng) for _ in range(12)]
+        for i in (1, 2, 3):
+            results = seesaw_max_abs_d_many(states, i, cfg)
+            for pt, res in zip(points, results):
+                coord = (pt.d1, pt.d2, pt.d3)[i - 1]
+                assert coord >= 0.0
+                assert coord == res.value
 
     def test_deterministic_in_seed(self):
         p1 = sample_region("ghz-family", 10, seed=6)

@@ -125,6 +125,17 @@ class TestEvaluate:
         assert "'a'" in err
         assert shown in err
 
+    def test_settings_within_file_tolerance_evaluate(self, tmp_path, capsys):
+        """Rows with |a|^2 = 1 + 5e-9 pass the 1e-8 file tolerance and evaluate."""
+        a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1 / SQ2, -1 / SQ2, 0.0]])
+        b = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / SQ2, 1 / SQ2, 0.0]]
+        exact = write_settings(tmp_path / "exact.json", a.tolist(), b)
+        near = write_settings(tmp_path / "near.json", (a * np.sqrt(1 + 5e-9)).tolist(), b)
+        _, out, _ = run_cli(capsys, "evaluate", "builtin:ghz", exact, "1")
+        code, out_near, err = run_cli(capsys, "evaluate", "builtin:ghz", near, "1")
+        assert code == EXIT_OK, err
+        assert json.loads(out_near)["value"] == pytest.approx(json.loads(out)["value"], abs=1e-8)
+
     def test_dual_path_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import tribell.cli as cli_mod
 
@@ -257,6 +268,15 @@ class TestSampleAndFigure:
         code, _, err = run_cli(capsys, "figure", str(csv))
         assert code == EXIT_INPUT
         assert "line 3" in err
+
+    @pytest.mark.parametrize("row", ["nan,0.5,0.2,x", "inf,-inf,0,y"], ids=["nan", "inf"])
+    def test_figure_non_finite_row_names_line(self, tmp_path, capsys, row):
+        csv = tmp_path / "points.csv"
+        csv.write_text(f"d1,d2,d3,class\n0.1,0.2,0.3,ok\n{row}\n")
+        code, out, err = run_cli(capsys, "figure", str(csv))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "line 3" in err and "non-finite" in err
 
     def test_figure_bad_header(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
