@@ -38,6 +38,7 @@ from .states import as_density
 
 __all__ = [
     "UNIT_TOL",
+    "DUAL_PATH_TOL",
     "MeasurementSettings",
     "observable",
     "wwzb_pair",
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-9
+#: largest allowed gap between a fast-path or optimizer value and the dense-path value
+DUAL_PATH_TOL = 1e-10
 
 
 def _check_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_TOL) -> np.ndarray:
@@ -87,16 +90,22 @@ class MeasurementSettings:
         return cls(rows, rows.copy())
 
 
+def _obs_unchecked(v) -> np.ndarray:
+    # internal: accepts non-unit vectors (the expectation is linear in each)
+    v = np.asarray(v, dtype=float)
+    return v[0] * SX + v[1] * SY + v[2] * SZ
+
+
 def observable(v) -> np.ndarray:
     """The dichotomic observable v . sigma for a unit Bloch vector v."""
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValidationError(f"Bloch vector must have 3 components, got {v.shape}")
-    if abs(np.sum(v**2) - 1.0) > UNIT_TOL:
+    if not abs(np.sum(v**2) - 1.0) <= UNIT_TOL:  # NaN fails this comparison too
         raise ValidationError(
             f"Bloch vector must be unit length within {UNIT_TOL:g}, got |v|^2 = {np.sum(v**2)!r}"
         )
-    return v[0] * SX + v[1] * SY + v[2] * SZ
+    return _obs_unchecked(v)
 
 
 def _pair_indices(excluded: int) -> tuple[int, int]:
@@ -104,12 +113,6 @@ def _pair_indices(excluded: int) -> tuple[int, int]:
         raise ValidationError(f"qubit index must be 1, 2 or 3, got {excluded!r}")
     p, q = [j for j in (1, 2, 3) if j != excluded]
     return p, q
-
-
-def _obs_unchecked(v) -> np.ndarray:
-    # internal: accepts non-unit vectors (the expectation is linear in each)
-    v = np.asarray(v, dtype=float)
-    return v[0] * SX + v[1] * SY + v[2] * SZ
 
 
 def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
@@ -152,23 +155,24 @@ def _contract(q, free: int, vectors: dict) -> np.ndarray:
     return np.einsum(_FREE_SLOT[free], q, x, y)
 
 
-def affine_coefficients(local, q, a, b, i: int, j: int, is_b: bool):
-    """Coefficients (c, g) of <D_i> = c + g . v in the one setting vector v = a_j (or b_j).
+def affine_coefficients(local, q, a, b, i: int, j: int):
+    """Coefficients (g_a, g_b, c0) of <D_i> = g_a . a_j + g_b . b_j + c0 in slot pair j.
 
     ``local`` (..., 3, 3) stacks the single-qubit Bloch vectors alpha, beta,
     gamma; ``q`` (..., 3, 3, 3) is the three-body tensor; ``a`` and ``b``
     (..., 3, 3) are slot-major setting vectors, which need not be unit.
     Leading axes broadcast, so one state's coefficients serve a whole stack
-    of settings and per-row coefficients serve per-row settings.  Returns c
-    with the broadcast leading shape and g with a trailing axis of 3; the
-    current a_j (or b_j) is not used.
+    of settings and per-row coefficients serve per-row settings.  Returns
+    g_a and g_b with a trailing axis of 3 and c0 with the leading shape of
+    the slot; the current a_j and b_j are not used.
 
-    With s = (a+b)/2, t = (a-b)/2 and (p, r) the other slots of i,
+    Every term of D_i acts on qubit j with exactly one of A_j, B_j or the
+    identity, so <D_i> is affine in (a_j, b_j) jointly, with no a_j . b_j
+    term.  With s = (a+b)/2, t = (a-b)/2 and (p, r) the other slots of i,
     <D_i> = s_i . M_i + t_i . alpha_i where M_i = Q(.; s_p, a_r) + Q(.; t_p, b_r).
-    So on slot i itself g = (M_i +/- alpha_i)/2 (+ for a_i).  On a pair slot
-    j, with k the third slot, g = Q(s_i; ., s_k) for a_j and Q(s_i; ., t_k)
-    for b_j.  In both cases c is the other vector of slot j dotted with its
-    own g, plus t_i . alpha_i when j != i.
+    So on slot i itself g_a, g_b = (M_i +/- alpha_i)/2 and c0 = 0.  On a pair
+    slot j, with k the third slot, g_a = Q(s_i; ., s_k), g_b = Q(s_i; ., t_k)
+    and c0 = t_i . alpha_i.
     """
     p, r = _pair_indices(i)  # validates i
     if j not in (1, 2, 3):
@@ -183,14 +187,11 @@ def affine_coefficients(local, q, a, b, i: int, j: int, is_b: bool):
         m = _contract(q, i, {p: slot(s, p), r: slot(a, r)})
         m = m + _contract(q, i, {p: slot(t, p), r: slot(b, r)})
         g_a, g_b = (m + alpha) * 0.5, (m - alpha) * 0.5
-        offset = 0.0
-    else:
-        k = 6 - i - j
-        g_a = _contract(q, j, {i: slot(s, i), k: slot(s, k)})
-        g_b = _contract(q, j, {i: slot(s, i), k: slot(t, k)})
-        offset = np.sum(slot(t, i) * alpha, axis=-1)
-    g, other, other_g = (g_b, slot(a, j), g_a) if is_b else (g_a, slot(b, j), g_b)
-    return np.sum(other * other_g, axis=-1) + offset, g
+        return g_a, g_b, np.zeros(g_a.shape[:-1])
+    k = 6 - i - j
+    g_a = _contract(q, j, {i: slot(s, i), k: slot(s, k)})
+    g_b = _contract(q, j, {i: slot(s, i), k: slot(t, k)})
+    return g_a, g_b, np.sum(slot(t, i) * alpha, axis=-1)
 
 
 def _local_vectors(d: PauliDecomposition) -> np.ndarray:
@@ -202,11 +203,12 @@ def expectation_bell_fast(d: PauliDecomposition, m: MeasurementSettings, i: int)
     """<D_i> via the Pauli-coefficient contraction path.
 
     Agrees with :func:`expectation_bell` to machine precision for valid
-    inputs; :func:`affine_coefficients`, which it evaluates at a_i, is the
-    contraction used inside optimization loops.
+    inputs; :func:`affine_coefficients`, whose slot-i form it evaluates at
+    (a_i, b_i), is the contraction used inside optimization loops.
     """
-    c, g = affine_coefficients(_local_vectors(d), d.Q, m.a, m.b, i, i, False)
-    return float(c + g @ m.a[i - 1])
+    g_a, g_b, c0 = affine_coefficients(_local_vectors(d), d.Q, m.a, m.b, i, i)
+    c = np.sum(m.b[i - 1] * g_b, axis=-1) + c0
+    return float(c + g_a @ m.a[i - 1])
 
 
 def omega(rho, m: MeasurementSettings) -> float:

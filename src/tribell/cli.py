@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bell import MeasurementSettings, expectation_bell, expectation_bell_fast
+from .bell import DUAL_PATH_TOL, MeasurementSettings, expectation_bell, expectation_bell_fast
 from .classify import (
     CLASSIFICATION_NOTE,
     GENUINE_FLAG,
@@ -46,7 +46,6 @@ from .states import (
 )
 
 FILE_TOL = 1e-8
-DUAL_PATH_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_INPUT = 2

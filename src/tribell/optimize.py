@@ -2,10 +2,11 @@
 
 Two optimizers, both multi-start and deterministic in the configured seed,
 share one block-coordinate ascent driver.  Each expectation <D_i> is affine
-in every individual setting vector, <D_i> = c + g . v, and
+in every slot pair jointly, <D_i> = g_a . a_j + g_b . b_j + c0, and
 :func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
-directly into (c, g).  Sweeps cycle j = 1..3 over a_j then b_j and replace
-the active vector by a per-coordinate step:
+directly into (g_a, g_b, c0).  Sweeps cycle j = 1..3; one contraction per
+slot serves both of its vectors, and the driver replaces a_j, then b_j, by a
+per-coordinate step:
 
 * :func:`seesaw_max_abs_d` - the exact maximizer v = +/- g/|g| of |<D_i>|
   for one index i.  The objective never decreases.
@@ -26,11 +27,13 @@ as the single-state entry point's.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import (
+    DUAL_PATH_TOL,
     MeasurementSettings,
     _local_vectors,
     affine_coefficients,
@@ -56,8 +59,11 @@ GRAD_FLOOR = 1e-14
 _MONOTONE_SLACK = 1e-12
 #: a row stops after the first sweep that gains less than this
 ABS_TOL = 1e-12
-#: largest allowed gap between an optimizer value and its dense-path recheck
-RECHECK_TOL = 1e-10
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_starts", "max_sweeps", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_starts < 1:
             raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.max_sweeps < 1:
@@ -99,13 +107,18 @@ def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
     return vecs
 
 
-def _coefficients(local, q, vecs, ops, j: int, ab: int):
-    """(c, g) of every operator in ``ops`` in the vector a_j (ab=0) or b_j (ab=1).
+def _coefficients(local, q, vecs, ops, j: int):
+    """(g_a, g_b, c0) of every operator in ``ops`` in slot pair (a_j, b_j).
 
-    Shapes (rows, len(ops)) and (rows, len(ops), 3).
+    Shapes (rows, len(ops), 3), (rows, len(ops), 3) and (rows, len(ops)).
     """
-    pairs = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j, ab) for i in ops]
-    return np.stack([c for c, _ in pairs], axis=1), np.stack([g for _, g in pairs], axis=1)
+    forms = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j) for i in ops]
+    return tuple(np.stack(parts, axis=1) for parts in zip(*forms))
+
+
+def _offset(other, other_g, c0):
+    """Constant term c of c + g . v with the slot's other vector held fixed."""
+    return np.sum(other[:, None] * other_g, axis=-1) + c0
 
 
 def _at(g, c, v):
@@ -118,7 +131,7 @@ def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, o
     settings = MeasurementSettings(vecs[best, 0].copy(), vecs[best, 1].copy())
     value = float(obj[best])
     check = objective(rho, settings)
-    if abs(check - value) > RECHECK_TOL:
+    if abs(check - value) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"optimizer value {value!r} disagrees with matrix-path recomputation {check!r}"
         )
@@ -136,11 +149,13 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
     """Lockstep multi-start block-coordinate ascent; one result per state.
 
     Rows are (state, start) pairs, all starting from the configured start
-    vectors.  For each active vector the rows' coefficients (c, g) of the
-    operators in ``ops`` give the new vector ``step(g, c, v)`` together
-    with a per-row count of degenerate updates, and ``objective`` maps the
-    operator values c + g . v to each row's objective, which must not
-    decrease.  A row stops after the first sweep that gains less than
+    vectors.  Each sweep contracts every slot j once into the form
+    g_a . a_j + g_b . b_j + c0 of the operators in ``ops``.  With b_j held,
+    c = g_b . b_j + c0 and g = g_a give the new a_j as ``step(g, c, v)``;
+    then c = g_a . a_j + c0 (new a_j) and g = g_b give the new b_j.  A step
+    also returns a per-row count of degenerate updates, and ``objective``
+    maps the operator values c + g . v to each row's objective, which must
+    not decrease.  A row stops after the first sweep that gains less than
     ``ABS_TOL``.  Each state's best row is rechecked on the dense path
     by ``dense_objective``.
     """
@@ -155,8 +170,8 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
     vecs = np.tile(_initial_vectors(cfg), (len(states), 1, 1, 1))
     n = vecs.shape[0]
 
-    c, g = _coefficients(local, q, vecs, ops, 1, 0)
-    obj = objective(_at(g, c, vecs[:, 0, 0]))
+    g_a, g_b, c0 = _coefficients(local, q, vecs, ops, 1)
+    obj = objective(_at(g_a, _offset(vecs[:, 1, 0], g_b, c0), vecs[:, 0, 0]))
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     sweeps_done = np.full(n, cfg.max_sweeps, dtype=int)
@@ -168,8 +183,9 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
             break
         sub, sub_local, sub_q, sub_obj = vecs[rows], local[rows], q[rows], obj[rows]
         for j in (1, 2, 3):
-            for ab in (0, 1):
-                c, g = _coefficients(sub_local, sub_q, sub, ops, j, ab)
+            g_a, g_b, c0 = _coefficients(sub_local, sub_q, sub, ops, j)
+            for ab, g, other_g in ((0, g_a, g_b), (1, g_b, g_a)):
+                c = _offset(sub[:, 1 - ab, j - 1], other_g, c0)
                 new, n_degenerate = step(g, c, sub[:, ab, j - 1])
                 new_obj = objective(_at(g, c, new))
                 if np.any(new_obj < sub_obj - _MONOTONE_SLACK):
@@ -341,6 +357,9 @@ def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
     """
     if i not in (1, 2, 3):
         raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
+    _check_integer("n_angles", n_angles)
+    if n_angles < 1:
+        raise ValidationError(f"n_angles must be >= 1, got {n_angles}")
     d = decompose(as_density(state))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     grids = np.meshgrid(angles, angles, angles, indexing="ij")
@@ -351,6 +370,7 @@ def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
         shift = 0.0 if slot == i else np.pi / 4
         a[..., slot - 1, :2] = np.stack([np.cos(grid + shift), np.sin(grid + shift)], axis=-1)
         b[..., slot - 1, :2] = np.stack([np.cos(grid - shift), np.sin(grid - shift)], axis=-1)
-    c, g = affine_coefficients(_local_vectors(d), d.Q, a, b, i, i, False)
-    vals = c + np.sum(g * a[..., i - 1, :], axis=-1)
+    g_a, g_b, c0 = affine_coefficients(_local_vectors(d), d.Q, a, b, i, i)
+    c = np.sum(b[..., i - 1, :] * g_b, axis=-1) + c0
+    vals = c + np.sum(g_a * a[..., i - 1, :], axis=-1)
     return float(np.max(np.abs(vals)))

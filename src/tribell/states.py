@@ -128,6 +128,8 @@ class AcinParameters:
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
         if lam.shape != (5,):
             raise ValidationError(f"expected 5 lambda values, got {lam.shape}")
+        if not np.all(np.isfinite(lam)):
+            raise ValidationError(f"lambda values must be finite, got {lam.tolist()!r}")
         if np.any(lam < 0):
             raise ValidationError("lambda values must be non-negative")
         total = float(np.sum(lam**2))
@@ -295,6 +297,8 @@ def mix(states, weights) -> DensityMatrix:
         raise ValidationError(
             f"got {len(states)} states but {weights.shape[0]} weights"
         )
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(f"mixture weights must be finite, got {weights.tolist()!r}")
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-9:

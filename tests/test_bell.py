@@ -53,6 +53,10 @@ class TestObservable:
         with pytest.raises(ValidationError, match="unit"):
             observable(np.array([1.0, 1.0, 0.0]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="unit"):
+            observable(np.array([np.nan, 0.0, 0.0]))
+
 
 class TestWwzbPair:
     def test_chsh_combination_collapses(self):
@@ -205,19 +209,19 @@ class TestAffineCoefficients:
         settings_seed=hst.integers(0, 2**32 - 1),
         i=hst.sampled_from((1, 2, 3)),
         j=hst.sampled_from((1, 2, 3)),
-        is_b=hst.booleans(),
-        v=UNIT_VECTORS,
+        u=UNIT_VECTORS,
+        w=UNIT_VECTORS,
     )
-    def test_affine_form_matches_matrix_path(self, kind, state_seed, settings_seed, i, j, is_b, v):
-        """c + g . v is <D_i> with v substituted for a_j (or b_j), on the dense path."""
+    def test_affine_form_matches_matrix_path(self, kind, state_seed, settings_seed, i, j, u, w):
+        """g_a . u + g_b . w + c0 is <D_i> with u, w substituted for a_j and b_j at once."""
         rho = draw_state(kind, state_seed)
         m = random_settings(settings_seed)
         d = decompose(rho)
-        c, g = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j, is_b)
+        g_a, g_b, c0 = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j)
         a, b = m.a.copy(), m.b.copy()
-        (b if is_b else a)[j - 1] = v
+        a[j - 1], b[j - 1] = u, w
         dense = expectation_bell(rho, MeasurementSettings(a, b), i)
-        assert abs(float(c + g @ v) - dense) <= 1e-10
+        assert abs(float(g_a @ u + g_b @ w + c0) - dense) <= 1e-10
 
     def test_leading_axes_broadcast(self):
         """One state against stacked settings and per-row states both match row by row."""
@@ -228,25 +232,25 @@ class TestAffineCoefficients:
         b = np.stack([m.b for m in ms])
         local = np.stack([local_vectors(d) for d in decs])
         q = np.stack([d.Q for d in decs])
-        for i, j, is_b in [(1, 1, False), (2, 3, True), (3, 1, False)]:
-            c_rows, g_rows = affine_coefficients(local, q, a, b, i, j, is_b)
-            c_one, g_one = affine_coefficients(local[0], q[0], a, b, i, j, is_b)
-            assert c_rows.shape == (4,) and g_rows.shape == (4, 3)
+        for i, j in [(1, 1), (2, 3), (3, 1)]:
+            rows = affine_coefficients(local, q, a, b, i, j)
+            one = affine_coefficients(local[0], q[0], a, b, i, j)
+            for form in (rows, one):
+                assert [x.shape for x in form] == [(4, 3), (4, 3), (4,)]
             for n, (d, m) in enumerate(zip(decs, ms)):
-                c, g = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j, is_b)
-                np.testing.assert_allclose(c_rows[n], c, atol=1e-15)
-                np.testing.assert_allclose(g_rows[n], g, atol=1e-15)
-                c0, g0 = affine_coefficients(local[0], q[0], m.a, m.b, i, j, is_b)
-                np.testing.assert_allclose(c_one[n], c0, atol=1e-15)
-                np.testing.assert_allclose(g_one[n], g0, atol=1e-15)
+                own = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j)
+                first = affine_coefficients(local[0], q[0], m.a, m.b, i, j)
+                for x_rows, x, x_one, x0 in zip(rows, own, one, first):
+                    np.testing.assert_allclose(x_rows[n], x, atol=1e-15)
+                    np.testing.assert_allclose(x_one[n], x0, atol=1e-15)
 
     def test_bad_indices_rejected(self):
         d = decompose(to_density(ghz()))
         m = random_settings(3)
         with pytest.raises(ValidationError):
-            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 4, 1, False)
+            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 4, 1)
         with pytest.raises(ValidationError):
-            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, 0, False)
+            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, 0)
 
 
 class TestOmega:

@@ -163,6 +163,27 @@ class TestSeesaw:
             OptimizerConfig(n_starts=0)
         with pytest.raises(ValidationError, match="seed"):
             OptimizerConfig(seed=-1)
+        with pytest.raises(ValidationError, match="n_starts must be an integer"):
+            OptimizerConfig(n_starts=2.5)
+        with pytest.raises(ValidationError, match="max_sweeps must be an integer"):
+            OptimizerConfig(max_sweeps=float("nan"))
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            OptimizerConfig(seed=True)
+        assert OptimizerConfig(n_starts=np.int64(3)).n_starts == 3
+
+    def test_one_contraction_per_slot_pair(self, monkeypatch):
+        """Each sweep contracts every slot once for both of its vectors, plus one initial call."""
+        import tribell.optimize as opt
+
+        calls = []
+        original = opt.affine_coefficients
+        monkeypatch.setattr(opt, "affine_coefficients", lambda *a: calls.append(a) or original(*a))
+        cfg = OptimizerConfig(n_starts=1, max_sweeps=1)
+        seesaw_max_abs_d(to_density(w_state()), 2, cfg)
+        assert len(calls) == 4
+        calls.clear()
+        maximize_omega(to_density(w_state()), cfg)
+        assert len(calls) == 12
 
     def test_single_start_works(self):
         res = seesaw_max_abs_d(to_density(ghz()), 1, OptimizerConfig(n_starts=1))
@@ -310,6 +331,11 @@ class TestPlanarOracle:
 
 
 class TestPlanarGrid:
+    @pytest.mark.parametrize("n_angles", [0, -3, 2.5, True])
+    def test_bad_angle_count_rejected(self, n_angles):
+        with pytest.raises(ValidationError, match="n_angles"):
+            planar_grid_max(to_density(ghz()), 1, n_angles=n_angles)
+
     def test_grid_reaches_ghz_optimum(self):
         """The 16-angle grid contains the exact GHZ maximizer."""
         value = planar_grid_max(to_density(ghz()), 1)

@@ -86,6 +86,11 @@ class TestAcin:
         with pytest.raises(ValidationError, match="non-negative"):
             AcinParameters(np.array([-1.0, 0, 0, 0, 0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValidationError, match="lambda values must be finite"):
+            AcinParameters(np.array([bad, 0, 0, 0, 0]), 0.0)
+
     def test_phase_range_enforced(self):
         with pytest.raises(ValidationError, match="phi"):
             AcinParameters(np.array([1.0, 0, 0, 0, 0]), 4.0)
@@ -195,6 +200,12 @@ class TestDensityOps:
             mix([rho, rho], [1.5, -0.5])
         with pytest.raises(ValidationError, match="weights"):
             mix([rho], [0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf]])
+    def test_mix_non_finite_weights_rejected(self, weights):
+        rho = to_density(ghz())
+        with pytest.raises(ValidationError, match="mixture weights must be finite"):
+            mix([rho] * len(weights), weights)
 
     def test_loose_states_flow_through_mix_and_rotation(self):
         """States validated at the file tolerance stay usable downstream."""
