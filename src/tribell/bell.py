@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SX, SY, SZ, ValidationError, compose_single_pair, embed_single, expectation_matrix
+from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _kron
+from .core import compose_single_pair, embed_single, expectation_matrix
 from .pauli import PauliDecomposition
 from .states import as_density
 
@@ -109,10 +110,8 @@ def observable(v) -> np.ndarray:
 
 
 def _pair_indices(excluded: int) -> tuple[int, int]:
-    if excluded not in (1, 2, 3):
-        raise ValidationError(f"qubit index must be 1, 2 or 3, got {excluded!r}")
-    p, q = [j for j in (1, 2, 3) if j != excluded]
-    return p, q
+    excluded = _check_slot(excluded, "qubit index")
+    return tuple(j for j in (1, 2, 3) if j != excluded)
 
 
 def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
@@ -126,7 +125,7 @@ def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     ap, bp = _obs_unchecked(m.a[p - 1]), _obs_unchecked(m.b[p - 1])
     aq, bq = _obs_unchecked(m.a[q - 1]), _obs_unchecked(m.b[q - 1])
     return (
-        np.kron(ap, aq) + np.kron(ap, bq) + np.kron(bp, aq) - np.kron(bp, bq)
+        _kron(ap, aq) + _kron(ap, bq) + _kron(bp, aq) - _kron(bp, bq)
     ) / 2.0
 
 
@@ -175,8 +174,7 @@ def affine_coefficients(local, q, a, b, i: int, j: int):
     and c0 = t_i . alpha_i.
     """
     p, r = _pair_indices(i)  # validates i
-    if j not in (1, 2, 3):
-        raise ValidationError(f"slot must be 1, 2 or 3, got {j!r}")
+    j = _check_slot(j)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s = (a + b) * 0.5
@@ -223,7 +221,7 @@ def omega(rho, m: MeasurementSettings) -> float:
 
 def random_settings(seed: int) -> MeasurementSettings:
     """Six independent uniformly random unit vectors."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     vecs = rng.standard_normal((2, 3, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     return MeasurementSettings(vecs[0], vecs[1])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import expectation_bell, random_settings
-from .core import ValidationError
+from .core import ValidationError, _check_integer
 from .optimize import OptimizerConfig, maximize_omega, seesaw_max_abs_d, seesaw_max_abs_d_many
 from .states import (
     FULLY_SEPARABLE,
@@ -179,10 +179,8 @@ def sample_region(
         raise ValidationError(
             f"unknown source class {source_class!r}; expected one of {SOURCE_CLASSES}"
         )
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    _check_integer("n", n, 1)
+    _check_integer("seed", seed, 0)
     if mode not in ("fixed-settings", "optimized"):
         raise ValidationError(f"mode must be 'fixed-settings' or 'optimized', got {mode!r}")
     rng = np.random.default_rng(seed)

@@ -7,9 +7,15 @@ Conventions used throughout the package:
   |000>, |001>, ..., |111> with qubit 3 as the least significant bit.
 * Operators are plain complex ndarrays of shape (2,2), (4,4) or (8,8).
   Nothing larger is ever constructed.
+
+This module owns those conventions for the whole package: every tensor
+product goes through :func:`_kron`, every slot or operator index through
+:func:`_check_slot`, and every count or seed through :func:`_check_integer`.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -73,6 +79,12 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked Kronecker product: one broadcast multiply, bit-identical to numpy's kron."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product, restricted to results of dimension <= 8."""
     a = _as_operator(a, "kron left factor")
@@ -81,13 +93,21 @@ def kron(a, b) -> np.ndarray:
         raise ValidationError(
             f"kron result dimension {a.shape[0] * b.shape[0]} exceeds 8"
         )
-    return np.kron(a, b)
+    return _kron(a, b)
 
 
-def _check_slot(slot: int) -> int:
-    if slot not in (1, 2, 3):
-        raise ValidationError(f"qubit slot must be 1, 2 or 3, got {slot!r}")
-    return int(slot)
+def _check_slot(value, name: str = "qubit slot") -> int:
+    """``value`` as a plain int if it is the integer 1, 2 or 3 (not a bool or float)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (1, 2, 3):
+        raise ValidationError(f"{name} must be 1, 2 or 3, got {value!r}")
+    return int(value)
+
+
+def _check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int if it is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def embed_single(op, slot: int) -> np.ndarray:
@@ -101,7 +121,7 @@ def embed_single(op, slot: int) -> np.ndarray:
     slot = _check_slot(slot)
     factors = [I2, I2, I2]
     factors[slot - 1] = op
-    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+    return _kron(_kron(factors[0], factors[1]), factors[2])
 
 
 def compose_single_pair(single, pair, single_slot: int) -> np.ndarray:
@@ -118,7 +138,7 @@ def compose_single_pair(single, pair, single_slot: int) -> np.ndarray:
             f"compose_single_pair expects (2x2, 4x4), got {single.shape}, {pair.shape}"
         )
     slot = _check_slot(single_slot)
-    full = np.kron(single, pair)
+    full = _kron(single, pair)
     # current factor order is (single, pair_lo, pair_hi); permute to slot order
     perm = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}[slot]
     t = full.reshape(2, 2, 2, 2, 2, 2)

@@ -27,7 +27,6 @@ as the single-state entry point's.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .bell import (
     expectation_bell,
     omega as omega_matrix,
 )
-from .core import ConsistencyError, ValidationError
+from .core import ConsistencyError, _check_integer, _check_slot
 from .pauli import decompose
 from .states import as_density, ghz, to_density
 
@@ -61,11 +60,6 @@ _MONOTONE_SLACK = 1e-12
 ABS_TOL = 1e-12
 
 
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multi-start see-saw parameters."""
@@ -75,14 +69,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_starts", "max_sweeps", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.n_starts < 1:
-            raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
-        if self.max_sweeps < 1:
-            raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
+        for name, minimum in (("n_starts", 1), ("max_sweeps", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +220,7 @@ def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
     All states share the configured start vectors and advance in lockstep;
     each row's update sequence is identical to the single-state driver's.
     """
-    if i not in (1, 2, 3):
-        raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
+    i = _check_slot(i, "operator index")
     return _ascend(
         states, (i,), _align, lambda d: np.abs(d[:, 0]),
         lambda r, m: abs(expectation_bell(r, m, i)), cfg,
@@ -338,7 +325,7 @@ def omega_planar_oracle(theta1: float, theta2: float, theta3: float) -> float:
     closed = 1.5 * (np.cos(total) - np.sin(total)) ** 2
     settings = planar_case_settings(theta1, theta2, theta3)
     direct = omega_matrix(to_density(ghz()), settings)
-    if abs(direct - closed) > 1e-10:
+    if abs(direct - closed) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"planar omega mismatch: closed form {closed!r} vs matrix path {direct!r}"
         )
@@ -355,11 +342,8 @@ def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
     over ``n_angles`` equally spaced values and every combination is
     evaluated through the fast contraction path.
     """
-    if i not in (1, 2, 3):
-        raise ValidationError(f"operator index must be 1, 2 or 3, got {i!r}")
-    _check_integer("n_angles", n_angles)
-    if n_angles < 1:
-        raise ValidationError(f"n_angles must be >= 1, got {n_angles}")
+    i = _check_slot(i, "operator index")
+    _check_integer("n_angles", n_angles, 1)
     d = decompose(as_density(state))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     grids = np.meshgrid(angles, angles, angles, indexing="ij")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, compose_single_pair
+from .core import ValidationError, _check_integer, _check_slot, _kron, compose_single_pair, is_hermitian
 
 __all__ = [
     "PureState",
@@ -99,7 +99,7 @@ class DensityMatrix:
         if not np.all(np.isfinite(m.view(float))):
             raise ValidationError("density matrix contains non-finite entries")
         herm_tol = max(DM_HERMITIAN_TOL, self.tol)
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        if not is_hermitian(m, herm_tol):
             raise ValidationError(
                 f"density matrix Hermiticity invariant violated (tolerance {herm_tol:g})"
             )
@@ -199,7 +199,7 @@ def phi_plus_otimes_zero() -> PureState:
 
 def random_pure(seed: int) -> PureState:
     """Haar-random pure state: 8 standard complex Gaussians, normalized."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     return PureState(_haar_ket(8, rng))
 
 
@@ -243,18 +243,17 @@ def random_in_class(
     single-qubit states.  ``pure_factors=True`` uses Haar-random pure factors
     instead of full-rank Ginibre ones.
     """
-    if n_mix < 1:
-        raise ValidationError(f"n_mix must be >= 1, got {n_mix}")
+    _check_integer("n_mix", n_mix, 1)
     fully_sep = partition is None or partition == FULLY_SEPARABLE
     if not fully_sep:
         _check_partition(partition)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     weights = _simplex_weights(n_mix, rng)
     total = np.zeros((8, 8), dtype=complex)
     for w in weights:
         if fully_sep:
-            prod = np.kron(
-                np.kron(_random_factor(2, rng, pure_factors), _random_factor(2, rng, pure_factors)),
+            prod = _kron(
+                _kron(_random_factor(2, rng, pure_factors), _random_factor(2, rng, pure_factors)),
                 _random_factor(2, rng, pure_factors),
             )
         else:
@@ -322,8 +321,7 @@ def maximally_mixed() -> DensityMatrix:
 
 def reduced_qubit(rho, slot: int) -> np.ndarray:
     """2x2 reduced density matrix of one qubit (the other two traced out)."""
-    if slot not in (1, 2, 3):
-        raise ValidationError(f"qubit slot must be 1, 2 or 3, got {slot!r}")
+    slot = _check_slot(slot)
     t = as_density(rho).matrix.reshape(2, 2, 2, 2, 2, 2)
     pattern = {1: "ajkbjk->ab", 2: "jakjbk->ab", 3: "jkajkb->ab"}[slot]
     return np.einsum(pattern, t)
@@ -344,6 +342,6 @@ def random_local_unitaries(rng: np.random.Generator) -> np.ndarray:
 
 def apply_local_unitaries(psi: PureState, us) -> PureState:
     """(U1 (x) U2 (x) U3)|psi>; norm (and its validation slack) is preserved."""
-    u1, u2, u3 = us
-    full = np.kron(np.kron(u1, u2), u3)
+    u1, u2, u3 = np.asarray(us)
+    full = _kron(_kron(u1, u2), u3)
     return PureState(full @ psi.amplitudes, tol=psi.tol)

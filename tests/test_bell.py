@@ -112,8 +112,14 @@ class TestBellOperator:
                 assert is_hermitian(bell_operator(m, i), 1e-12)
 
     def test_bad_index_rejected(self):
-        with pytest.raises(ValidationError, match="index"):
-            bell_operator(MeasurementSettings.aligned(Z_HAT), 0)
+        for i in (0, 2.0, True):
+            with pytest.raises(ValidationError, match="index"):
+                bell_operator(MeasurementSettings.aligned(Z_HAT), i)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_random_settings_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            random_settings(seed)
 
 
 class TestExpectation:
@@ -247,10 +253,11 @@ class TestAffineCoefficients:
     def test_bad_indices_rejected(self):
         d = decompose(to_density(ghz()))
         m = random_settings(3)
-        with pytest.raises(ValidationError):
-            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 4, 1)
-        with pytest.raises(ValidationError):
-            affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, 0)
+        for bad in (0, 4, 2.0, True):
+            with pytest.raises(ValidationError):
+                affine_coefficients(local_vectors(d), d.Q, m.a, m.b, bad, 1)
+            with pytest.raises(ValidationError):
+                affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, bad)
 
 
 class TestOmega:

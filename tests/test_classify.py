@@ -163,6 +163,13 @@ class TestSampleRegion:
         with pytest.raises(ValidationError, match=">= 1"):
             sample_region("haar-pure", 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, name", [(2.5, 1, "n"), (True, 1, "n"), (2, 1.5, "seed"), (2, True, "seed")]
+    )
+    def test_non_integer_count_or_seed_rejected(self, n, seed, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            sample_region("1-23", n, seed)
+
 
 class TestFigureProjection:
     def test_unit_square_boundary_is_region_one(self):

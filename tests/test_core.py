@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from tribell.core import (
     I2,
@@ -20,6 +22,18 @@ from tribell.states import ghz, maximally_mixed, random_pure, to_density
 
 def k3(a, b, c):
     return np.kron(np.kron(a, b), c)
+
+
+# real and imaginary parts: exact and negative zeros, or finite values whose
+# products cannot overflow
+_PARTS = hst.one_of(hst.sampled_from([0.0, -0.0]), hst.floats(-1e6, 1e6))
+
+
+def _complex_matrix(dim):
+    entries = hst.builds(complex, _PARTS, _PARTS)
+    return hst.lists(entries, min_size=dim * dim, max_size=dim * dim).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(dim, dim)
+    )
 
 
 class TestKron:
@@ -53,6 +67,19 @@ class TestKron:
         with pytest.raises(ValidationError, match="non-finite"):
             kron(bad, I2)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        pair=hst.sampled_from([(2, 2), (2, 4), (4, 2)]).flatmap(
+            lambda dims: hst.tuples(_complex_matrix(dims[0]), _complex_matrix(dims[1]))
+        )
+    )
+    def test_bit_identical_to_numpy(self, pair):
+        """Every byte of the product, signed zeros included, matches numpy's kron."""
+        a, b = pair
+        got, expected = kron(a, b), np.kron(a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestEmbed:
     def test_slot1_is_leftmost(self):
@@ -65,8 +92,9 @@ class TestEmbed:
         np.testing.assert_array_equal(embed_single(SX, 3), k3(I2, I2, SX))
 
     def test_bad_slot_rejected(self):
-        with pytest.raises(ValidationError, match="slot"):
-            embed_single(SX, 4)
+        for slot in (4, 2.0, True):
+            with pytest.raises(ValidationError, match="slot"):
+                embed_single(SX, slot)
 
     def test_disjoint_slots_commute(self):
         paulis = [I2, SX, SY, SZ]

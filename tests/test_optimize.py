@@ -155,8 +155,9 @@ class TestSeesaw:
             assert res.value == pytest.approx(single.value, abs=1e-9)
 
     def test_bad_index_rejected(self):
-        with pytest.raises(ValidationError, match="index"):
-            seesaw_max_abs_d(ket000(), 5, CFG)
+        for i in (5, 2.0, True):
+            with pytest.raises(ValidationError, match="index"):
+                seesaw_max_abs_d(ket000(), i, CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_starts"):

@@ -138,6 +138,11 @@ class TestRandomStates:
     def test_random_pure_seeds_differ(self):
         assert not np.allclose(random_pure(1).amplitudes, random_pure(2).amplitudes)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_random_pure_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            random_pure(seed)
+
     @pytest.mark.parametrize("partition", list(PARTITIONS) + [None])
     def test_random_in_class_valid(self, partition):
         rho = random_in_class(partition, 3, 99)
@@ -156,6 +161,14 @@ class TestRandomStates:
     def test_n_mix_validated(self):
         with pytest.raises(ValidationError, match="n_mix"):
             random_in_class(None, 0, 1)
+
+    @pytest.mark.parametrize(
+        "n_mix, seed, name",
+        [(2.5, 1, "n_mix"), (True, 1, "n_mix"), (2, 1.5, "seed"), (2, -1, "seed"), (2, True, "seed")],
+    )
+    def test_random_in_class_bad_count_or_seed_rejected(self, n_mix, seed, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            random_in_class("1-23", n_mix, seed)
 
 
 class TestDensityOps:
