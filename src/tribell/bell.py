@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _kron
-from .core import compose_single_pair, embed_single, expectation_matrix
+from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _check_tol
+from .core import _kron, _place, expectation_matrix
 from .pauli import PauliDecomposition
 from .states import as_density
 
@@ -54,6 +54,7 @@ __all__ = [
 UNIT_TOL = 1e-9
 #: largest allowed gap between a fast-path or optimizer value and the dense-path value
 DUAL_PATH_TOL = 1e-10
+_I4 = np.eye(4, dtype=complex)
 
 
 def _check_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_TOL) -> np.ndarray:
@@ -81,6 +82,7 @@ class MeasurementSettings:
     tol: float = field(default=UNIT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_tol(self.tol)
         object.__setattr__(self, "a", _check_unit_rows(self.a, "a", self.tol))
         object.__setattr__(self, "b", _check_unit_rows(self.b, "b", self.tol))
 
@@ -92,9 +94,10 @@ class MeasurementSettings:
 
 
 def _obs_unchecked(v) -> np.ndarray:
-    # internal: accepts non-unit vectors (the expectation is linear in each)
-    v = np.asarray(v, dtype=float)
-    return v[0] * SX + v[1] * SY + v[2] * SZ
+    # internal: accepts non-unit vectors (the expectation is linear in each);
+    # a (..., 3) stack of vectors gives a (..., 2, 2) stack of observables
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return v[..., 0, :, :] * SX + v[..., 1, :, :] * SY + v[..., 2, :, :] * SZ
 
 
 def observable(v) -> np.ndarray:
@@ -114,6 +117,12 @@ def _pair_indices(excluded: int) -> tuple[int, int]:
     return tuple(j for j in (1, 2, 3) if j != excluded)
 
 
+def _pair_operator(obs_a: np.ndarray, obs_b: np.ndarray, p: int, q: int) -> np.ndarray:
+    """(A_p A_q + A_p B_q + B_p A_q - B_p B_q)/2 from the stacked observables A_j, B_j."""
+    ap, bp, aq, bq = obs_a[p - 1], obs_b[p - 1], obs_a[q - 1], obs_b[q - 1]
+    return (_kron(ap, aq) + _kron(ap, bq) + _kron(bp, aq) - _kron(bp, bq)) / 2.0
+
+
 def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     """CHSH-type pair operator on the two qubits other than ``excluded``.
 
@@ -122,21 +131,17 @@ def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     tensor factor is qubit p.  Operator norm is at most sqrt(2).
     """
     p, q = _pair_indices(excluded)
-    ap, bp = _obs_unchecked(m.a[p - 1]), _obs_unchecked(m.b[p - 1])
-    aq, bq = _obs_unchecked(m.a[q - 1]), _obs_unchecked(m.b[q - 1])
-    return (
-        _kron(ap, aq) + _kron(ap, bq) + _kron(bp, aq) - _kron(bp, bq)
-    ) / 2.0
+    return _pair_operator(_obs_unchecked(m.a), _obs_unchecked(m.b), p, q)
 
 
 def bell_operator(m: MeasurementSettings, i: int) -> np.ndarray:
-    """The 8x8 Hermitian operator D_i at the given settings."""
+    """The 8x8 Hermitian operator D_i, built in factor order (i, p, q) and placed once."""
     p, q = _pair_indices(i)  # validates i
-    ai, bi = _obs_unchecked(m.a[i - 1]), _obs_unchecked(m.b[i - 1])
+    obs_a, obs_b = _obs_unchecked(m.a), _obs_unchecked(m.b)
+    ai, bi = obs_a[i - 1], obs_b[i - 1]
     ci = (ai + bi) / 2.0
-    di = (ai - bi) / 2.0
-    pair_part = compose_single_pair(ci, wwzb_pair(m, i), i)
-    return pair_part + embed_single(di, i)
+    ei = (ai - bi) / 2.0
+    return _place(_kron(ci, _pair_operator(obs_a, obs_b, p, q)) + _kron(ei, _I4), i)
 
 
 def expectation_bell(rho, m: MeasurementSettings, i: int) -> float:

@@ -9,8 +9,10 @@ Conventions used throughout the package:
   Nothing larger is ever constructed.
 
 This module owns those conventions for the whole package: every tensor
-product goes through :func:`_kron`, every slot or operator index through
-:func:`_check_slot`, and every count or seed through :func:`_check_integer`.
+product goes through :func:`_kron` and into slot order through
+:func:`_place`, every slot or operator index through :func:`_check_slot`,
+every count or seed through :func:`_check_integer`, and every validation
+tolerance through :func:`_check_tol`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "IMAG_RESIDUE_TOL",
     "kron",
-    "embed_single",
-    "embed_pair",
     "compose_single_pair",
     "expectation_matrix",
     "is_hermitian",
@@ -110,18 +110,18 @@ def _check_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def embed_single(op, slot: int) -> np.ndarray:
-    """Place a single-qubit operator at tensor slot ``slot``, identity elsewhere.
+def _check_tol(value) -> None:
+    """Reject a tolerance that is not a finite number >= 0: NaN or inf would accept any input."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
+        raise ValidationError(f"tol must be a finite number >= 0, got {value!r}")
 
-    Slot 1 is the leftmost factor: embed_single(op, 1) == op (x) I (x) I.
-    """
-    op = _as_operator(op, "single-qubit operator")
-    if op.shape[0] != 2:
-        raise ValidationError(f"embed_single expects a 2x2 operator, got {op.shape}")
-    slot = _check_slot(slot)
-    factors = [I2, I2, I2]
-    factors[slot - 1] = op
-    return _kron(_kron(factors[0], factors[1]), factors[2])
+
+def _place(full: np.ndarray, slot: int) -> np.ndarray:
+    """Unchecked: 8x8 operator in factor order (slot, lower other, higher other) to slot order."""
+    perm = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}[slot]
+    t = full.reshape(2, 2, 2, 2, 2, 2)
+    t = t.transpose(perm[0], perm[1], perm[2], perm[0] + 3, perm[1] + 3, perm[2] + 3)
+    return np.ascontiguousarray(t.reshape(8, 8))
 
 
 def compose_single_pair(single, pair, single_slot: int) -> np.ndarray:
@@ -137,31 +137,16 @@ def compose_single_pair(single, pair, single_slot: int) -> np.ndarray:
         raise ValidationError(
             f"compose_single_pair expects (2x2, 4x4), got {single.shape}, {pair.shape}"
         )
-    slot = _check_slot(single_slot)
-    full = _kron(single, pair)
-    # current factor order is (single, pair_lo, pair_hi); permute to slot order
-    perm = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}[slot]
-    t = full.reshape(2, 2, 2, 2, 2, 2)
-    t = t.transpose(perm[0], perm[1], perm[2], perm[0] + 3, perm[1] + 3, perm[2] + 3)
-    return np.ascontiguousarray(t.reshape(8, 8))
-
-
-def embed_pair(op, excluded: int) -> np.ndarray:
-    """Place a two-qubit operator on the slots other than ``excluded``.
-
-    The interleaving is exact: for excluded=2 the operator's first factor
-    acts on slot 1 and its second on slot 3.
-    """
-    return compose_single_pair(I2, op, excluded)
+    return _place(_kron(single, pair), _check_slot(single_slot))
 
 
 def expectation_matrix(obs, rho) -> float:
     """Re tr(rho . obs) for a Hermitian observable.
 
     ``rho`` may be a DensityMatrix, a PureState, or a raw 8x8 ndarray.
-    Rejects non-Hermitian observables; raises ConsistencyError if the trace
-    picks up an imaginary part beyond tolerance (cannot happen for valid
-    Hermitian inputs).
+    Rejects non-Hermitian observables and non-finite raw arrays; raises
+    ConsistencyError if the trace picks up an imaginary part beyond
+    tolerance (cannot happen for valid Hermitian inputs).
     """
     obs = _as_operator(obs, "observable")
     if not is_hermitian(obs, HERMITICITY_TOL):
@@ -175,7 +160,7 @@ def expectation_matrix(obs, rho) -> float:
         if state is not None:
             mat = np.outer(state, state.conj())
         else:
-            mat = np.asarray(rho, dtype=complex)
+            mat = _as_operator(rho, "state")
     if mat.shape != obs.shape:
         raise ValidationError(
             f"state dimension {mat.shape} does not match observable {obs.shape}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _check_integer, _check_slot, _kron, compose_single_pair, is_hermitian
+from .core import ValidationError, _check_integer, _check_slot, _check_tol, _kron, _place, is_hermitian
 
 __all__ = [
     "PureState",
@@ -70,6 +70,7 @@ class PureState:
     tol: float = field(default=PURE_NORM_TOL, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_tol(self.tol)
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (8,):
             raise ValidationError(f"pure state needs 8 amplitudes, got {amp.shape}")
@@ -93,6 +94,7 @@ class DensityMatrix:
     tol: float = field(default=DM_TRACE_TOL, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_tol(self.tol)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (8, 8):
             raise ValidationError(f"density matrix must be 8x8, got {m.shape}")
@@ -259,7 +261,7 @@ def random_in_class(
         else:
             single = _random_factor(2, rng, pure_factors)
             pair = _random_factor(4, rng, pure_factors)
-            prod = compose_single_pair(single, pair, _SEPARATED[partition])
+            prod = _place(_kron(single, pair), _SEPARATED[partition])
         total += w * prod
     return DensityMatrix(total)
 

@@ -92,18 +92,37 @@ class TestBellOperator:
             np.testing.assert_allclose(bell_operator(m, i), k3(SX, SX, SX), atol=1e-15)
 
     def test_matches_explicit_middle_index_expansion(self):
-        """Entrywise agreement with the fully expanded middle-index operator."""
+        """Entrywise agreement with the fully expanded operator, for every index.
+
+        D_1 and D_3 pin the interleaving that aligned settings cannot see: the
+        (A_i +/- B_i) factors sit on slot i and the pair keeps its slot order.
+        """
         for seed in range(100):
             m = random_settings(seed)
             A = [observable(m.a[j]) for j in range(3)]
             B = [observable(m.b[j]) for j in range(3)]
-            explicit = 0.25 * (
-                k3(A[0], A[1] + B[1], A[2])
-                + k3(A[0], A[1] + B[1], B[2])
-                + k3(B[0], A[1] + B[1], A[2])
-                - k3(B[0], A[1] + B[1], B[2])
-            ) + k3(I2, (A[1] - B[1]) / 2.0, I2)
-            np.testing.assert_allclose(bell_operator(m, 2), explicit, atol=1e-13)
+            explicit = {
+                1: 0.25 * (
+                    k3(A[0] + B[0], A[1], A[2])
+                    + k3(A[0] + B[0], A[1], B[2])
+                    + k3(A[0] + B[0], B[1], A[2])
+                    - k3(A[0] + B[0], B[1], B[2])
+                ) + k3((A[0] - B[0]) / 2.0, I2, I2),
+                2: 0.25 * (
+                    k3(A[0], A[1] + B[1], A[2])
+                    + k3(A[0], A[1] + B[1], B[2])
+                    + k3(B[0], A[1] + B[1], A[2])
+                    - k3(B[0], A[1] + B[1], B[2])
+                ) + k3(I2, (A[1] - B[1]) / 2.0, I2),
+                3: 0.25 * (
+                    k3(A[0], A[1], A[2] + B[2])
+                    + k3(A[0], B[1], A[2] + B[2])
+                    + k3(B[0], A[1], A[2] + B[2])
+                    - k3(B[0], B[1], A[2] + B[2])
+                ) + k3(I2, I2, (A[2] - B[2]) / 2.0),
+            }
+            for i, want in explicit.items():
+                np.testing.assert_allclose(bell_operator(m, i), want, atol=1e-13)
 
     def test_hermitian_for_random_settings(self):
         for seed in range(25):

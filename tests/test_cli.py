@@ -1,12 +1,14 @@
 """Command-line interface: schemas, builtins, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tribell
 from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, main
 
 SQ2 = np.sqrt(2.0)
@@ -334,11 +336,19 @@ class TestFormatting:
         assert json.loads(out)["Q"][0][0][0] == pytest.approx(1.0, abs=1e-7)
 
     def test_installed_entry_point(self):
-        """The console script drives the same main()."""
+        """The console script drives the same main().
+
+        The child gets the directory this process imported tribell from, so
+        the test also runs on a checkout that is not pip-installed.
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tribell.__file__)))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "tribell.cli", "decompose", "builtin:w"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == EXIT_OK
         payload = json.loads(proc.stdout)

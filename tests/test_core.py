@@ -1,4 +1,4 @@
-"""Tensor algebra: Kronecker products, slot embeddings, trace expectations."""
+"""Tensor algebra: Kronecker products, slot placement, trace expectations."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from tribell.core import (
     SZ,
     ConsistencyError,
     ValidationError,
-    embed_pair,
-    embed_single,
+    compose_single_pair,
     expectation_matrix,
     kron,
 )
@@ -22,6 +21,9 @@ from tribell.states import ghz, maximally_mixed, random_pure, to_density
 
 def k3(a, b, c):
     return np.kron(np.kron(a, b), c)
+
+
+I4 = np.eye(4, dtype=complex)
 
 
 # real and imaginary parts: exact and negative zeros, or finite values whose
@@ -82,45 +84,51 @@ class TestKron:
 
 
 class TestEmbed:
+    """Placement through compose_single_pair.
+
+    (op, I4, s) puts op at slot s; (I2, op, s) puts op on the other two
+    slots in ascending order.
+    """
+
     def test_slot1_is_leftmost(self):
-        np.testing.assert_array_equal(embed_single(SZ, 1), k3(SZ, I2, I2))
+        np.testing.assert_array_equal(compose_single_pair(SZ, I4, 1), k3(SZ, I2, I2))
 
     def test_identity_embeds_to_identity(self):
-        np.testing.assert_array_equal(embed_single(I2, 2), np.eye(8))
+        np.testing.assert_array_equal(compose_single_pair(I2, I4, 2), np.eye(8))
 
     def test_slot3_is_rightmost(self):
-        np.testing.assert_array_equal(embed_single(SX, 3), k3(I2, I2, SX))
+        np.testing.assert_array_equal(compose_single_pair(SX, I4, 3), k3(I2, I2, SX))
 
     def test_bad_slot_rejected(self):
         for slot in (4, 2.0, True):
             with pytest.raises(ValidationError, match="slot"):
-                embed_single(SX, slot)
+                compose_single_pair(SX, I4, slot)
 
     def test_disjoint_slots_commute(self):
         paulis = [I2, SX, SY, SZ]
         for p in paulis:
             for q in paulis:
-                lhs = embed_single(p, 1) @ embed_single(q, 2)
-                rhs = embed_single(q, 2) @ embed_single(p, 1)
+                lhs = compose_single_pair(p, I4, 1) @ compose_single_pair(q, I4, 2)
+                rhs = compose_single_pair(q, I4, 2) @ compose_single_pair(p, I4, 1)
                 np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_pair_interleaving_around_slot2(self):
         """Excluding slot 2 maps the pair's factors to slots 1 and 3."""
         np.testing.assert_allclose(
-            embed_pair(np.kron(SX, SY), excluded=2), k3(SX, I2, SY), atol=0
+            compose_single_pair(I2, np.kron(SX, SY), 2), k3(SX, I2, SY), atol=0
         )
 
     def test_pair_identity(self):
-        np.testing.assert_array_equal(embed_pair(np.eye(4), excluded=1), np.eye(8))
+        np.testing.assert_array_equal(compose_single_pair(I2, np.eye(4), 1), np.eye(8))
 
     def test_pair_excluding_slot3(self):
         np.testing.assert_allclose(
-            embed_pair(np.kron(SZ, SZ), excluded=3), k3(SZ, SZ, I2), atol=0
+            compose_single_pair(I2, np.kron(SZ, SZ), 3), k3(SZ, SZ, I2), atol=0
         )
 
     def test_pair_excluding_slot1(self):
         np.testing.assert_allclose(
-            embed_pair(np.kron(SX, SZ), excluded=1), k3(I2, SX, SZ), atol=0
+            compose_single_pair(I2, np.kron(SX, SZ), 1), k3(I2, SX, SZ), atol=0
         )
 
     def test_single_pair_composition_spans_products(self):
@@ -130,8 +138,6 @@ class TestEmbed:
         span the full 4x4 space, so agreement here implies agreement for
         every pair operator.
         """
-        from tribell.core import compose_single_pair
-
         rng = np.random.default_rng(13)
         for _ in range(25):
             s, u, v = (
@@ -171,6 +177,11 @@ class TestExpectation:
         obs[0, 1] = 1.0
         with pytest.raises(ValidationError, match="Hermitian"):
             expectation_matrix(obs, maximally_mixed())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_raw_state_rejected(self, bad):
+        with pytest.raises(ValidationError, match="state contains non-finite"):
+            expectation_matrix(np.eye(8), np.full((8, 8), bad, dtype=complex))
 
     def test_imaginary_residue_raises_consistency(self):
         # a Hermitian observable against a deliberately non-Hermitian "rho"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tribell.bell import MeasurementSettings
 from tribell.core import ValidationError
 from tribell.states import (
     AcinParameters,
@@ -263,6 +264,21 @@ class TestValidation:
         m[0, 1] = 0.5
         with pytest.raises(ValidationError, match="Hermiticity"):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tol: PureState(np.ones(8), tol=tol),
+            lambda tol: DensityMatrix(2 * np.eye(8) / 8, tol=tol),
+            lambda tol: MeasurementSettings(2 * np.eye(3), 2 * np.eye(3), tol=tol),
+        ],
+        ids=["pure", "density", "settings"],
+    )
+    def test_bad_tol_rejected(self, build, tol):
+        """A NaN or infinite tolerance would accept any input; a negative one none."""
+        with pytest.raises(ValidationError, match="tol must be"):
+            build(tol)
 
 
 class TestLocalUnitaries:
