@@ -1,8 +1,8 @@
 """Maximize the Bell expectations over settings and watch the bounds appear.
 
-The see-saw drives each |<D_i>| to its ceiling: 1 for fully separable states,
-sqrt(2) on the distinguished axis of a bi-separable state, sqrt(2) on every
-axis for the GHZ state.  The quadratic form (sum of the three squared
+The certified sphere search drives each |<D_i>| to its ceiling: 1 for fully
+separable states, sqrt(2) on the distinguished axis of a bi-separable state,
+sqrt(2) on every axis for the GHZ state.  The quadratic form (sum of the three squared
 expectations at one shared setting) reaches 3 on product states; for the GHZ
 state the tuned maximum is strictly larger - the closing section reproduces
 it against the closed-form value 3(u + 4u^2(1-u)) at u = (2+sqrt(7))/6.

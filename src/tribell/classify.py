@@ -191,8 +191,7 @@ def sample_region(
             [expectation_bell(rho, shared, i) for i in (1, 2, 3)] for rho in states
         ]
     else:
-        base = cfg or OptimizerConfig(seed=int(rng.integers(0, 2**31)))
-        columns = [[res.value for res in seesaw_max_abs_d_many(states, i, base)] for i in (1, 2, 3)]
+        columns = [[res.value for res in seesaw_max_abs_d_many(states, i, cfg)] for i in (1, 2, 3)]
         coords = list(zip(*columns))
     return [
         RegionPoint(c[0], c[1], c[2], source_class) for c in coords

@@ -237,10 +237,11 @@ def _cmd_optimize(args, out) -> int:
     rho = load_state(args.state)
     cfg = OptimizerConfig(n_starts=args.starts, seed=args.seed)
     if args.omega:
-        res = maximize_omega(rho, cfg)
+        payload = _result_payload(maximize_omega(rho, cfg))
     else:
         res = seesaw_max_abs_d(rho, args.i, cfg)
-    _emit_json(_result_payload(res), out)
+        payload = dict(_result_payload(res), upper=res.upper)
+    _emit_json(payload, out)
     return EXIT_OK
 
 
@@ -332,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("i", type=int, choices=(1, 2, 3), nargs="?", help="operator index")
     p.add_argument("--omega", action="store_true", help="maximize the quadratic form instead")
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int, default=32,
+                   help="random starts of the --omega ascent (|<D_i>| uses one polish start)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --omega starts")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("classify", help="separability-class exclusion report")

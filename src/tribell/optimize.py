@@ -1,33 +1,38 @@
 """Maximization of Bell-operator expectations over measurement settings.
 
-Two optimizers, both multi-start and deterministic in the configured seed,
-share one block-coordinate ascent driver.  Each expectation <D_i> is affine
-in every slot pair jointly, <D_i> = g_a . a_j + g_b . b_j + c0, and
+Each expectation <D_i> is affine in every slot pair jointly,
+<D_i> = g_a . a_j + g_b . b_j + c0, and
 :func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
-directly into (g_a, g_b, c0).  Sweeps cycle j = 1..3; one contraction per
-slot serves both of its vectors, and the driver replaces a_j, then b_j, by a
-per-coordinate step:
+directly into (g_a, g_b, c0).  One block-coordinate ascent driver cycles
+j = 1..3; one contraction per slot serves both of its vectors, and the
+driver replaces a_j, then b_j, by a per-coordinate step:
 
-* :func:`seesaw_max_abs_d` - the exact maximizer v = +/- g/|g| of |<D_i>|
-  for one index i.  The objective never decreases.
+* :func:`seesaw_max_abs_d` - m_i = max |<D_i>| for one index i.  A
+  certified branch and bound over the unit sphere (:func:`_sphere_search`)
+  brackets m_i through the reduction
+  m_i^2 = max over unit s of sigma_1^2 + sigma_2^2 of T(s) + |alpha_i x s|^2
+  (Horodecki et al., Phys. Lett. A 200, 340 (1995)), with T(s) the
+  three-body tensor contracted along slot i.  Its best direction becomes
+  explicit settings, and one start of the ascent polishes them with the
+  exact maximizer v = +/- g/|g|; the objective never decreases.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
   shared setting.  Per coordinate the objective |G v + c|^2 is a quadratic
   on the unit sphere, and the step is its exact global maximizer: the
   solution of a 3-D trust-region subproblem, including the hard case where
   G^T c is orthogonal to the top eigenvector of G^T G.  A row keeps its
   vector unless the step strictly improves it (monotone by construction).
+  Every start draws its six initial unit vectors from an independent RNG
+  stream derived from (seed, start index); all starts advance in lockstep.
 
-Every start draws its six initial unit vectors from an independent RNG
-stream derived from (seed, start index), and all starts of all states
-advance in lockstep as one batched computation.
-:func:`seesaw_max_abs_d_many` runs a whole list of states that way, which is
-how the Monte Carlo bound sweeps stay fast; each row's updates are the same
-as the single-state entry point's.
+:func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
+search and one batched polish, which is how the Monte Carlo bound sweeps
+stay fast; each state's result is the single-state entry point's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .bell import (
     DUAL_PATH_TOL,
     MeasurementSettings,
     _local_vectors,
+    _pair_indices,
     affine_coefficients,
     expectation_bell,
     omega as omega_matrix,
@@ -58,11 +64,34 @@ GRAD_FLOOR = 1e-14
 _MONOTONE_SLACK = 1e-12
 #: a row stops after the first sweep that gains less than this
 ABS_TOL = 1e-12
+#: the first start within this of the best value gives the reported settings,
+#: so ties at rounding level do not decide them
+TIE_TOL = 1e-12
+#: certified gap of the sphere search: triangles whose bound is within this
+#: of the best value found are pruned
+SPHERE_TOL = 1e-9
+#: live triangles one state may keep after pruning; a state with more stops
+#: refining and keeps its bracket, whose gap then usually exceeds SPHERE_TOL
+MAX_LIVE = 1024
+#: sphere points evaluated, and children split, per block; bounds the search's
+#: scratch memory
+VERTEX_BLOCK = 4096
+# the cubic's smallest root is recomputed by eigvalsh where its arccos argument
+# is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
+_EDGE_COS = 1e-3
+_COLLAPSE = 0.1
+# children of a triangle split at its edge midpoints, as indices into
+# (v0, v1, v2, m01, m12, m20)
+_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start see-saw parameters."""
+    """Optimizer parameters: ``n_starts`` and ``seed`` drive only the omega ascent.
+
+    ``max_sweeps`` caps every ascent, including the one polish start of the
+    |<D_i>| search.
+    """
 
     n_starts: int = 32
     max_sweeps: int = 500
@@ -75,7 +104,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best value found, the settings achieving it, and per-start telemetry."""
+    """Best value found, the settings achieving it, and per-start telemetry.
+
+    ``upper`` is the certified upper end of the bracket [value, upper] on
+    m_i; it is inf for omega, which has no certificate.
+    """
 
     value: float
     settings: MeasurementSettings
@@ -83,6 +116,7 @@ class OptimizationResult:
     converged: bool
     per_start_values: tuple
     degenerate_updates: int = 0
+    upper: float = np.inf
 
 
 def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
@@ -114,15 +148,26 @@ def _at(g, c, v):
     return c + np.einsum("noc,nc->no", g, v)
 
 
-def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective):
-    best = int(np.argmax(obj))
+def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective,
+                     upper=np.inf):
+    """One state's result from its rows.
+
+    The value is the best row's; settings, sweeps and convergence come from
+    the first row within ``TIE_TOL`` of it, so rounding-level ties do not
+    pick them.  The value is rechecked on the dense path by ``objective`` at
+    those settings, and it may not exceed the certified ``upper`` by more
+    than the dual-path tolerance.
+    """
+    value = float(obj.max())
+    best = int(np.flatnonzero(obj >= value - TIE_TOL)[0])
     settings = MeasurementSettings(vecs[best, 0].copy(), vecs[best, 1].copy())
-    value = float(obj[best])
     check = objective(rho, settings)
     if abs(check - value) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"optimizer value {value!r} disagrees with matrix-path recomputation {check!r}"
         )
+    if value > upper + DUAL_PATH_TOL:
+        raise ConsistencyError(f"optimizer value {value!r} exceeds its certified bound {upper!r}")
     return OptimizationResult(
         value=value,
         settings=settings,
@@ -130,42 +175,35 @@ def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, o
         converged=bool(converged[best]),
         per_start_values=tuple(float(x) for x in obj),
         degenerate_updates=int(degenerate_total),
+        upper=float(upper),
     )
 
 
-def _ascend(states, ops, step, objective, dense_objective, cfg):
-    """Lockstep multi-start block-coordinate ascent; one result per state.
+def _ascend(local, q, vecs, ops, step, objective, max_sweeps: int):
+    """Lockstep block-coordinate ascent of independent rows.
 
-    Rows are (state, start) pairs, all starting from the configured start
-    vectors.  Each sweep contracts every slot j once into the form
-    g_a . a_j + g_b . b_j + c0 of the operators in ``ops``.  With b_j held,
-    c = g_b . b_j + c0 and g = g_a give the new a_j as ``step(g, c, v)``;
-    then c = g_a . a_j + c0 (new a_j) and g = g_b give the new b_j.  A step
-    also returns a per-row count of degenerate updates, and ``objective``
-    maps the operator values c + g . v to each row's objective, which must
-    not decrease.  A row stops after the first sweep that gains less than
-    ``ABS_TOL``.  Each state's best row is rechecked on the dense path
-    by ``dense_objective``.
+    Row n starts from ``vecs[n]`` (a/b, slot, xyz) on the state with local
+    vectors ``local[n]`` and three-body tensor ``q[n]``.  Each sweep
+    contracts every slot j once into the form g_a . a_j + g_b . b_j + c0 of
+    the operators in ``ops``.  With b_j held, c = g_b . b_j + c0 and g = g_a
+    give the new a_j as ``step(g, c, v)``; then c = g_a . a_j + c0 (new a_j)
+    and g = g_b give the new b_j.  A step also returns a per-row count of
+    degenerate updates, and ``objective`` maps the operator values c + g . v
+    to each row's objective, which must not decrease.  A row stops after the
+    first sweep that gains less than ``ABS_TOL``, or at ``max_sweeps``.
+    Returns per-row (objective, vectors, sweeps used, converged, degenerate
+    updates).
     """
-    cfg = cfg or OptimizerConfig()
-    states = [as_density(s) for s in states]
-    if not states:
-        return []
-    k = cfg.n_starts
-    decs = [decompose(rho) for rho in states]
-    local = np.repeat(np.stack([_local_vectors(d) for d in decs]), k, axis=0)
-    q = np.repeat(np.stack([d.Q for d in decs]), k, axis=0)
-    vecs = np.tile(_initial_vectors(cfg), (len(states), 1, 1, 1))
+    vecs = np.array(vecs, dtype=float)
     n = vecs.shape[0]
-
     g_a, g_b, c0 = _coefficients(local, q, vecs, ops, 1)
     obj = objective(_at(g_a, _offset(vecs[:, 1, 0], g_b, c0), vecs[:, 0, 0]))
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    sweeps_done = np.full(n, cfg.max_sweeps, dtype=int)
+    sweeps_done = np.full(n, max_sweeps, dtype=int)
     degenerate = np.zeros(n, dtype=int)
 
-    for sweep in range(1, cfg.max_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         rows = np.nonzero(active)[0]
         if rows.size == 0:
             break
@@ -188,17 +226,7 @@ def _ascend(states, ops, step, objective, dense_objective, cfg):
         sweeps_done[done] = sweep
         converged[done] = True
         active[done] = False
-
-    results = []
-    for s, rho in enumerate(states):
-        sl = slice(s * k, (s + 1) * k)
-        results.append(
-            _result_for_rows(
-                rho, obj[sl], vecs[sl], sweeps_done[sl], converged[sl],
-                int(degenerate[sl].sum()), dense_objective,
-            )
-        )
-    return results
+    return obj, vecs, sweeps_done, converged, degenerate
 
 
 def _align(g, c, v):
@@ -214,26 +242,218 @@ def _align(g, c, v):
     return new, (~ok).astype(int)
 
 
+def _pair_power(t):
+    """sigma_1^2 + sigma_2^2 of 3x3 matrices t (n, 3, 3): |t|_F^2 - lambda_min(t^T t).
+
+    lambda_min is the smallest root of the characteristic cubic of t^T t in
+    trigonometric form, whose coefficients come from t directly: squared
+    norm, squared 2x2 minors, squared determinant.  Next to a double root
+    (arccos argument near +-1) or where the three roots nearly coincide the
+    cubic loses up to 1e-5 and would undershoot, which the sphere bound
+    cannot allow, so those rows take lambda_min from eigvalsh; elsewhere the
+    cubic agrees with the SVD to about 1e-13 at a third of eigvalsh's cost.
+    """
+    a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
+    ab, bc, ca = np.cross(a, b), np.cross(b, c), np.cross(c, a)
+    c2 = np.sum(t * t, axis=(1, 2))
+    c1 = np.sum(ab * ab + bc * bc + ca * ca, axis=1)
+    c0 = np.sum(a * bc, axis=1) ** 2
+    radius = np.sqrt(np.maximum(c2 * c2 / 9.0 - c1 / 3.0, 0.0))
+    cube = radius**3
+    skew = c2**3 / 27.0 - c2 * c1 / 6.0 + c0 / 2.0
+    cosine = np.clip(skew / np.where(cube > 0.0, cube, 1.0), -1.0, 1.0)
+    low = c2 / 3.0 + 2.0 * radius * np.cos(np.arccos(cosine) / 3.0 + 2.0 * np.pi / 3.0)
+    risky = (1.0 - np.abs(cosine) < _EDGE_COS) | (radius <= _COLLAPSE * c2)
+    if risky.any():
+        tr = t[risky]
+        low[risky] = np.linalg.eigvalsh(np.swapaxes(tr, 1, 2) @ tr)[:, 0]
+    return c2 - np.clip(low, 0.0, c2 / 3.0)
+
+
+def _sphere_values(alpha, q, owner, s):
+    """m(s) = sqrt(f(s)) at unit directions s (points, 3) of the states ``owner``.
+
+    f(s) = sigma_1^2 + sigma_2^2 of T(s) + |alpha|^2 - (alpha . s)^2, with
+    T(s) = sum_k s_k q[owner, k]; points go in blocks of ``VERTEX_BLOCK``.
+    """
+    out = np.empty(len(s))
+    for lo in range(0, len(s), VERTEX_BLOCK):
+        blk, who = s[lo:lo + VERTEX_BLOCK], owner[lo:lo + VERTEX_BLOCK]
+        al = alpha[who]
+        t = np.matmul(blk[:, None, :], q[who].reshape(-1, 3, 9)).reshape(-1, 3, 3)
+        along = np.sum(blk * al, axis=1)
+        f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
+        out[lo:lo + VERTEX_BLOCK] = np.sqrt(np.maximum(f, 0.0))
+    return out
+
+
+def _half_icosahedron() -> np.ndarray:
+    """(10, 3, 3) unit vertices of the icosahedron faces on one side of a generic plane.
+
+    Opposite faces are antipodal, so these and their antipodes tile the
+    sphere; f(s) = f(-s) makes the other ten redundant.
+    """
+    g = (1.0 + 5.0**0.5) / 2.0
+    v = np.array([[0.0, x, y * g] for x in (-1, 1) for y in (-1, 1)])
+    v = np.concatenate([v, np.roll(v, 1, axis=1), np.roll(v, 2, axis=1)])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    near = v @ v.T > 0.4  # neighbours are at cos = 1/sqrt(5), the rest at -1/sqrt(5), -1
+    faces = [f for f in combinations(range(12), 3) if near[np.ix_(f, f)].sum() == 9]
+    tri = v[np.array(faces)]
+    return tri[tri.sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
+
+
+def _heights(tri):
+    """Distance from the origin to the plane of each flat triangle (n, 3, 3)."""
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    return np.abs(np.sum(normal * tri[:, 0], axis=1)) / np.linalg.norm(normal, axis=1)
+
+
+def _sphere_search(alpha, q):
+    """Certified branch and bound for m = max over unit s of sqrt(f(s)), per state.
+
+    ``alpha`` (n, 3) and ``q`` (n, 3, 3, 3) hold alpha_i and Q with slot i
+    first.  Extended to R^3, m(x) is a maximum of norms of linear maps of x,
+    so it is convex and 1-homogeneous; on a spherical triangle with unit
+    vertices v_k, m <= max_k m(v_k) / h, with h the distance from the origin
+    to the flat triangle's plane (a convex function on a polytope peaks at a
+    vertex: Rockafellar, Convex Analysis, Cor. 32.3.2).  The search starts
+    from ten icosahedron faces and splits each live triangle 1 -> 4 at its
+    normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
+    vertex is the lower end; a triangle whose bound is within ``SPHERE_TOL``
+    of it is pruned, and a state stops when the global bound
+    sqrt(lambda_max(K + |alpha|^2 I - alpha alpha^T)), K = Q_(i) Q_(i)^T, is
+    that close, which is what ends a flat f such as |000>'s.  A state left
+    with more than ``MAX_LIVE`` triangles stops with its live bounds.
+    Returns the best direction (n, 3) and the certified upper end (n,).
+    """
+    n = len(alpha)
+    k = np.einsum("nklm,njlm->nkj", q, q)
+    k += np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
+    k -= alpha[:, :, None] * alpha[:, None, :]
+    ceiling = np.sqrt(np.maximum(np.linalg.eigvalsh(k)[:, -1], 0.0))
+    lower = np.full(n, -np.inf)
+    best = np.zeros((n, 3))
+    live_bound = np.full(n, -np.inf)
+
+    def evaluate(points, owner):
+        """Values at points (rows, k, 3) of the states ``owner``; raises lower ends."""
+        rows, width = points.shape[:2]
+        who, at = np.repeat(owner, width), points.reshape(-1, 3)
+        vals = _sphere_values(alpha, q, who, at)
+        order = np.lexsort((-vals, who))  # per state, its best point first
+        first = order[np.r_[True, who[order][1:] != who[order][:-1]]]
+        up = first[vals[first] > lower[who[first]]]
+        lower[who[up]] = vals[up]
+        best[who[up]] = at[up]
+        return vals.reshape(rows, width)
+
+    def survivors(tri, vals, owner):
+        """Triangles whose bound still exceeds their state's lower end by the tolerance."""
+        bound = vals.max(axis=1) / _heights(tri)
+        keep = (bound > lower[owner] + SPHERE_TOL) & (ceiling[owner] > lower[owner] + SPHERE_TOL)
+        return tri[keep], vals[keep], owner[keep], bound[keep]
+
+    tri = np.tile(_half_icosahedron(), (n, 1, 1))
+    owner = np.repeat(np.arange(n), len(tri) // n)
+    tri, vals, owner, bound = survivors(tri, evaluate(tri, owner), owner)
+    while True:
+        stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
+        if stop.any():
+            np.maximum.at(live_bound, owner[stop], bound[stop])
+            tri, vals, owner = tri[~stop], vals[~stop], owner[~stop]
+        if not owner.size:
+            break
+        # the children of one block are pruned before the next block is split
+        kept = []
+        for lo in range(0, len(owner), VERTEX_BLOCK // 4):
+            t, v, o = (x[lo:lo + VERTEX_BLOCK // 4] for x in (tri, vals, owner))
+            mids = t + np.roll(t, -1, axis=1)
+            mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+            points = np.concatenate([t, mids], axis=1)
+            point_vals = np.concatenate([v, evaluate(mids, o)], axis=1)
+            kept.append(survivors(
+                points[:, _CHILDREN].reshape(-1, 3, 3), point_vals[:, _CHILDREN].reshape(-1, 3),
+                np.repeat(o, 4),
+            ))
+        tri, vals, owner, bound = (np.concatenate(x) for x in zip(*kept))
+    upper = np.minimum(ceiling, np.maximum(live_bound, lower + SPHERE_TOL))
+    return best, upper
+
+
+def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
+    """Settings (n, 2, 3, 3) with |<D_i>| = sqrt(f(s)) at unit directions s (n, 3).
+
+    With T(s) = U diag(sigma) V^T, slot p (the lower other slot) takes
+    a_p = u1, b_p = u2 and slot r takes s_r = cos phi v1, t_r = sin phi v2,
+    tan phi = sigma_2 / sigma_1, which gives s . M_i = sqrt(sigma_1^2 +
+    sigma_2^2).  Slot i takes s_i = cos theta s and t_i = sin theta t along
+    alpha's part orthogonal to s, tan theta = |alpha x s| / sqrt(sigma_1^2 +
+    sigma_2^2).  Then a = s + t and b = s - t in each slot.
+    """
+    p, r = _pair_indices(i)
+    u, sigma, vt = np.linalg.svd(np.einsum("nk,nklm->nlm", s, q))
+    phi = np.arctan2(sigma[:, 1], sigma[:, 0])[:, None]
+    ortho = alpha - np.sum(alpha * s, axis=1, keepdims=True) * s
+    size = np.linalg.norm(ortho, axis=1, keepdims=True)
+    # any unit vector orthogonal to s serves where alpha has no such part
+    spare = np.cross(s, np.eye(3)[np.argmin(np.abs(s), axis=1)])
+    spare /= np.linalg.norm(spare, axis=1, keepdims=True)
+    t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR), spare)
+    theta = np.arctan2(size, np.hypot(sigma[:, :1], sigma[:, 1:2]))
+    vecs = np.empty((len(s), 2, 3, 3))
+    for ab, sign in ((0, 1.0), (1, -1.0)):
+        vecs[:, ab, i - 1] = np.cos(theta) * s + sign * np.sin(theta) * t_dir
+        vecs[:, ab, p - 1] = u[:, :, ab]
+        vecs[:, ab, r - 1] = np.cos(phi) * vt[:, 0] + sign * np.sin(phi) * vt[:, 1]
+    return vecs
+
+
 def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
     """Batched :func:`seesaw_max_abs_d` over a list of states (one result each).
 
-    All states share the configured start vectors and advance in lockstep;
-    each row's update sequence is identical to the single-state driver's.
+    One sphere search brackets every state's m_i and one lockstep ascent
+    polishes all of their settings; each state's result is the same as the
+    single-state entry point's.
     """
     i = _check_slot(i, "operator index")
-    return _ascend(
-        states, (i,), _align, lambda d: np.abs(d[:, 0]),
-        lambda r, m: abs(expectation_bell(r, m, i)), cfg,
+    cfg = cfg or OptimizerConfig()
+    states = [as_density(s) for s in states]
+    if not states:
+        return []
+    decs = [decompose(rho) for rho in states]
+    local = np.stack([_local_vectors(d) for d in decs])
+    q = np.stack([d.Q for d in decs])
+    alpha, q_i = local[:, i - 1], np.moveaxis(q, i, 1)
+    direction, upper = _sphere_search(alpha, q_i)
+    obj, vecs, sweeps, converged, degenerate = _ascend(
+        local, q, _sphere_settings(direction, alpha, q_i, i), (i,), _align,
+        lambda d: np.abs(d[:, 0]), cfg.max_sweeps,
     )
+    # certified to within the tolerance, up to rounding of the two evaluations
+    converged &= upper - obj <= SPHERE_TOL + _MONOTONE_SLACK
+    return [
+        _result_for_rows(
+            rho, obj[s:s + 1], vecs[s:s + 1], sweeps[s:s + 1], converged[s:s + 1],
+            degenerate[s], lambda r, m: abs(expectation_bell(r, m, i)), upper[s],
+        )
+        for s, rho in enumerate(states)
+    ]
 
 
 def seesaw_max_abs_d(rho, i: int, cfg: OptimizerConfig | None = None) -> OptimizationResult:
-    """Largest |<D_i>| over measurement settings for a fixed state.
+    """Largest |<D_i>| over measurement settings for a fixed state, with a certified bracket.
 
-    Sweeps cycle j = 1..3 over a_j then b_j; each update replaces the active
-    vector by the exact argmax +/- g/|g| of the affine expectation, with the
-    sign chosen to maximize the absolute value.  Vanishing gradients keep
-    the previous vector and are counted in ``degenerate_updates``.
+    A branch and bound over the unit sphere (:func:`_sphere_search`) finds
+    the direction of s_i that maximizes the reduced objective and certifies
+    an upper end ``upper``; that direction becomes explicit settings, and one
+    see-saw start polishes them: sweeps cycle j = 1..3 over a_j then b_j, and
+    each update replaces the active vector by the exact argmax +/- g/|g| of
+    the affine expectation.  Vanishing gradients keep the previous vector and
+    are counted in ``degenerate_updates``.  ``value`` is the polished value,
+    rechecked on the dense path; ``converged`` means upper - value <=
+    ``SPHERE_TOL`` and the polish stopped before ``cfg.max_sweeps``.  Only
+    ``max_sweeps`` of ``cfg`` applies.
     """
     return seesaw_max_abs_d_many([rho], i, cfg)[0]
 
@@ -291,11 +511,19 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     omega does not depend on the vector keep it and are counted in
     ``degenerate_updates``.  Best across the configured starts; the joint
     landscape has genuine local optima for generic entangled states, so raise
-    ``n_starts`` when a certified-quality maximum matters.
+    ``n_starts`` when a certified-quality maximum matters.  The settings
+    are those of the first start within ``TIE_TOL`` of the best.
     """
-    return _ascend(
-        [rho], (1, 2, 3), _maximize_sphere_quadratic, _sum_squares, omega_matrix, cfg,
-    )[0]
+    cfg = cfg or OptimizerConfig()
+    rho = as_density(rho)
+    d = decompose(rho)
+    k = cfg.n_starts
+    obj, vecs, sweeps, converged, degenerate = _ascend(
+        np.repeat(_local_vectors(d)[None], k, axis=0), np.repeat(d.Q[None], k, axis=0),
+        _initial_vectors(cfg), (1, 2, 3), _maximize_sphere_quadratic, _sum_squares,
+        cfg.max_sweeps,
+    )
+    return _result_for_rows(rho, obj, vecs, sweeps, converged, degenerate.sum(), omega_matrix)
 
 
 def planar_case_settings(theta1: float, theta2: float, theta3: float) -> MeasurementSettings:

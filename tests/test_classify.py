@@ -29,6 +29,17 @@ SQ2 = np.sqrt(2.0)
 CFG = OptimizerConfig()
 
 
+def trapped_1_23():
+    """9th of five fully separable then five 1-23 draws from default_rng(5).
+
+    A random see-saw start stalls on this 1-23 state at the degenerate
+    fixed point s_1 = 0, where every pair gradient vanishes, and reports
+    m1 = 1; the sphere reduction gives 1.16262.
+    """
+    rng = np.random.default_rng(5)
+    return [_draw_state(c, rng) for c in ["fully-separable"] * 5 + ["1-23"] * 5][8]
+
+
 class TestExclusionRules:
     def test_all_inside_cube_excludes_nothing(self):
         assert excluded_classes((0.9, 0.8, 1.0), 1e-6) == ()
@@ -92,6 +103,11 @@ class TestClassify:
         assert report.m[1] <= 1.0 + 1e-6
         assert report.excluded == ("fully-separable", "1-23", "2-13")
         assert not report.genuine_indicated
+
+    def test_trapped_state_excludes_three(self):
+        report = classify(trapped_1_23(), CFG)
+        assert report.m[0] == pytest.approx(1.16262, abs=1e-5)
+        assert report.excluded == ("fully-separable", "2-13", "12-3")
 
     def test_product_state_excludes_nothing(self):
         amp = np.zeros(8, dtype=complex)

@@ -154,7 +154,7 @@ class TestOptimize:
         payload = json.loads(out)
         assert code == EXIT_OK
         assert payload["value"] == pytest.approx(SQ2, abs=1e-6)
-        assert len(payload["per_start_values"]) == 32
+        assert len(payload["per_start_values"]) == 1
         a = np.asarray(payload["settings"]["a"])
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-8)
 
@@ -163,8 +163,19 @@ class TestOptimize:
         assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
 
     def test_starts_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "optimize", "builtin:000", "2", "--starts", "5")
+        code, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega", "--starts", "5")
         assert len(json.loads(out)["per_start_values"]) == 5
+
+    def test_upper_only_for_operator_index(self, capsys):
+        """The certified upper end is an additive key of ``optimize <i>`` alone."""
+        _, out, _ = run_cli(capsys, "optimize", "builtin:ghz", "1")
+        payload = json.loads(out)
+        assert payload["value"] <= payload["upper"] <= SQ2 + 1e-8
+        _, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega", "--starts", "2")
+        assert list(json.loads(out)) == [
+            "value", "settings", "sweeps_used", "converged", "per_start_values",
+            "degenerate_updates",
+        ]
 
     def test_omega_product_state(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega")

@@ -5,24 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tribell.bell import expectation_bell, omega
+from tribell.bell import expectation_bell, omega, random_settings
 from tribell.classify import _draw_state
 from tribell.core import ValidationError
 from tribell.optimize import (
+    SPHERE_TOL,
     OptimizerConfig,
     _maximize_sphere_quadratic,
+    _pair_power,
+    _result_for_rows,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
     planar_grid_max,
     seesaw_max_abs_d,
 )
+from tribell.pauli import decompose
 from tribell.states import (
+    PARTITIONS,
     AcinParameters,
+    DensityMatrix,
     PureState,
     acin_state,
     apply_local_unitaries,
     canonical_biseparable,
+    generalized_ghz,
     ghz,
     maximally_mixed,
     phi_plus_otimes_zero,
@@ -104,7 +111,7 @@ class TestSeesaw:
         rho = to_density(random_pure(17))
         res = seesaw_max_abs_d(rho, 2, CFG)
         assert res.value == max(res.per_start_values)
-        assert len(res.per_start_values) == CFG.n_starts
+        assert len(res.per_start_values) == 1  # the one polish start
         # the reported settings reproduce the reported value through the matrix path
         assert abs(expectation_bell(rho, res.settings, 2)) == pytest.approx(res.value, abs=1e-10)
         assert 1 <= res.sweeps_used <= CFG.max_sweeps
@@ -195,6 +202,109 @@ class TestSeesaw:
         from tribell.optimize import seesaw_max_abs_d_many
 
         assert seesaw_max_abs_d_many([], 1, FAST_CFG) == []
+
+
+def random_state(kind, seed):
+    """A Haar pure state or a full-rank Ginibre mixed state from ``seed``."""
+    if kind == "pure":
+        return to_density(random_pure(seed))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m = g @ g.conj().T
+    return DensityMatrix(m / m.trace().real)
+
+
+def frobenius_bound(rho, i):
+    """sqrt(lambda_max(Q_(i) Q_(i)^T + |alpha|^2 I - alpha alpha^T)): m_i never exceeds it."""
+    d = decompose(rho)
+    alpha = (d.alpha, d.beta, d.gamma)[i - 1]
+    q = np.moveaxis(d.Q, i - 1, 0).reshape(3, 9)
+    k = q @ q.T + alpha @ alpha * np.eye(3) - np.outer(alpha, alpha)
+    return float(np.sqrt(np.linalg.eigvalsh(k)[-1]))
+
+
+def with_white_noise(rho, p):
+    """p rho + (1 - p) I/8, which scales alpha and Q by p."""
+    return DensityMatrix(p * rho.matrix + (1.0 - p) * np.eye(8) / 8.0)
+
+
+def rank_deficient_state(family, x, seed):
+    """Products, pure pair states and generalized GHZ states, locally rotated."""
+    if family == "product":
+        return random_in_class(None, 1, seed, pure_factors=True)
+    if family == "ghz":
+        psi = generalized_ghz(x)
+    else:
+        psi = canonical_biseparable(family, x)
+    rng = np.random.default_rng(seed)
+    return to_density(apply_local_unitaries(psi, random_local_unitaries(rng)))
+
+
+class TestSphereSearch:
+    SEARCH = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+    @SEARCH
+    @given(
+        kind=hst.sampled_from(["pure", "mixed"]),
+        seed=hst.integers(0, 2**32),
+        i=hst.integers(1, 3),
+    )
+    def test_bracket_holds(self, kind, seed, i):
+        """value <= upper + tol <= Frobenius bound + tol, value >= |<D_i>| at random settings."""
+        rho = random_state(kind, seed)
+        res = seesaw_max_abs_d(rho, i, CFG)
+        assert res.value <= res.upper + SPHERE_TOL
+        assert res.upper <= frobenius_bound(rho, i) + 1e-12
+        for k in range(3):
+            assert res.value >= abs(expectation_bell(rho, random_settings(seed + k), i)) - 1e-12
+
+    @SEARCH
+    @given(
+        kind=hst.sampled_from(["pure", "mixed"]),
+        seed=hst.integers(0, 2**32),
+        i=hst.integers(1, 3),
+        p=hst.floats(0.05, 0.95),
+    )
+    def test_white_noise_scales_the_bracket(self, kind, seed, i, p):
+        """Noise scales alpha and Q by p, so m_i and both bracket ends scale by p."""
+        rho = random_state(kind, seed)
+        clean = seesaw_max_abs_d(rho, i, CFG)
+        noisy = seesaw_max_abs_d(with_white_noise(rho, p), i, CFG)
+        assert noisy.value == pytest.approx(p * clean.value, abs=1e-8)
+        assert noisy.upper == pytest.approx(p * clean.upper, abs=1e-8)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        family=hst.sampled_from(("product", "ghz") + PARTITIONS),
+        # angles next to pi/4 give T^T T three nearly equal eigenvalues
+        x=hst.floats(0.0, np.pi / 2) | hst.floats(-1e-3, 1e-3).map(lambda d: np.pi / 4 + d),
+        seed=hst.integers(0, 2**32),
+        i=hst.integers(1, 3),
+    )
+    def test_vertex_values_never_undershoot(self, family, x, seed, i):
+        """sigma_1^2 + sigma_2^2 of a rank-deficient T(s) never falls below the SVD's by 1e-12.
+
+        Checked at 64 random directions s per state.
+        """
+        q = np.moveaxis(decompose(rank_deficient_state(family, x, seed)).Q, i - 1, 0)
+        s = np.random.default_rng(seed).standard_normal((64, 3))
+        t = np.einsum("nk,klm->nlm", s / np.linalg.norm(s, axis=1, keepdims=True), q)
+        sigma = np.linalg.svd(t, compute_uv=False)
+        assert np.all(_pair_power(t) >= sigma[:, 0] ** 2 + sigma[:, 1] ** 2 - 1e-12)
+
+
+class TestTieRule:
+    def test_first_start_within_tolerance_gives_the_settings(self):
+        """A start that beats an earlier one only at rounding level does not take over."""
+        first, second = random_settings(1), random_settings(2)
+        vecs = np.stack([np.stack([m.a, m.b]) for m in (first, second)])
+        obj = np.array([1.0, 1.0 + 1e-13])
+        res = _result_for_rows(
+            None, obj, vecs, np.array([3, 7]), np.array([True, False]), 0, lambda r, m: 1.0,
+        )
+        assert res.value == obj[1]
+        np.testing.assert_array_equal(res.settings.a, first.a)
+        assert (res.sweeps_used, res.converged) == (3, True)
 
 
 class TestMaximizeOmega:
