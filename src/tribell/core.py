@@ -31,8 +31,6 @@ __all__ = [
     "PAULIS",
     "HERMITICITY_TOL",
     "IMAG_RESIDUE_TOL",
-    "kron",
-    "compose_single_pair",
     "expectation_matrix",
     "is_hermitian",
 ]
@@ -85,17 +83,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, restricted to results of dimension <= 8."""
-    a = _as_operator(a, "kron left factor")
-    b = _as_operator(b, "kron right factor")
-    if a.shape[0] * b.shape[0] > 8:
-        raise ValidationError(
-            f"kron result dimension {a.shape[0] * b.shape[0]} exceeds 8"
-        )
-    return _kron(a, b)
-
-
 def _check_slot(value, name: str = "qubit slot") -> int:
     """``value`` as a plain int if it is the integer 1, 2 or 3 (not a bool or float)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (1, 2, 3):
@@ -122,22 +109,6 @@ def _place(full: np.ndarray, slot: int) -> np.ndarray:
     t = full.reshape(2, 2, 2, 2, 2, 2)
     t = t.transpose(perm[0], perm[1], perm[2], perm[0] + 3, perm[1] + 3, perm[2] + 3)
     return np.ascontiguousarray(t.reshape(8, 8))
-
-
-def compose_single_pair(single, pair, single_slot: int) -> np.ndarray:
-    """Tensor a 2x2 operator at ``single_slot`` with a 4x4 operator on the other slots.
-
-    The 4x4 operator's first factor lands on the lower-numbered remaining
-    slot, its second factor on the higher one, so e.g. single_slot=2 maps
-    pair = P (x) Q to P (x) single (x) Q.
-    """
-    single = _as_operator(single, "single-qubit factor")
-    pair = _as_operator(pair, "two-qubit factor")
-    if single.shape[0] != 2 or pair.shape[0] != 4:
-        raise ValidationError(
-            f"compose_single_pair expects (2x2, 4x4), got {single.shape}, {pair.shape}"
-        )
-    return _place(_kron(single, pair), _check_slot(single_slot))
 
 
 def expectation_matrix(obs, rho) -> float:

@@ -23,6 +23,12 @@ driver replaces a_j, then b_j, by a per-coordinate step:
   vector unless the step strictly improves it (monotone by construction).
   Every start draws its six initial unit vectors from an independent RNG
   stream derived from (seed, start index); all starts advance in lockstep.
+  Coordinate ascent converges only linearly, so after ``WARMUP_SWEEPS``
+  sweeps the starts still climbing switch to a batched Riemannian Newton
+  polish on the six unit spheres.  Its exact gradient and Hessian come from
+  the multi-affine form <D_i> = C_i[X_1, X_2, X_3], X_j = (1, a_j, b_j),
+  built from the same contraction, and a start it leaves with a vanishing
+  gradient and no positive curvature is certified as a local maximum.
 
 :func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
 search and one batched polish, which is how the Monte Carlo bound sweeps
@@ -83,6 +89,19 @@ _COLLAPSE = 0.1
 # children of a triangle split at its edge midpoints, as indices into
 # (v0, v1, v2, m01, m12, m20)
 _CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+#: coordinate sweeps an omega start runs before the Newton polish
+WARMUP_SWEEPS = 20
+#: Newton iterations a start may take before it returns to the coordinate ascent
+NEWTON_ITERS = 30
+#: a polished start is certified when its Riemannian gradient norm is at most
+#: CERT_GRAD and its Riemannian Hessian has no eigenvalue above CERT_CURV
+CERT_GRAD = 1e-9
+CERT_CURV = 1e-6
+# the Newton step clamps Hessian eigenvalues above -max(|grad_R|, _CURVATURE_FLOOR)
+# there, so it ascends and its clamped part is at most about a radian long; a
+# step is halved up to _HALVINGS times
+_CURVATURE_FLOOR = 1e-3
+_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -381,6 +400,12 @@ def _sphere_search(alpha, q):
     return best, upper
 
 
+def _perpendicular(v):
+    """A unit vector orthogonal to each unit vector v (..., 3)."""
+    w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
 def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     """Settings (n, 2, 3, 3) with |<D_i>| = sqrt(f(s)) at unit directions s (n, 3).
 
@@ -397,9 +422,7 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     ortho = alpha - np.sum(alpha * s, axis=1, keepdims=True) * s
     size = np.linalg.norm(ortho, axis=1, keepdims=True)
     # any unit vector orthogonal to s serves where alpha has no such part
-    spare = np.cross(s, np.eye(3)[np.argmin(np.abs(s), axis=1)])
-    spare /= np.linalg.norm(spare, axis=1, keepdims=True)
-    t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR), spare)
+    t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR), _perpendicular(s))
     theta = np.arctan2(size, np.hypot(sigma[:, :1], sigma[:, 1:2]))
     vecs = np.empty((len(s), 2, 3, 3))
     for ab, sign in ((0, 1.0), (1, -1.0)):
@@ -502,27 +525,199 @@ def _maximize_sphere_quadratic(g, c, v0):
     return np.where(better[:, None], cand, v0), degenerate.astype(int)
 
 
+def _multiaffine_form(local, q) -> np.ndarray:
+    """C (3, 7, 7, 7) with <D_i> = C_i[X_1, X_2, X_3] for X_j = (1, a_j, b_j).
+
+    <D_i> is affine in every slot pair, so it is multi-affine in the X_j.
+    Each slot takes the seven settings X = e_0 + e_l: a = b = 0, a = e_k or
+    b = e_k.  One :func:`affine_coefficients` call per i evaluates all 343
+    combinations, and differencing along each axis (C[l] = F[l] - F[0] for
+    l >= 1) leaves the coefficients.
+    """
+    choice = np.zeros((7, 2, 3))
+    choice[1:4, 0] = choice[4:, 1] = np.eye(3)
+    vecs = np.empty((7, 7, 7, 2, 3, 3))
+    vecs[..., 0, :] = choice[:, None, None]
+    vecs[..., 1, :] = choice[None, :, None]
+    vecs[..., 2, :] = choice[None, None, :]
+    a, b = vecs[..., 0, :, :], vecs[..., 1, :, :]
+    values = []
+    for i in (1, 2, 3):
+        g_a, g_b, c0 = affine_coefficients(local, q, a, b, i, 1)
+        values.append(c0 + np.sum(g_a * a[..., 0, :] + g_b * b[..., 0, :], axis=-1))
+    form = np.stack(values)
+    for axis in (1, 2, 3):
+        f = np.moveaxis(form, axis, 0)
+        f[1:] -= f[0]
+    return form
+
+
+def _homogeneous(vecs):
+    """X (rows, 3, 7) with X_j = (1, a_j, b_j) from vectors (rows, 2, 3, 3)."""
+    x = np.ones((len(vecs), 3, 7))
+    x[:, :, 1:] = np.swapaxes(vecs, 1, 2).reshape(-1, 3, 6)
+    return x
+
+
+def _omega_values(form, vecs):
+    """omega per row from the multi-affine form."""
+    x = _homogeneous(vecs)
+    return _sum_squares(np.einsum("iklm,nk,nl,nm->ni", form, x[:, 0], x[:, 1], x[:, 2]))
+
+
+def _omega_model(form, vecs):
+    """Riemannian gradient (rows, 12) and Hessian (rows, 12, 12) of omega on (S^2)^6.
+
+    The six vectors run a_1, b_1, a_2, b_2, a_3, b_3, each with the tangent
+    basis (rows, 6, 2, 3) that is also returned.  Within a slot every d_i
+    is affine, so its Euclidean Hessian has only cross-slot blocks, the form
+    contracted with the third X; omega = sum_i d_i^2 then has gradient
+    2 sum_i d_i grad d_i and Hessian 2 sum_i (grad d_i grad d_i^T + d_i hess d_i).
+    On the spheres the Hessian is E^T H E - diag(v_m . grad_m omega) (Absil,
+    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    ch. 5-6), with E the tangent bases.
+    """
+    n = len(vecs)
+    x = _homogeneous(vecs)
+    x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+    p12 = np.einsum("iklm,nm->nikl", form, x3)
+    p13 = np.einsum("iklm,nl->nikm", form, x2)
+    p23 = np.einsum("iklm,nk->nilm", form, x1)
+    d = np.einsum("nikl,nk,nl->ni", p12, x1, x2)
+    jac = np.stack([
+        np.einsum("nikl,nl->nik", p12, x2),
+        np.einsum("nikl,nk->nil", p12, x1),
+        np.einsum("nikm,nk->nim", p13, x1),
+    ], axis=2)[..., 1:].reshape(n, -1, 18)
+    grad = 2.0 * np.einsum("ni,nik->nk", d, jac).reshape(n, 6, 3)
+    hess = 2.0 * np.einsum("nik,nil->nkl", jac, jac)
+    for (j, k), p in (((0, 1), p12), ((0, 2), p13), ((1, 2), p23)):
+        cross = 2.0 * np.einsum("ni,nikl->nkl", d, p[..., 1:, 1:])
+        hess[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] += cross
+        hess[:, 6 * k:6 * k + 6, 6 * j:6 * j + 6] += np.swapaxes(cross, 1, 2)
+    hess = hess.reshape(n, 6, 3, 6, 3)
+    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
+    u1 = _perpendicular(v)
+    basis = np.stack([u1, np.cross(v, u1)], axis=2)
+    grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
+    hess_r = np.einsum("nmac,nmcpd,npbd->nmapb", basis, hess, basis).reshape(n, 12, 12)
+    hess_r -= np.repeat(np.sum(v * grad, axis=2), 2, axis=1)[:, :, None] * np.eye(12)
+    return grad_r, hess_r, basis
+
+
+def _retract(vecs, basis, step):
+    """Move each vector along its tangent step (rows, 12) and renormalize."""
+    n = len(vecs)
+    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
+    v = v + np.einsum("nma,nmac->nmc", step.reshape(n, 6, 2), basis)
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    return np.swapaxes(v.reshape(n, 3, 2, 3), 1, 2)
+
+
+def _newton_polish(form, vecs, iters: int):
+    """Batched Riemannian Newton ascent of omega from rows ``vecs`` (rows, 2, 3, 3).
+
+    Each iteration evaluates the exact gradient and Hessian
+    (:func:`_omega_model`).  A row with |grad_R| <= ``CERT_GRAD`` and
+    lambda_max(H_R) <= ``CERT_CURV`` is certified and stops.  The others
+    take a Newton step with the Hessian's eigenvalues clamped below zero
+    (see ``_CURVATURE_FLOOR``), so the step ascends.  It is halved up to
+    ``_HALVINGS`` times until omega does not fall by more than the rounding
+    slack ``_MONOTONE_SLACK``; a row whose step still lowers omega stops
+    uncertified.  Returns per-row (omega, vectors, iterations used,
+    certified); rows neither certified nor stopped use all ``iters``.
+    """
+    vecs = np.array(vecs, dtype=float)
+    n = len(vecs)
+    obj = _omega_values(form, vecs)
+    used = np.full(n, iters)
+    certified = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for it in range(1, iters + 1):
+        grad_r, hess_r, basis = _omega_model(form, vecs[active])
+        lam, eig = np.linalg.eigh(hess_r)
+        size = np.linalg.norm(grad_r, axis=1)
+        ok = (size <= CERT_GRAD) & (lam[:, -1] <= CERT_CURV)
+        certified[active[ok]] = True
+        floor = np.maximum(size, _CURVATURE_FLOOR)[:, None]
+        coef = np.einsum("nkl,nk->nl", eig, grad_r) / np.maximum(-lam, floor)
+        step = np.einsum("nkl,nl->nk", eig, coef)
+        moved = ok.copy()
+        for halving in range(_HALVINGS + 1):
+            todo = np.flatnonzero(~moved)
+            if not todo.size:
+                break
+            trial = _retract(vecs[active[todo]], basis[todo], step[todo] * 0.5**halving)
+            trial_obj = _omega_values(form, trial)
+            up = trial_obj >= obj[active[todo]] - _MONOTONE_SLACK
+            vecs[active[todo[up]]] = trial[up]
+            obj[active[todo[up]]] = trial_obj[up]
+            moved[todo[up]] = True
+        used[active[~moved | ok]] = it
+        active = active[moved & ~ok]
+        if not active.size:
+            break
+    return obj, vecs, used, certified
+
+
 def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResult:
     """Largest omega (sum of three squared expectations) found over shared settings.
 
-    Block-coordinate ascent: each update replaces one setting vector by the
-    exact maximizer of omega in that vector alone, a trust-region step on the
-    unit sphere (see :func:`_maximize_sphere_quadratic`).  Coordinates where
-    omega does not depend on the vector keep it and are counted in
-    ``degenerate_updates``.  Best across the configured starts; the joint
-    landscape has genuine local optima for generic entangled states, so raise
-    ``n_starts`` when a certified-quality maximum matters.  The settings
-    are those of the first start within ``TIE_TOL`` of the best.
+    Warm-up: block-coordinate ascent for at most ``WARMUP_SWEEPS`` sweeps,
+    where each update replaces one setting vector by the exact maximizer of
+    omega in that vector alone, a trust-region step on the unit sphere (see
+    :func:`_maximize_sphere_quadratic`).  Coordinates where omega does not
+    depend on the vector keep it and are counted in ``degenerate_updates``.
+    A start that gains less than ``ABS_TOL`` in a sweep is final.  Polish:
+    the starts still climbing go to one batched Riemannian Newton loop over
+    the six unit vectors (:func:`_newton_polish`), whose exact gradient and
+    Hessian come from the multi-affine form of the three expectations
+    (:func:`_multiaffine_form`).  Stop rule: a start whose Riemannian
+    gradient is at most ``CERT_GRAD`` and whose Riemannian Hessian has no
+    eigenvalue above ``CERT_CURV`` is certified as a local maximum; a start
+    whose step is rejected, or that is still uncertified after
+    ``NEWTON_ITERS`` iterations, returns to the coordinate ascent with the
+    rest of its budget.  Each Newton iteration counts as one sweep, in
+    ``sweeps_used`` and against ``cfg.max_sweeps``, so ``max_sweeps <=
+    WARMUP_SWEEPS`` runs the coordinate ascent alone.
+
+    ``converged`` means the reported start stopped on the gain test or was
+    certified; a start at the sweep cap reports False.  Best across the
+    configured starts; the joint landscape has genuine local optima for
+    generic entangled states, so raise ``n_starts`` when a better maximum
+    matters.  The settings are those of the first start within ``TIE_TOL``
+    of the best.
     """
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
     d = decompose(rho)
     k = cfg.n_starts
-    obj, vecs, sweeps, converged, degenerate = _ascend(
-        np.repeat(_local_vectors(d)[None], k, axis=0), np.repeat(d.Q[None], k, axis=0),
-        _initial_vectors(cfg), (1, 2, 3), _maximize_sphere_quadratic, _sum_squares,
-        cfg.max_sweeps,
-    )
+    local, q = np.repeat(_local_vectors(d)[None], k, axis=0), np.repeat(d.Q[None], k, axis=0)
+
+    def ascend(vecs, sweeps):
+        return _ascend(local[:len(vecs)], q[:len(vecs)], vecs, (1, 2, 3),
+                       _maximize_sphere_quadratic, _sum_squares, sweeps)
+
+    warmup = min(WARMUP_SWEEPS, cfg.max_sweeps)
+    obj, vecs, sweeps, converged, degenerate = ascend(_initial_vectors(cfg), warmup)
+    rows = np.flatnonzero(~converged)
+    if rows.size and cfg.max_sweeps > warmup:
+        form = _multiaffine_form(_local_vectors(d), d.Q)
+        polished, vecs[rows], used, certified = _newton_polish(
+            form, vecs[rows], min(NEWTON_ITERS, cfg.max_sweeps - warmup)
+        )
+        obj[rows] = polished
+        sweeps[rows] = warmup + used
+        converged[rows] = certified
+        back = rows[~certified]
+        for spent in np.unique(sweeps[back]):
+            group = back[sweeps[back] == spent]
+            if spent < cfg.max_sweeps:
+                obj[group], vecs[group], more, converged[group], extra = ascend(
+                    vecs[group], cfg.max_sweeps - spent
+                )
+                sweeps[group] = spent + more
+                degenerate[group] += extra
     return _result_for_rows(rho, obj, vecs, sweeps, converged, degenerate.sum(), omega_matrix)
 
 

@@ -1,19 +1,27 @@
 """Multi-start see-saw, omega maximization, planar oracles and grid cross-checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
+from test_classify import trapped_1_23
 
 from tribell.bell import expectation_bell, omega, random_settings
 from tribell.classify import _draw_state
 from tribell.core import ValidationError
+import tribell.optimize as opt
 from tribell.optimize import (
     SPHERE_TOL,
     OptimizerConfig,
     _maximize_sphere_quadratic,
+    _multiaffine_form,
+    _omega_model,
+    _omega_values,
     _pair_power,
     _result_for_rows,
+    _retract,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
@@ -365,11 +373,106 @@ class TestMaximizeOmega:
         assert r1.value == r2.value
         assert r1.per_start_values == r2.per_start_values
 
+    @pytest.mark.parametrize(
+        "make_state, capped_value",
+        [
+            pytest.param(trapped_1_23, 3.335243051074, id="trapped"),
+            pytest.param(lambda: drawn_1_23(2), 3.334887813825, id="1-23-draw-2"),
+        ],
+    )
+    def test_polish_certifies_where_coordinate_ascent_is_capped(self, make_state, capped_value):
+        """Coordinate ascent alone stops these at the 500-sweep cap, at the values given."""
+        res = maximize_omega(make_state(), CFG)
+        assert res.converged
+        assert res.sweeps_used < CFG.max_sweeps
+        assert res.value >= capped_value
+
     def test_separable_states_respect_the_ball(self):
         """Mixtures of products stay in the radius-sqrt(3) ball even optimized."""
         for seed in range(4):
             rho = random_in_class(None, 3, seed)
             assert maximize_omega(rho, FAST_CFG).value <= 3.0 + 1e-9
+
+
+def as_rows(m):
+    """Settings as one row (1, 2, 3, 3) of a/b vectors."""
+    return np.stack([m.a, m.b])[None]
+
+
+def multiaffine(rho):
+    d = decompose(rho)
+    return _multiaffine_form(np.stack([d.alpha, d.beta, d.gamma]), d.Q)
+
+
+def pullback_gradient(form, vecs, basis, step):
+    """Gradient in ``step`` (12,) of omega at the retraction of ``vecs`` along it.
+
+    Each vector moves to y = (v + E xi)/|v + E xi|, whose derivative is
+    (I - y y^T) E / |v + E xi|, and (I - y y^T) grad omega is the Riemannian
+    gradient at y.  The retraction is second order, so the Hessian of this
+    pullback at 0 is the Riemannian Hessian.
+    """
+    moved = _retract(vecs, basis, step[None])
+    grad_r, _, moved_basis = _omega_model(form, moved)
+    ambient = np.einsum("ma,mac->mc", grad_r[0].reshape(6, 2), moved_basis[0])
+    v = np.swapaxes(vecs[0], 0, 1).reshape(6, 3)
+    size = np.linalg.norm(v + np.einsum("ma,mac->mc", step.reshape(6, 2), basis[0]), axis=1)
+    return np.einsum("mac,mc->ma", basis[0], ambient / size[:, None]).reshape(12)
+
+
+class TestOmegaNewton:
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_form_reproduces_the_dense_path(self, kind):
+        for seed in range(3):
+            rho = random_state(kind, seed)
+            form = multiaffine(rho)
+            for k in range(4):
+                m = random_settings(10 * seed + k)
+                assert _omega_values(form, as_rows(m))[0] == pytest.approx(omega(rho, m), abs=1e-12)
+                for i in (1, 2, 3):
+                    square = _omega_values(form[i - 1:i], as_rows(m))[0]
+                    assert square == pytest.approx(expectation_bell(rho, m, i) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_hessian_matches_gradient_differences(self, kind, i):
+        """The exact Riemannian Hessian of <D_i>^2 against central differences of its gradient."""
+        form = multiaffine(random_state(kind, 7 + i))[i - 1:i]
+        vecs = as_rows(random_settings(i))
+        grad_r, hess_r, basis = _omega_model(form, vecs)
+        np.testing.assert_allclose(
+            pullback_gradient(form, vecs, basis, np.zeros(12)), grad_r[0], atol=1e-12
+        )
+        h = 1e-5
+        diffs = np.stack([
+            (pullback_gradient(form, vecs, basis, h * e) - pullback_gradient(form, vecs, basis, -h * e))
+            / (2.0 * h)
+            for e in np.eye(12)
+        ], axis=1)
+        np.testing.assert_allclose(hess_r[0], diffs, atol=1e-6)
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(kind=hst.sampled_from(["pure", "mixed"]), seed=hst.integers(0, 2**32))
+    def test_certificate_holds_at_the_returned_omega(self, kind, seed):
+        """Where the Newton polish certified the reported start, its settings are a local maximum."""
+        rho = random_state(kind, seed)
+        polished = []
+        original = opt._newton_polish
+
+        def spy(*args):
+            out = original(*args)
+            polished.append(out)
+            return out
+
+        with mock.patch.object(opt, "_newton_polish", spy):
+            res = maximize_omega(rho, OptimizerConfig(n_starts=4, max_sweeps=40))
+        vecs = as_rows(res.settings)
+        assume(any(
+            np.array_equal(row, vecs[0]) for _, rows, _, certified in polished for row in rows[certified]
+        ))
+        grad_r, hess_r, _ = _omega_model(multiaffine(rho), vecs)
+        assert np.linalg.norm(grad_r) <= 1e-8
+        assert np.linalg.eigvalsh(hess_r[0])[-1] <= 1e-6
 
 
 class TestSphereQuadraticStep:
