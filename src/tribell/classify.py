@@ -79,7 +79,10 @@ class ClassificationReport:
 
     ``converged`` holds the convergence flags of the four optimizations
     (m1, m2, m3, omega) so non-convergence is visible without blocking the
-    verdict.
+    verdict.  The flags differ in strength: for each m_i True means a
+    certified gap of at most 1e-9 to the global maximum, for omega only a
+    local-maximum certificate or the gain test, so ``omega_max`` may lie
+    below the global maximum even when its flag is True.
     """
 
     m: tuple

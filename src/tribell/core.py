@@ -66,7 +66,7 @@ def _as_operator(m, name: str = "operator") -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] not in _VALID_DIMS:
         raise ValidationError(f"{name} dimension must be one of {_VALID_DIMS}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 

@@ -12,9 +12,13 @@ driver replaces a_j, then b_j, by a per-coordinate step:
   brackets m_i through the reduction
   m_i^2 = max over unit s of sigma_1^2 + sigma_2^2 of T(s) + |alpha_i x s|^2
   (Horodecki et al., Phys. Lett. A 200, 340 (1995)), with T(s) the
-  three-body tensor contracted along slot i.  Its best direction becomes
-  explicit settings, and one start of the ascent polishes them with the
-  exact maximizer v = +/- g/|g|; the objective never decreases.
+  three-body tensor contracted along slot i.  Two closed-form global
+  ceilings can end the search early: a Frobenius bound, and one from the
+  leading singular term of the 3x9 unfolding Q_(i), which is exact on states
+  that are products across cut i; that ceiling's top eigenvector is
+  evaluated as one extra point of the first level.  The best direction
+  becomes explicit settings, and one start of the ascent polishes them with
+  the exact maximizer v = +/- g/|g|; the objective never decreases.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
   shared setting.  Per coordinate the objective |G v + c|^2 is a quadratic
   on the unit sphere, and the step is its exact global maximizer: the
@@ -126,7 +130,11 @@ class OptimizationResult:
     """Best value found, the settings achieving it, and per-start telemetry.
 
     ``upper`` is the certified upper end of the bracket [value, upper] on
-    m_i; it is inf for omega, which has no certificate.
+    m_i; it is inf for omega, which has no certificate.  ``converged``
+    means different things for the two: for m_i a certified gap
+    upper - value <= ``SPHERE_TOL`` (1e-9) to the global maximum, for omega
+    only that the reported start passed the local-maximum certificate of the
+    Newton polish or the gain test, which says nothing about other maxima.
     """
 
     value: float
@@ -339,18 +347,39 @@ def _sphere_search(alpha, q):
     vertex: Rockafellar, Convex Analysis, Cor. 32.3.2).  The search starts
     from ten icosahedron faces and splits each live triangle 1 -> 4 at its
     normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
-    vertex is the lower end; a triangle whose bound is within ``SPHERE_TOL``
-    of it is pruned, and a state stops when the global bound
-    sqrt(lambda_max(K + |alpha|^2 I - alpha alpha^T)), K = Q_(i) Q_(i)^T, is
-    that close, which is what ends a flat f such as |000>'s.  A state left
-    with more than ``MAX_LIVE`` triangles stops with its live bounds.
-    Returns the best direction (n, 3) and the certified upper end (n,).
+    point is the lower end; a triangle whose bound is within ``SPHERE_TOL``
+    of it is pruned, and a state stops when its global ceiling is that close.
+    The ceiling is the smaller of two closed forms, with
+    O = |alpha|^2 I - alpha alpha^T:
+
+    * Frobenius: m^2 <= lambda_max(Q_(i) Q_(i)^T + O), since
+      sigma_1^2 + sigma_2^2 <= |T(s)|_F^2; it ends a flat f such as |000>'s.
+    * Leading term: with the SVD Q_(i) = sum_r sigma_r u_r (x) T_r of the
+      3x9 unfolding, |T_r|_F = 1, P = sigma_1^2 + sigma_2^2 of T_1 and
+      e = sigma_2(Q_(i)), m^2 <= lambda_max(sigma_1^2 P u_1 u_1^T + O)
+      + 2 e sigma_1 sqrt(P) + e^2.  sqrt(sigma_1^2 + sigma_2^2) is a
+      unitarily invariant norm, so on T(s) it is at most sigma_1 |u_1 . s|
+      sqrt(P) plus the Frobenius norm e of the rest.  It is exact when e = 0,
+      that is when qubit i is in a product with the other two; the triangle
+      bound alone certifies such flat maxima only on triangles about 5e-5
+      wide, and often stops at ``MAX_LIVE`` first.
+
+    The leading term's top eigenvector is evaluated with the level-0
+    vertices, after them so that ties keep a vertex, and before any pruning;
+    where that ceiling is exact it closes the bracket before any split.  A
+    state left with more than ``MAX_LIVE`` triangles stops with its live
+    bounds.  Returns the best direction (n, 3) and the certified upper end
+    (n,).
     """
     n = len(alpha)
-    k = np.einsum("nklm,njlm->nkj", q, q)
-    k += np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
-    k -= alpha[:, :, None] * alpha[:, None, :]
-    ceiling = np.sqrt(np.maximum(np.linalg.eigvalsh(k)[:, -1], 0.0))
+    orth = np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
+    orth -= alpha[:, :, None] * alpha[:, None, :]
+    frobenius = np.linalg.eigvalsh(np.einsum("nklm,njlm->nkj", q, q) + orth)[:, -1]
+    u, sigma, vt = np.linalg.svd(q.reshape(n, 3, 9), full_matrices=False)
+    lead = sigma[:, 0] ** 2 * _pair_power(vt[:, 0].reshape(n, 3, 3))
+    top_val, top_vec = np.linalg.eigh(lead[:, None, None] * u[:, :, :1] * u[:, None, :, 0] + orth)
+    rest = sigma[:, 1] * (2.0 * np.sqrt(lead) + sigma[:, 1])
+    ceiling = np.sqrt(np.maximum(np.minimum(frobenius, top_val[:, -1] + rest), 0.0))
     lower = np.full(n, -np.inf)
     best = np.zeros((n, 3))
     live_bound = np.full(n, -np.inf)
@@ -375,7 +404,9 @@ def _sphere_search(alpha, q):
 
     tri = np.tile(_half_icosahedron(), (n, 1, 1))
     owner = np.repeat(np.arange(n), len(tri) // n)
-    tri, vals, owner, bound = survivors(tri, evaluate(tri, owner), owner)
+    vals = evaluate(tri, owner)
+    evaluate(top_vec[:, None, :, -1], np.arange(n))
+    tri, vals, owner, bound = survivors(tri, vals, owner)
     while True:
         stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
         if stop.any():
@@ -469,7 +500,11 @@ def seesaw_max_abs_d(rho, i: int, cfg: OptimizerConfig | None = None) -> Optimiz
 
     A branch and bound over the unit sphere (:func:`_sphere_search`) finds
     the direction of s_i that maximizes the reduced objective and certifies
-    an upper end ``upper``; that direction becomes explicit settings, and one
+    an upper end ``upper``, the smallest of its live triangle bounds and two
+    closed-form ceilings; the second, from the leading singular term of
+    Q_(i), is exact when the state is a product across cut i, and its top
+    eigenvector is one of the searched points, so such states close before
+    the first split.  The best direction becomes explicit settings, and one
     see-saw start polishes them: sweeps cycle j = 1..3 over a_j then b_j, and
     each update replaces the active vector by the exact argmax +/- g/|g| of
     the affine expectation.  Vanishing gradients keep the previous vector and

@@ -74,7 +74,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (8,):
             raise ValidationError(f"pure state needs 8 amplitudes, got {amp.shape}")
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.all(np.isfinite(amp)):
             raise ValidationError("pure state amplitudes contain non-finite entries")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > self.tol:
@@ -98,7 +98,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (8, 8):
             raise ValidationError(f"density matrix must be 8x8, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix contains non-finite entries")
         herm_tol = max(DM_HERMITIAN_TOL, self.tol)
         if not is_hermitian(m, herm_tol):

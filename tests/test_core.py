@@ -174,6 +174,17 @@ class TestExpectation:
         with pytest.raises(ValidationError, match="state contains non-finite"):
             expectation_matrix(np.eye(8), np.full((8, 8), bad, dtype=complex))
 
+    def test_strided_operands_accepted(self):
+        """Transposed (Fortran-ordered) operands validate like contiguous ones."""
+        rho = to_density(random_pure(4)).matrix
+        obs = k3(SX, SY, SZ)
+        contiguous = expectation_matrix(obs.T.copy(), rho.T.copy())
+        assert expectation_matrix(obs.T, rho.T) == contiguous
+        bad = np.eye(8, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="state contains non-finite"):
+            expectation_matrix(obs, bad.T)
+
     def test_imaginary_residue_raises_consistency(self):
         # a Hermitian observable against a deliberately non-Hermitian "rho"
         bad_rho = np.zeros((8, 8), dtype=complex)

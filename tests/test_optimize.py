@@ -10,7 +10,7 @@ from test_classify import trapped_1_23
 
 from tribell.bell import expectation_bell, omega, random_settings
 from tribell.classify import _draw_state
-from tribell.core import ValidationError
+from tribell.core import PAULIS, ValidationError, _kron, _place
 import tribell.optimize as opt
 from tribell.optimize import (
     SPHERE_TOL,
@@ -231,6 +231,36 @@ def frobenius_bound(rho, i):
     return float(np.sqrt(np.linalg.eigvalsh(k)[-1]))
 
 
+def rank_one_ceiling(rho, i):
+    """Second ceiling on m_i from the SVD Q_(i) = sum_r sigma_r u_r (x) T_r, |T_r|_F = 1.
+
+    sqrt(lambda_max(sigma_1^2 P u_1 u_1^T + |alpha|^2 I - alpha alpha^T) + 2 e sigma_1 sqrt(P)
+    + e^2), with P = sigma_1^2 + sigma_2^2 of T_1 and e = sigma_2(Q_(i)).
+    """
+    d = decompose(rho)
+    alpha = (d.alpha, d.beta, d.gamma)[i - 1]
+    u, sigma, vt = np.linalg.svd(np.moveaxis(d.Q, i - 1, 0).reshape(3, 9))
+    pair = np.linalg.svd(vt[0].reshape(3, 3), compute_uv=False)
+    power = pair[0] ** 2 + pair[1] ** 2
+    m = sigma[0] ** 2 * power * np.outer(u[:, 0], u[:, 0])
+    m += alpha @ alpha * np.eye(3) - np.outer(alpha, alpha)
+    e = sigma[1]
+    return float(np.sqrt(np.linalg.eigvalsh(m)[-1] + 2.0 * e * sigma[0] * np.sqrt(power) + e * e))
+
+
+def product_across_cut(i, pure, seed):
+    """rho_i (x) rho_rest with qubit i pure or mixed and a full-rank rest, locally rotated."""
+    rng = np.random.default_rng(seed)
+    bloch = rng.standard_normal(3)
+    bloch *= (1.0 if pure else rng.uniform(0.0, 1.0)) / np.linalg.norm(bloch)
+    single = (PAULIS[0] + np.einsum("k,kab->ab", bloch, PAULIS[1:])) / 2.0
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rest = g @ g.conj().T
+    u1, u2, u3 = random_local_unitaries(rng)
+    u = _kron(_kron(u1, u2), u3)
+    return DensityMatrix(u @ _place(_kron(single, rest / rest.trace().real), i) @ u.conj().T)
+
+
 def with_white_noise(rho, p):
     """p rho + (1 - p) I/8, which scales alpha and Q by p."""
     return DensityMatrix(p * rho.matrix + (1.0 - p) * np.eye(8) / 8.0)
@@ -263,8 +293,23 @@ class TestSphereSearch:
         res = seesaw_max_abs_d(rho, i, CFG)
         assert res.value <= res.upper + SPHERE_TOL
         assert res.upper <= frobenius_bound(rho, i) + 1e-12
+        assert res.upper <= rank_one_ceiling(rho, i) + 1e-12
         for k in range(3):
             assert res.value >= abs(expectation_bell(rho, random_settings(seed + k), i)) - 1e-12
+
+    @SEARCH
+    @given(pure=hst.booleans(), seed=hst.integers(0, 2**32), i=hst.integers(1, 3))
+    def test_products_across_the_cut_are_certified(self, pure, seed, i):
+        """The second ceiling is exact on rho_i (x) rho_rest, so the bracket closes.
+
+        The triangle bound alone closes such flat maxima only on triangles
+        about 5e-5 wide and can stop at MAX_LIVE first.
+        """
+        rho = product_across_cut(i, pure, seed)
+        res = seesaw_max_abs_d(rho, i, CFG)
+        assert res.converged
+        assert res.upper - res.value <= SPHERE_TOL
+        assert res.upper == pytest.approx(rank_one_ceiling(rho, i), abs=1e-12)
 
     @SEARCH
     @given(

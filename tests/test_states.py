@@ -265,6 +265,25 @@ class TestValidation:
         with pytest.raises(ValidationError, match="Hermiticity"):
             DensityMatrix(m)
 
+    def test_eigenvector_column_is_a_pure_state(self):
+        """A strided column of eigh's eigenvectors validates like a contiguous copy."""
+        vectors = np.linalg.eigh(random_in_class("1-23", 2, 3).matrix)[1]
+        column = vectors[:, -1]
+        np.testing.assert_array_equal(PureState(column).amplitudes, column)
+        bad = vectors.copy()
+        bad[0, -1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            PureState(bad[:, -1])
+
+    def test_transposed_density_matrix_validates(self):
+        """rho.T is a valid (Fortran-ordered) density matrix, not a numpy layout error."""
+        rho = random_in_class("1-23", 2, 3).matrix
+        np.testing.assert_array_equal(DensityMatrix(rho.T).matrix, rho.T)
+        bad = rho.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(bad.T)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
     @pytest.mark.parametrize(
         "build",
