@@ -24,6 +24,14 @@ state's Pauli coefficients.  Inside the contraction the settings enter
 through the half-sum and half-difference vectors s_j = (a_j + b_j)/2 and
 t_j = (a_j - b_j)/2, which satisfy |s_j|^2 + |t_j|^2 = 1 and s_j . t_j = 0
 for unit a_j, b_j.  The two paths are cross-checked in the test suite.
+
+The dense path is the independent oracle and never reads Pauli
+coefficients.  One builder, :func:`_bell_operators`, makes D_i from
+(..., 3, 3) rows of a and b, so a stack of settings gives a stack of
+operators; :func:`bell_operator` is its one-row case.
+:func:`expectation_bell` also takes a list of states, with one shared
+setting (D_i built and validated once) or one setting per state, and traces
+the whole stack in one call of :func:`tribell.core._expectations`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _check_tol
-from .core import _kron, _place, expectation_matrix
+from .core import _expectations, _kron, _place
 from .pauli import PauliDecomposition
 from .states import as_density
 
@@ -118,8 +126,12 @@ def _pair_indices(excluded: int) -> tuple[int, int]:
 
 
 def _pair_operator(obs_a: np.ndarray, obs_b: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(A_p A_q + A_p B_q + B_p A_q - B_p B_q)/2 from the stacked observables A_j, B_j."""
-    ap, bp, aq, bq = obs_a[p - 1], obs_b[p - 1], obs_a[q - 1], obs_b[q - 1]
+    """(A_p A_q + A_p B_q + B_p A_q - B_p B_q)/2 from the stacked observables A_j, B_j.
+
+    ``obs_a`` and ``obs_b`` are (..., 3, 2, 2); leading axes broadcast.
+    """
+    ap, bp = obs_a[..., p - 1, :, :], obs_b[..., p - 1, :, :]
+    aq, bq = obs_a[..., q - 1, :, :], obs_b[..., q - 1, :, :]
     return (_kron(ap, aq) + _kron(ap, bq) + _kron(bp, aq) - _kron(bp, bq)) / 2.0
 
 
@@ -134,19 +146,58 @@ def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     return _pair_operator(_obs_unchecked(m.a), _obs_unchecked(m.b), p, q)
 
 
-def bell_operator(m: MeasurementSettings, i: int) -> np.ndarray:
-    """The 8x8 Hermitian operator D_i, built in factor order (i, p, q) and placed once."""
+def _bell_operators(a, b, i: int) -> np.ndarray:
+    """D_i for slot-major setting rows ``a``, ``b`` (..., 3, 3): shape (..., 8, 8).
+
+    Built in factor order (i, p, q) and placed once; leading axes broadcast,
+    and each operator is bit-identical to the one built from its own row.
+    """
     p, q = _pair_indices(i)  # validates i
-    obs_a, obs_b = _obs_unchecked(m.a), _obs_unchecked(m.b)
-    ai, bi = obs_a[i - 1], obs_b[i - 1]
+    obs_a, obs_b = _obs_unchecked(a), _obs_unchecked(b)
+    ai, bi = obs_a[..., i - 1, :, :], obs_b[..., i - 1, :, :]
     ci = (ai + bi) / 2.0
     ei = (ai - bi) / 2.0
     return _place(_kron(ci, _pair_operator(obs_a, obs_b, p, q)) + _kron(ei, _I4), i)
 
 
-def expectation_bell(rho, m: MeasurementSettings, i: int) -> float:
-    """<D_i> via the dense matrix-trace path; always within [-sqrt(2), sqrt(2)]."""
-    return expectation_matrix(bell_operator(m, i), as_density(rho))
+def bell_operator(m: MeasurementSettings, i: int) -> np.ndarray:
+    """The 8x8 Hermitian operator D_i at settings ``m``."""
+    return _bell_operators(m.a, m.b, i)
+
+
+def _check_settings(m) -> MeasurementSettings:
+    if not isinstance(m, MeasurementSettings):
+        raise ValidationError(f"expected MeasurementSettings, got {type(m).__name__}")
+    return m
+
+
+def expectation_bell(rho, m, i: int):
+    """<D_i> via the dense matrix-trace path; always within [-sqrt(2), sqrt(2)].
+
+    ``rho`` is one state (PureState or DensityMatrix) and ``m`` one
+    MeasurementSettings, and the result is a float.  ``rho`` may also be a
+    list or tuple of states; ``m`` is then one MeasurementSettings shared by
+    all of them, or a sequence of one per state, and the result is an (n,)
+    array.  A shared D_i is built and validated once for the whole stack,
+    per-state operators are built in one stacked call, and every trace is
+    bit-identical to the single-state one::
+
+        expectation_bell([rho1, rho2], m, 1)          # shared setting
+        expectation_bell([rho1, rho2], [m1, m2], 1)   # one setting per state
+    """
+    if not isinstance(rho, (list, tuple)):
+        return float(_expectations(bell_operator(_check_settings(m), i), as_density(rho).matrix))
+    if isinstance(m, MeasurementSettings):
+        a, b = m.a, m.b
+    else:
+        m = [_check_settings(x) for x in m]
+        if len(m) != len(rho):
+            raise ValidationError(f"got {len(rho)} states but {len(m)} settings")
+        # np.array of a list of equal-shape arrays stacks them; reshape keeps [] at (0, 3, 3)
+        a = np.array([x.a for x in m]).reshape(-1, 3, 3)
+        b = np.array([x.b for x in m]).reshape(-1, 3, 3)
+    mats = np.array([as_density(r).matrix for r in rho], dtype=complex).reshape(-1, 8, 8)
+    return _expectations(_bell_operators(a, b, i), mats)
 
 
 # einsum subscripts contracting Q on the two slots other than the free one

@@ -190,15 +190,11 @@ def sample_region(
     shared = random_settings(int(rng.integers(0, 2**63)))
     states = [_draw_state(source_class, rng) for _ in range(n)]
     if mode == "fixed-settings":
-        coords = [
-            [expectation_bell(rho, shared, i) for i in (1, 2, 3)] for rho in states
-        ]
+        # each D_i is built and validated once, then traced against all states
+        columns = [expectation_bell(states, shared, i).tolist() for i in (1, 2, 3)]
     else:
         columns = [[res.value for res in seesaw_max_abs_d_many(states, i, cfg)] for i in (1, 2, 3)]
-        coords = list(zip(*columns))
-    return [
-        RegionPoint(c[0], c[1], c[2], source_class) for c in coords
-    ]
+    return [RegionPoint(d1, d2, d3, source_class) for d1, d2, d3 in zip(*columns)]
 
 
 #: closed-region membership slack; points saturating a bound numerically

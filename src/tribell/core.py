@@ -5,14 +5,20 @@ Conventions used throughout the package:
 * Qubit slots are numbered 1, 2, 3.  Slot 1 is the *leftmost* (most
   significant) tensor factor, so the computational basis is ordered
   |000>, |001>, ..., |111> with qubit 3 as the least significant bit.
-* Operators are plain complex ndarrays of shape (2,2), (4,4) or (8,8).
-  Nothing larger is ever constructed.
+* Operators are plain complex ndarrays of shape (2,2), (4,4) or (8,8),
+  or stacks of them along leading axes, (..., 8, 8).  No single operator
+  is larger than 8x8.
 
 This module owns those conventions for the whole package: every tensor
 product goes through :func:`_kron` and into slot order through
 :func:`_place`, every slot or operator index through :func:`_check_slot`,
 every count or seed through :func:`_check_integer`, and every validation
-tolerance through :func:`_check_tol`.
+tolerance through :func:`_check_tol`.  :func:`_kron` and :func:`_place`
+broadcast over leading axes, and one helper, :func:`_expectations`, takes
+every dense trace: Re tr(rho . obs) for a whole stack of states against one
+operator or one operator per state, with the non-finite, Hermiticity and
+imaginary-residue checks done once per stack.  :func:`expectation_matrix`
+is its single-operator, single-state case.
 """
 
 from __future__ import annotations
@@ -60,27 +66,37 @@ IMAG_RESIDUE_TOL = 1e-10
 _VALID_DIMS = (2, 4, 8)
 
 
-def _as_operator(m, name: str = "operator") -> np.ndarray:
+def _as_operator(m, name: str = "operator", stacked: bool = False) -> np.ndarray:
+    """``m`` as a finite complex square matrix, or a stack (..., d, d) of them if ``stacked``."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
-    if m.shape[0] not in _VALID_DIMS:
-        raise ValidationError(f"{name} dimension must be one of {_VALID_DIMS}, got {m.shape[0]}")
+    if m.shape[-1] not in _VALID_DIMS:
+        raise ValidationError(f"{name} dimension must be one of {_VALID_DIMS}, got {m.shape[-1]}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """Largest entry of |m - m^dagger| over the last two axes of a matrix or a stack."""
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0))
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """True if max |m - m^dagger| entry deviation is within ``tol``."""
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return _hermitian_deviation(np.asarray(m)) <= tol
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unchecked Kronecker product: one broadcast multiply, bit-identical to numpy's kron."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """Unchecked Kronecker product of the last two axes; leading axes broadcast.
+
+    One broadcast multiply, bit-identical to numpy's kron for each pair of
+    matrices.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
 def _check_slot(value, name: str = "qubit slot") -> int:
@@ -104,11 +120,50 @@ def _check_tol(value) -> None:
 
 
 def _place(full: np.ndarray, slot: int) -> np.ndarray:
-    """Unchecked: 8x8 operator in factor order (slot, lower other, higher other) to slot order."""
+    """Unchecked: 8x8 operators in factor order (slot, lower other, higher other) to slot order.
+
+    Leading axes of ``full`` (..., 8, 8) are kept; only entries move.
+    """
     perm = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}[slot]
-    t = full.reshape(2, 2, 2, 2, 2, 2)
-    t = t.transpose(perm[0], perm[1], perm[2], perm[0] + 3, perm[1] + 3, perm[2] + 3)
-    return np.ascontiguousarray(t.reshape(8, 8))
+    lead = full.shape[:-2]
+    k = len(lead)
+    t = full.reshape(lead + (2,) * 6)
+    t = t.transpose(tuple(range(k)) + tuple(k + p for p in perm) + tuple(k + 3 + p for p in perm))
+    return np.ascontiguousarray(t.reshape(lead + (8, 8)))
+
+
+def _expectations(obs, mats) -> np.ndarray:
+    """Re tr(mats . obs) over broadcast leading axes: the one dense trace.
+
+    ``obs`` (..., d, d) is one operator or a stack; ``mats`` (..., d, d) is
+    one state matrix or a stack.  Both must be finite and every operator
+    Hermitian, checked once per call, so a shared operator is validated once
+    for the whole stack of states.  Raises ConsistencyError if any trace
+    picks up an imaginary part beyond tolerance (cannot happen for valid
+    Hermitian inputs).  Each trace is bit-identical to the one of a single
+    state and operator.
+    """
+    obs = _as_operator(obs, "observable", stacked=True)
+    deviation = _hermitian_deviation(obs)
+    if not deviation <= HERMITICITY_TOL:
+        raise ValidationError(
+            "observable is not Hermitian within tolerance "
+            f"{HERMITICITY_TOL:g} (max deviation {deviation:.3g})"
+        )
+    mats = _as_operator(mats, "state", stacked=True)
+    if mats.shape[-1] != obs.shape[-1]:
+        raise ValidationError(
+            f"state dimension {mats.shape[-2:]} does not match observable {obs.shape[-2:]}"
+        )
+    values = np.einsum("...ab,...ba->...", mats, obs)
+    residue = np.abs(values.imag)
+    if np.any(residue >= IMAG_RESIDUE_TOL):
+        worst = np.unravel_index(np.argmax(residue), residue.shape)
+        where = f" at stack index {tuple(map(int, worst))}" if worst else ""
+        raise ConsistencyError(
+            f"expectation value has imaginary residue {values.imag[worst]:.3g}{where}"
+        )
+    return values.real
 
 
 def expectation_matrix(obs, rho) -> float:
@@ -120,25 +175,8 @@ def expectation_matrix(obs, rho) -> float:
     tolerance (cannot happen for valid Hermitian inputs).
     """
     obs = _as_operator(obs, "observable")
-    if not is_hermitian(obs, HERMITICITY_TOL):
-        raise ValidationError(
-            "observable is not Hermitian within tolerance "
-            f"{HERMITICITY_TOL:g} (max deviation {np.max(np.abs(obs - obs.conj().T)):.3g})"
-        )
     mat = getattr(rho, "matrix", None)
     if mat is None:
         state = getattr(rho, "amplitudes", None)
-        if state is not None:
-            mat = np.outer(state, state.conj())
-        else:
-            mat = _as_operator(rho, "state")
-    if mat.shape != obs.shape:
-        raise ValidationError(
-            f"state dimension {mat.shape} does not match observable {obs.shape}"
-        )
-    value = np.einsum("ab,ba->", mat, obs)
-    if abs(value.imag) >= IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"expectation value has imaginary residue {value.imag:.3g}"
-        )
-    return float(value.real)
+        mat = np.outer(state, state.conj()) if state is not None else _as_operator(rho, "state")
+    return float(_expectations(obs, mat))

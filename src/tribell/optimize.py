@@ -175,20 +175,26 @@ def _at(g, c, v):
     return c + np.einsum("noc,nc->no", g, v)
 
 
-def _result_for_rows(rho, obj, vecs, sweeps_done, converged, degenerate_total, objective,
+def _best_row(obj) -> int:
+    """The first row within ``TIE_TOL`` of the best, so rounding-level ties do not pick it."""
+    return int(np.flatnonzero(obj >= obj.max() - TIE_TOL)[0])
+
+
+def _settings_of(row) -> MeasurementSettings:
+    """Settings from one row (2, 3, 3) of stacked a and b vectors."""
+    return MeasurementSettings(row[0].copy(), row[1].copy())
+
+
+def _result_for_rows(obj, best, settings, check, sweeps_done, converged, degenerate_total,
                      upper=np.inf):
     """One state's result from its rows.
 
     The value is the best row's; settings, sweeps and convergence come from
-    the first row within ``TIE_TOL`` of it, so rounding-level ties do not
-    pick them.  The value is rechecked on the dense path by ``objective`` at
-    those settings, and it may not exceed the certified ``upper`` by more
-    than the dual-path tolerance.
+    row ``best`` (see :func:`_best_row`), whose ``settings`` gave ``check``
+    on the dense path.  The value must agree with ``check`` and may not
+    exceed the certified ``upper``, both within the dual-path tolerance.
     """
     value = float(obj.max())
-    best = int(np.flatnonzero(obj >= value - TIE_TOL)[0])
-    settings = MeasurementSettings(vecs[best, 0].copy(), vecs[best, 1].copy())
-    check = objective(rho, settings)
     if abs(check - value) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"optimizer value {value!r} disagrees with matrix-path recomputation {check!r}"
@@ -486,12 +492,15 @@ def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
     )
     # certified to within the tolerance, up to rounding of the two evaluations
     converged &= upper - obj <= SPHERE_TOL + _MONOTONE_SLACK
+    # one row per state; one stacked dense recheck covers them all
+    settings = [_settings_of(row) for row in vecs]
+    dense = np.abs(expectation_bell(states, settings, i)).tolist()
     return [
         _result_for_rows(
-            rho, obj[s:s + 1], vecs[s:s + 1], sweeps[s:s + 1], converged[s:s + 1],
-            degenerate[s], lambda r, m: abs(expectation_bell(r, m, i)), upper[s],
+            obj[s:s + 1], 0, settings[s], dense[s], sweeps[s:s + 1], converged[s:s + 1],
+            degenerate[s], upper[s],
         )
-        for s, rho in enumerate(states)
+        for s in range(len(states))
     ]
 
 
@@ -753,7 +762,11 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
                 )
                 sweeps[group] = spent + more
                 degenerate[group] += extra
-    return _result_for_rows(rho, obj, vecs, sweeps, converged, degenerate.sum(), omega_matrix)
+    best = _best_row(obj)
+    settings = _settings_of(vecs[best])
+    return _result_for_rows(
+        obj, best, settings, omega_matrix(rho, settings), sweeps, converged, degenerate.sum()
+    )
 
 
 def planar_case_settings(theta1: float, theta2: float, theta3: float) -> MeasurementSettings:

@@ -71,7 +71,8 @@ class PureState:
 
     def __post_init__(self):
         _check_tol(self.tol)
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        # a private copy: the caller's array stays writable and cannot reach the state
+        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amp.shape != (8,):
             raise ValidationError(f"pure state needs 8 amplitudes, got {amp.shape}")
         if not np.all(np.isfinite(amp)):
@@ -95,7 +96,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         _check_tol(self.tol)
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a private copy, as for PureState
         if m.shape != (8, 8):
             raise ValidationError(f"density matrix must be 8x8, got {m.shape}")
         if not np.all(np.isfinite(m)):

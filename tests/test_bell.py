@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from tribell.bell import (
     MeasurementSettings,
+    _bell_operators,
     affine_coefficients,
     bell_operator,
     expectation_bell,
@@ -130,6 +131,18 @@ class TestBellOperator:
             for i in (1, 2, 3):
                 assert is_hermitian(bell_operator(m, i), 1e-12)
 
+    def test_stacked_builder_matches_each_row(self):
+        """D_i built from stacked setting rows is bit-identical to each row's bell_operator."""
+        ms = [random_settings(seed) for seed in range(40)]
+        a, b = np.stack([m.a for m in ms]), np.stack([m.b for m in ms])
+        for i in (1, 2, 3):
+            stack = _bell_operators(a, b, i)
+            assert stack.shape == (40, 8, 8)
+            for op, m in zip(stack, ms):
+                assert op.tobytes() == bell_operator(m, i).tobytes()
+            grid = _bell_operators(a.reshape(4, 10, 3, 3), b.reshape(4, 10, 3, 3), i)
+            assert grid.reshape(40, 8, 8).tobytes() == stack.tobytes()
+
     def test_bad_index_rejected(self):
         for i in (0, 2.0, True):
             with pytest.raises(ValidationError, match="index"):
@@ -160,6 +173,32 @@ class TestExpectation:
         rho = to_density(PureState(amp))
         for i in (1, 2, 3):
             assert expectation_bell(rho, MeasurementSettings.aligned(Z_HAT), i) == pytest.approx(1.0)
+
+    def test_stacked_states_match_single_calls(self):
+        """A list of states at one shared setting, or at one setting each, traces row by row."""
+        rhos = [to_density(random_pure(k)) for k in range(6)] + [random_in_class("1-23", 2, 6)]
+        ms = [random_settings(k) for k in range(7)]
+        for i in (1, 2, 3):
+            shared = expectation_bell(rhos, ms[0], i)
+            own = expectation_bell(tuple(rhos), ms, i)
+            assert shared.shape == own.shape == (7,)
+            for k, rho in enumerate(rhos):
+                assert shared[k] == expectation_bell(rho, ms[0], i)
+                assert own[k] == expectation_bell(rho, ms[k], i)
+        assert expectation_bell([], ms[0], 1).shape == (0,)
+        assert expectation_bell([ghz()], [ms[0]], 2)[0] == expectation_bell(ghz(), ms[0], 2)
+
+    def test_stacked_call_checks_its_inputs(self):
+        rhos = [to_density(random_pure(k)) for k in range(3)]
+        m = random_settings(1)
+        with pytest.raises(ValidationError, match="3 states but 2 settings"):
+            expectation_bell(rhos, [m, m], 1)
+        with pytest.raises(ValidationError, match="MeasurementSettings"):
+            expectation_bell(rhos[0], [m], 1)
+        with pytest.raises(ValidationError, match="PureState or DensityMatrix"):
+            expectation_bell([rhos[0], rhos[1].matrix], m, 1)
+        with pytest.raises(ValidationError, match="index"):
+            expectation_bell(rhos, m, 4)
 
     def test_universal_sqrt2_bound_sampled(self):
         rng = np.random.default_rng(61)

@@ -5,8 +5,10 @@ import importlib
 import numpy as np
 import pytest
 
+from tribell.bell import expectation_bell
 from tribell.classify import (
     CLASS_LABELS,
+    SOURCE_CLASSES,
     RegionPoint,
     _draw_state,
     classify,
@@ -121,6 +123,20 @@ class TestClassify:
         assert "not certified separable" in report.note
 
 
+def capture_draws(monkeypatch):
+    """Record the states and the shared setting that ``sample_region`` draws, in order."""
+    classify_mod = importlib.import_module("tribell.classify")
+    drawn, shared = [], []
+    draw, settings = classify_mod._draw_state, classify_mod.random_settings
+    monkeypatch.setattr(
+        classify_mod, "_draw_state", lambda c, rng: drawn.append(draw(c, rng)) or drawn[-1]
+    )
+    monkeypatch.setattr(
+        classify_mod, "random_settings", lambda seed: shared.append(settings(seed)) or shared[-1]
+    )
+    return drawn, shared
+
+
 class TestSampleRegion:
     def test_fully_separable_fixed_settings_stay_in_cube(self):
         points = sample_region("fully-separable", 100, seed=2)
@@ -157,6 +173,17 @@ class TestSampleRegion:
                 coord = (pt.d1, pt.d2, pt.d3)[i - 1]
                 assert coord >= 0.0
                 assert coord == res.value
+
+    @pytest.mark.parametrize("source", SOURCE_CLASSES)
+    def test_fixed_settings_coordinates_are_the_per_state_traces(self, source, monkeypatch):
+        """Each coordinate equals the single-state dense trace at the shared setting."""
+        drawn, shared = capture_draws(monkeypatch)
+        points = sample_region(source, 15, seed=8)
+        (m,) = shared
+        assert len(drawn) == len(points) == 15
+        for pt, rho in zip(points, drawn):
+            assert (pt.d1, pt.d2, pt.d3) == tuple(expectation_bell(rho, m, i) for i in (1, 2, 3))
+            assert all(type(x) is float for x in (pt.d1, pt.d2, pt.d3))
 
     def test_deterministic_in_seed(self):
         p1 = sample_region("ghz-family", 10, seed=6)

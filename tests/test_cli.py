@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from test_classify import capture_draws
+
 import tribell
+from tribell.bell import expectation_bell
+from tribell.classify import SOURCE_CLASSES
 from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, main
 
 SQ2 = np.sqrt(2.0)
@@ -236,6 +240,21 @@ class TestSampleAndFigure:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         for d1, d2, d3, _ in rows:
             assert float(d1) ** 2 + float(d2) ** 2 + float(d3) ** 2 <= 3.0 + 1e-9
+
+    @pytest.mark.parametrize("source", SOURCE_CLASSES)
+    def test_fixed_settings_rows_are_the_per_state_traces(self, source, capsys, monkeypatch):
+        """Each CSV row prints the single-state dense traces at 9 significant digits."""
+        drawn, shared = capture_draws(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "sample", "--class", source, "-n", "12", "--seed", "3", "--mode", "fixed-settings"
+        )
+        assert code == EXIT_OK
+        (m,) = shared
+        expected = [
+            ",".join([format(expectation_bell(rho, m, i), ".9g") for i in (1, 2, 3)] + [source])
+            for rho in drawn
+        ]
+        assert out.strip().split("\n") == ["d1,d2,d3,class"] + expected
 
     def test_sample_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "sample", "--class", "ghz-family", "-n", "20", "--seed", "9")

@@ -13,6 +13,7 @@ from tribell.core import (
     ConsistencyError,
     ValidationError,
     _kron,
+    _expectations,
     _place,
     expectation_matrix,
 )
@@ -64,14 +65,38 @@ class TestKron:
     @given(
         pair=hst.sampled_from([(2, 2), (2, 4), (4, 2)]).flatmap(
             lambda dims: hst.tuples(_complex_matrix(dims[0]), _complex_matrix(dims[1]))
-        )
+        ),
+        stacked=hst.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
     )
-    def test_bit_identical_to_numpy(self, pair):
-        """Every byte of the product, signed zeros included, matches numpy's kron."""
+    def test_bit_identical_to_numpy(self, pair, stacked):
+        """Every byte of the product, signed zeros included, matches numpy's kron.
+
+        Either factor may carry a leading stack axis (its rows are exact sign
+        and conjugation variants of the drawn matrix); each row of the
+        broadcast product then matches numpy's kron of its own pair, and for
+        8x8 products each row of the stacked ``_place`` matches the 2-D one.
+        """
         a, b = pair
-        got, expected = _kron(a, b), np.kron(a, b)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        if stacked[0]:
+            a = np.stack([a, -a, a.conj()])
+        if stacked[1]:
+            b = np.stack([b, b.conj(), -b])
+        got = _kron(a, b)
+        if not any(stacked):
+            expected = np.kron(a, b)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            return
+        rows = [(a[r] if stacked[0] else a, b[r] if stacked[1] else b) for r in range(3)]
+        assert got.shape == (3,) + np.kron(*rows[0]).shape
+        for row, (x, y) in zip(got, rows):
+            assert row.tobytes() == np.kron(x, y).tobytes()
+        if got.shape[-1] == 8:
+            for slot in (1, 2, 3):
+                placed = _place(got, slot)
+                assert placed.shape == got.shape
+                for k in range(3):
+                    assert placed[k].tobytes() == _place(got[k], slot).tobytes()
 
 
 def place(single, pair, slot):
@@ -191,6 +216,39 @@ class TestExpectation:
         bad_rho[0, 1] = 1.0j
         with pytest.raises(ConsistencyError, match="imaginary"):
             expectation_matrix(_xx_like(), bad_rho)
+
+    def test_stack_matches_single_traces(self):
+        """One operator against a stack of states, and one operator per state, trace row by row."""
+        rhos = np.stack([to_density(random_pure(k)).matrix for k in range(5)])
+        ops = np.stack([k3(p, q, r) for p, q, r in [(SX, SY, SZ), (SZ, SZ, I2), (SY, SX, SX),
+                                                    (I2, SZ, SX), (SX, SX, SX)]])
+        shared = _expectations(ops[0], rhos)
+        per_row = _expectations(ops, rhos)
+        assert shared.shape == per_row.shape == (5,)
+        for k in range(5):
+            assert shared[k] == expectation_matrix(ops[0], rhos[k])
+            assert per_row[k] == expectation_matrix(ops[k], rhos[k])
+
+    def test_imaginary_residue_in_one_row_raises_consistency(self):
+        """The stacked form of the residue check: one bad row fails the whole stack."""
+        rhos = np.stack([np.eye(8, dtype=complex) / 8] * 4)
+        rhos[2, 0, 1] = 1.0j
+        with pytest.raises(ConsistencyError, match=r"imaginary residue .* at stack index \(2,\)"):
+            _expectations(_xx_like(), rhos)
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            _expectations(np.stack([_xx_like()] * 4), rhos)
+
+    def test_non_hermitian_row_of_a_stack_rejected(self):
+        ops = np.stack([_xx_like(), _xx_like(), _xx_like()])
+        ops[1, 0, 1] = 2.0
+        with pytest.raises(ValidationError, match="Hermitian"):
+            _expectations(ops, np.stack([np.eye(8, dtype=complex) / 8] * 3))
+
+    def test_non_finite_row_of_a_stack_rejected(self):
+        rhos = np.stack([np.eye(8, dtype=complex) / 8] * 3)
+        rhos[1, 2, 2] = np.nan
+        with pytest.raises(ValidationError, match="state contains non-finite"):
+            _expectations(_xx_like(), rhos)
 
     def test_linearity_in_rho(self):
         rng = np.random.default_rng(3)

@@ -10,11 +10,12 @@ from test_classify import trapped_1_23
 
 from tribell.bell import expectation_bell, omega, random_settings
 from tribell.classify import _draw_state
-from tribell.core import PAULIS, ValidationError, _kron, _place
+from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
 from tribell.optimize import (
     SPHERE_TOL,
     OptimizerConfig,
+    _best_row,
     _maximize_sphere_quadratic,
     _multiaffine_form,
     _omega_model,
@@ -22,6 +23,7 @@ from tribell.optimize import (
     _pair_power,
     _result_for_rows,
     _retract,
+    _settings_of,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
@@ -206,6 +208,27 @@ class TestSeesaw:
         assert len(res.per_start_values) == 1
         assert res.value <= SQ2 + 1e-9
 
+    def test_batched_recheck_catches_one_shifted_state(self, monkeypatch):
+        """One stacked dense recheck still compares every state on its own."""
+        from tribell.optimize import seesaw_max_abs_d_many
+
+        states = [random_in_class("2-13", 2, seed) for seed in (6, 7, 8)]
+        honest = seesaw_max_abs_d_many(states, 2, FAST_CFG)
+        dense = opt.expectation_bell
+        calls = []
+
+        def shifted(rhos, settings, i):
+            calls.append(len(rhos))
+            values = dense(rhos, settings, i)
+            values[1] += 1e-6 * np.sign(values[1])
+            return values
+
+        monkeypatch.setattr(opt, "expectation_bell", shifted)
+        with pytest.raises(ConsistencyError, match="disagrees with matrix-path recomputation") as info:
+            seesaw_max_abs_d_many(states, 2, FAST_CFG)
+        assert calls == [3]
+        assert repr(honest[1].value) in str(info.value)
+
     def test_empty_batch(self):
         from tribell.optimize import seesaw_max_abs_d_many
 
@@ -352,9 +375,11 @@ class TestTieRule:
         first, second = random_settings(1), random_settings(2)
         vecs = np.stack([np.stack([m.a, m.b]) for m in (first, second)])
         obj = np.array([1.0, 1.0 + 1e-13])
+        best = _best_row(obj)
         res = _result_for_rows(
-            None, obj, vecs, np.array([3, 7]), np.array([True, False]), 0, lambda r, m: 1.0,
+            obj, best, _settings_of(vecs[best]), 1.0, np.array([3, 7]), np.array([True, False]), 0,
         )
+        assert best == 0
         assert res.value == obj[1]
         np.testing.assert_array_equal(res.settings.a, first.a)
         assert (res.sweeps_used, res.converged) == (3, True)

@@ -284,6 +284,25 @@ class TestValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix(bad.T)
 
+    @pytest.mark.parametrize(
+        "build, attr",
+        [
+            (lambda: np.eye(8, dtype=complex)[0], "amplitudes"),
+            (lambda: np.eye(8, dtype=complex)[[0]], "amplitudes"),
+            (lambda: np.eye(8, dtype=complex) / 8, "matrix"),
+        ],
+        ids=["pure", "pure-2d", "density"],
+    )
+    def test_state_owns_its_array(self, build, attr):
+        """The caller's array stays writable, and editing it afterwards does not reach the state."""
+        given = build()
+        state = (PureState if attr == "amplitudes" else DensityMatrix)(given)
+        before = getattr(state, attr).copy()
+        assert given.flags.writeable
+        given.flat[0] = 5.0
+        np.testing.assert_array_equal(getattr(state, attr), before)
+        assert not getattr(state, attr).flags.writeable
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
     @pytest.mark.parametrize(
         "build",
