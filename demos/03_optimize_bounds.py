@@ -40,16 +40,16 @@ subjects = [
 print("== optimized |<D_i>| per state ==")
 print(f"{'state':<28} {'m1':>10} {'m2':>10} {'m3':>10}")
 for label, rho in subjects:
-    ms = [seesaw_max_abs_d(rho, i, cfg).value for i in (1, 2, 3)]
+    ms = [seesaw_max_abs_d(rho, i).value for i in (1, 2, 3)]
     print(f"{label:<28} {ms[0]:>10.6f} {ms[1]:>10.6f} {ms[2]:>10.6f}")
 print(f"(ceilings: 1 per axis if fully separable, sqrt(2) = {SQ2:.6f} universally)")
 
-print("\n== brute-force planar grid never beats the see-saw ==")
+print("\n== brute-force planar grid never beats the certified search ==")
 rho = to_density(ghz())
 for i in (1, 2, 3):
     grid = planar_grid_max(rho, i)
-    best = seesaw_max_abs_d(rho, i, cfg).value
-    print(f"  i={i}: 16^3 grid {grid:.9f}  vs  see-saw {best:.9f}")
+    best = seesaw_max_abs_d(rho, i).value
+    print(f"  i={i}: 16^3 grid {grid:.9f}  vs  search {best:.9f}")
 
 print("\n== the quadratic form ==")
 print("planar closed form at angle sum -pi/4:", omega_planar_oracle(-np.pi / 4, 0, 0))

@@ -120,11 +120,14 @@ def excluded_classes(m, margin: float) -> tuple:
 
 
 def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> ClassificationReport:
-    """Optimize all three |<D_i>| plus omega and report which classes are excluded."""
+    """Maximize all three |<D_i>| plus omega and report which classes are excluded.
+
+    ``cfg`` configures the omega ascent; the m_i search takes no parameters.
+    """
     _check_margin(margin)
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
-    results = [seesaw_max_abs_d(rho, i, cfg) for i in (1, 2, 3)]
+    results = [seesaw_max_abs_d(rho, i) for i in (1, 2, 3)]
     omega_res = maximize_omega(rho, cfg)
     m = tuple(r.value for r in results)
     excluded = excluded_classes(m, margin)
@@ -167,15 +170,15 @@ def sample_region(
     n: int,
     seed: int,
     mode: str = "fixed-settings",
-    cfg: OptimizerConfig | None = None,
 ) -> list[RegionPoint]:
     """Coordinates of ``n`` random states from one source class.
 
     In ``fixed-settings`` mode all states share a single random setting drawn
     from the seed and the coordinates are the three simultaneous expectations
-    at that setting.  In ``optimized`` mode coordinate i is the optimized
-    m_i = max |<D_i>| >= 0, the value the optimizer rechecked on the dense
-    path at its own settings, which exposes the cube/cuboid boundaries
+    at that setting.  In ``optimized`` mode coordinate i is
+    m_i = max |<D_i>| >= 0, the lower end of the certified sphere search
+    (:func:`tribell.optimize.seesaw_max_abs_d_many`), rechecked on the dense
+    path at its settings, which exposes the cube/cuboid boundaries
     instead.
     """
     if source_class not in SOURCE_CLASSES:
@@ -193,7 +196,7 @@ def sample_region(
         # each D_i is built and validated once, then traced against all states
         columns = [expectation_bell(states, shared, i).tolist() for i in (1, 2, 3)]
     else:
-        columns = [[res.value for res in seesaw_max_abs_d_many(states, i, cfg)] for i in (1, 2, 3)]
+        columns = [[res.value for res in seesaw_max_abs_d_many(states, i)] for i in (1, 2, 3)]
     return [RegionPoint(d1, d2, d3, source_class) for d1, d2, d3 in zip(*columns)]
 
 

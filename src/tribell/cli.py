@@ -235,11 +235,12 @@ def _cmd_optimize(args, out) -> int:
     if (args.i is None) == (not args.omega):
         raise ValidationError("provide exactly one of: an operator index i, or --omega")
     rho = load_state(args.state)
+    # --starts and --seed are checked for either form; only the omega ascent reads them
     cfg = OptimizerConfig(n_starts=args.starts, seed=args.seed)
     if args.omega:
         payload = _result_payload(maximize_omega(rho, cfg))
     else:
-        res = seesaw_max_abs_d(rho, args.i, cfg)
+        res = seesaw_max_abs_d(rho, args.i)
         payload = dict(_result_payload(res), upper=res.upper)
     _emit_json(payload, out)
     return EXIT_OK
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("i", type=int, choices=(1, 2, 3), nargs="?", help="operator index")
     p.add_argument("--omega", action="store_true", help="maximize the quadratic form instead")
     p.add_argument("--starts", type=int, default=32,
-                   help="random starts of the --omega ascent (|<D_i>| uses one polish start)")
+                   help="random starts of the --omega ascent (the |<D_i>| search has none)")
     p.add_argument("--seed", type=int, default=0, help="seed of the --omega starts")
     p.set_defaults(func=_cmd_optimize)
 

@@ -1,12 +1,5 @@
 """Maximization of Bell-operator expectations over measurement settings.
 
-Each expectation <D_i> is affine in every slot pair jointly,
-<D_i> = g_a . a_j + g_b . b_j + c0, and
-:func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
-directly into (g_a, g_b, c0).  One block-coordinate ascent driver cycles
-j = 1..3; one contraction per slot serves both of its vectors, and the
-driver replaces a_j, then b_j, by a per-coordinate step:
-
 * :func:`seesaw_max_abs_d` - m_i = max |<D_i>| for one index i.  A
   certified branch and bound over the unit sphere (:func:`_sphere_search`)
   brackets m_i through the reduction
@@ -16,14 +9,19 @@ driver replaces a_j, then b_j, by a per-coordinate step:
   ceilings can end the search early: a Frobenius bound, and one from the
   leading singular term of the 3x9 unfolding Q_(i), which is exact on states
   that are products across cut i; that ceiling's top eigenvector is
-  evaluated as one extra point of the first level.  The best direction
-  becomes explicit settings, and one start of the ascent polishes them with
-  the exact maximizer v = +/- g/|g|; the objective never decreases.
+  evaluated as one extra point of the first level.  The reported value is
+  the search's lower end, and its best direction becomes explicit settings
+  in closed form (:func:`_sphere_settings`), which the dense path rechecks.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
-  shared setting.  Per coordinate the objective |G v + c|^2 is a quadratic
-  on the unit sphere, and the step is its exact global maximizer: the
-  solution of a 3-D trust-region subproblem, including the hard case where
-  G^T c is orthogonal to the top eigenvector of G^T G.  A row keeps its
+  shared setting.  Each expectation is affine in every slot pair jointly,
+  <D_i> = g_a . a_j + g_b . b_j + c0, and
+  :func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
+  directly into (g_a, g_b, c0).  A block-coordinate ascent cycles
+  j = 1..3, one contraction per slot serving both of its vectors, and
+  replaces a_j, then b_j.  Per coordinate the objective |G v + c|^2 is a
+  quadratic on the unit sphere, and the step is its exact global maximizer:
+  the solution of a 3-D trust-region subproblem, including the hard case
+  where G^T c is orthogonal to the top eigenvector of G^T G.  A row keeps its
   vector unless the step strictly improves it (monotone by construction).
   Every start draws its six initial unit vectors from an independent RNG
   stream derived from (seed, start index); all starts advance in lockstep.
@@ -35,13 +33,14 @@ driver replaces a_j, then b_j, by a per-coordinate step:
   gradient and no positive curvature is certified as a local maximum.
 
 :func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
-search and one batched polish, which is how the Monte Carlo bound sweeps
-stay fast; each state's result is the single-state entry point's.
+search and one stacked dense recheck, which is how the Monte Carlo bound
+sweeps stay fast; each state's result is the single-state entry point's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -110,10 +109,9 @@ _HALVINGS = 3
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Optimizer parameters: ``n_starts`` and ``seed`` drive only the omega ascent.
+    """Parameters of the omega ascent: starts, sweep cap and seed.
 
-    ``max_sweeps`` caps every ascent, including the one polish start of the
-    |<D_i>| search.
+    The |<D_i>| search takes none of them; it runs no ascent.
     """
 
     n_starts: int = 32
@@ -129,12 +127,13 @@ class OptimizerConfig:
 class OptimizationResult:
     """Best value found, the settings achieving it, and per-start telemetry.
 
-    ``upper`` is the certified upper end of the bracket [value, upper] on
-    m_i; it is inf for omega, which has no certificate.  ``converged``
-    means different things for the two: for m_i a certified gap
-    upper - value <= ``SPHERE_TOL`` (1e-9) to the global maximum, for omega
-    only that the reported start passed the local-maximum certificate of the
-    Newton polish or the gain test, which says nothing about other maxima.
+    For m_i, ``value`` and ``upper`` are the certified bracket
+    [value, upper] of the sphere search, which runs no sweeps and has one
+    "start"; ``converged`` means a certified gap upper - value <=
+    ``SPHERE_TOL`` (1e-9) to the global maximum.  For omega ``upper`` is
+    inf, since it has no certificate, and ``converged`` only means that the
+    reported start passed the local-maximum certificate of the Newton polish
+    or the gain test, which says nothing about other maxima.
     """
 
     value: float
@@ -156,12 +155,12 @@ def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
     return vecs
 
 
-def _coefficients(local, q, vecs, ops, j: int):
-    """(g_a, g_b, c0) of every operator in ``ops`` in slot pair (a_j, b_j).
+def _coefficients(local, q, vecs, j: int):
+    """(g_a, g_b, c0) of D_1, D_2, D_3 in slot pair (a_j, b_j).
 
-    Shapes (rows, len(ops), 3), (rows, len(ops), 3) and (rows, len(ops)).
+    Shapes (rows, 3, 3), (rows, 3, 3) and (rows, 3).
     """
-    forms = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j) for i in ops]
+    forms = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j) for i in (1, 2, 3)]
     return tuple(np.stack(parts, axis=1) for parts in zip(*forms))
 
 
@@ -171,7 +170,7 @@ def _offset(other, other_g, c0):
 
 
 def _at(g, c, v):
-    """Operator values c + g . v per row, shape (rows, len(ops))."""
+    """Operator values c + g . v per row, shape (rows, 3)."""
     return c + np.einsum("noc,nc->no", g, v)
 
 
@@ -212,25 +211,24 @@ def _result_for_rows(obj, best, settings, check, sweeps_done, converged, degener
     )
 
 
-def _ascend(local, q, vecs, ops, step, objective, max_sweeps: int):
-    """Lockstep block-coordinate ascent of independent rows.
+def _ascend(local, q, vecs, max_sweeps: int):
+    """Lockstep block-coordinate ascent of omega over independent rows.
 
     Row n starts from ``vecs[n]`` (a/b, slot, xyz) on the state with local
     vectors ``local[n]`` and three-body tensor ``q[n]``.  Each sweep
     contracts every slot j once into the form g_a . a_j + g_b . b_j + c0 of
-    the operators in ``ops``.  With b_j held, c = g_b . b_j + c0 and g = g_a
-    give the new a_j as ``step(g, c, v)``; then c = g_a . a_j + c0 (new a_j)
-    and g = g_b give the new b_j.  A step also returns a per-row count of
-    degenerate updates, and ``objective`` maps the operator values c + g . v
-    to each row's objective, which must not decrease.  A row stops after the
-    first sweep that gains less than ``ABS_TOL``, or at ``max_sweeps``.
-    Returns per-row (objective, vectors, sweeps used, converged, degenerate
-    updates).
+    D_1, D_2, D_3.  With b_j held, c = g_b . b_j + c0 and g = g_a give the
+    new a_j from :func:`_maximize_sphere_quadratic`; then c = g_a . a_j + c0
+    (new a_j) and g = g_b give the new b_j.  Each step also returns a per-row
+    count of degenerate updates, and omega must not decrease.  A row stops
+    after the first sweep that gains less than ``ABS_TOL``, or at
+    ``max_sweeps``.  Returns per-row (omega, vectors, sweeps used, converged,
+    degenerate updates).
     """
     vecs = np.array(vecs, dtype=float)
     n = vecs.shape[0]
-    g_a, g_b, c0 = _coefficients(local, q, vecs, ops, 1)
-    obj = objective(_at(g_a, _offset(vecs[:, 1, 0], g_b, c0), vecs[:, 0, 0]))
+    g_a, g_b, c0 = _coefficients(local, q, vecs, 1)
+    obj = _sum_squares(_at(g_a, _offset(vecs[:, 1, 0], g_b, c0), vecs[:, 0, 0]))
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     sweeps_done = np.full(n, max_sweeps, dtype=int)
@@ -242,11 +240,11 @@ def _ascend(local, q, vecs, ops, step, objective, max_sweeps: int):
             break
         sub, sub_local, sub_q, sub_obj = vecs[rows], local[rows], q[rows], obj[rows]
         for j in (1, 2, 3):
-            g_a, g_b, c0 = _coefficients(sub_local, sub_q, sub, ops, j)
+            g_a, g_b, c0 = _coefficients(sub_local, sub_q, sub, j)
             for ab, g, other_g in ((0, g_a, g_b), (1, g_b, g_a)):
                 c = _offset(sub[:, 1 - ab, j - 1], other_g, c0)
-                new, n_degenerate = step(g, c, sub[:, ab, j - 1])
-                new_obj = objective(_at(g, c, new))
+                new, n_degenerate = _maximize_sphere_quadratic(g, c, sub[:, ab, j - 1])
+                new_obj = _sum_squares(_at(g, c, new))
                 if np.any(new_obj < sub_obj - _MONOTONE_SLACK):
                     raise ConsistencyError("objective decreased during a coordinate update")
                 sub[:, ab, j - 1] = new
@@ -260,19 +258,6 @@ def _ascend(local, q, vecs, ops, step, objective, max_sweeps: int):
         converged[done] = True
         active[done] = False
     return obj, vecs, sweeps_done, converged, degenerate
-
-
-def _align(g, c, v):
-    """Exact maximizer +/- g/|g| of |c + g . v| on the unit sphere (one operator).
-
-    The sign follows c; a vanishing g keeps v and counts as degenerate.
-    """
-    g, c = g[:, 0], c[:, 0]
-    gnorm = np.linalg.norm(g, axis=1)
-    ok = gnorm > GRAD_FLOOR
-    sign = np.where(c >= 0.0, 1.0, -1.0)
-    new = np.where(ok[:, None], sign[:, None] * g / np.maximum(gnorm, GRAD_FLOOR)[:, None], v)
-    return new, (~ok).astype(int)
 
 
 def _pair_power(t):
@@ -320,11 +305,13 @@ def _sphere_values(alpha, q, owner, s):
     return out
 
 
+@cache
 def _half_icosahedron() -> np.ndarray:
     """(10, 3, 3) unit vertices of the icosahedron faces on one side of a generic plane.
 
     Opposite faces are antipodal, so these and their antipodes tile the
-    sphere; f(s) = f(-s) makes the other ten redundant.
+    sphere; f(s) = f(-s) makes the other ten redundant.  Built once, and
+    read-only because every call shares it.
     """
     g = (1.0 + 5.0**0.5) / 2.0
     v = np.array([[0.0, x, y * g] for x in (-1, 1) for y in (-1, 1)])
@@ -333,7 +320,9 @@ def _half_icosahedron() -> np.ndarray:
     near = v @ v.T > 0.4  # neighbours are at cos = 1/sqrt(5), the rest at -1/sqrt(5), -1
     faces = [f for f in combinations(range(12), 3) if near[np.ix_(f, f)].sum() == 9]
     tri = v[np.array(faces)]
-    return tri[tri.sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
+    half = tri[tri.sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
+    half.setflags(write=False)
+    return half
 
 
 def _heights(tri):
@@ -374,8 +363,8 @@ def _sphere_search(alpha, q):
     vertices, after them so that ties keep a vertex, and before any pruning;
     where that ceiling is exact it closes the bracket before any split.  A
     state left with more than ``MAX_LIVE`` triangles stops with its live
-    bounds.  Returns the best direction (n, 3) and the certified upper end
-    (n,).
+    bounds.  Returns the best direction (n, 3), the lower end (n,), which
+    is the value there, and the certified upper end (n,).
     """
     n = len(alpha)
     orth = np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
@@ -434,7 +423,7 @@ def _sphere_search(alpha, q):
             ))
         tri, vals, owner, bound = (np.concatenate(x) for x in zip(*kept))
     upper = np.minimum(ceiling, np.maximum(live_bound, lower + SPHERE_TOL))
-    return best, upper
+    return best, lower, upper
 
 
 def _perpendicular(v):
@@ -469,15 +458,14 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     return vecs
 
 
-def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
+def seesaw_max_abs_d_many(states, i: int):
     """Batched :func:`seesaw_max_abs_d` over a list of states (one result each).
 
-    One sphere search brackets every state's m_i and one lockstep ascent
-    polishes all of their settings; each state's result is the same as the
+    One sphere search brackets every state's m_i and one stacked dense call
+    rechecks all of their settings; each state's result is the same as the
     single-state entry point's.
     """
     i = _check_slot(i, "operator index")
-    cfg = cfg or OptimizerConfig()
     states = [as_density(s) for s in states]
     if not states:
         return []
@@ -485,48 +473,41 @@ def seesaw_max_abs_d_many(states, i: int, cfg: OptimizerConfig | None = None):
     local = np.stack([_local_vectors(d) for d in decs])
     q = np.stack([d.Q for d in decs])
     alpha, q_i = local[:, i - 1], np.moveaxis(q, i, 1)
-    direction, upper = _sphere_search(alpha, q_i)
-    obj, vecs, sweeps, converged, degenerate = _ascend(
-        local, q, _sphere_settings(direction, alpha, q_i, i), (i,), _align,
-        lambda d: np.abs(d[:, 0]), cfg.max_sweeps,
-    )
-    # certified to within the tolerance, up to rounding of the two evaluations
-    converged &= upper - obj <= SPHERE_TOL + _MONOTONE_SLACK
-    # one row per state; one stacked dense recheck covers them all
-    settings = [_settings_of(row) for row in vecs]
+    direction, lower, upper = _sphere_search(alpha, q_i)
+    # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
+    converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
+    settings = [_settings_of(row) for row in _sphere_settings(direction, alpha, q_i, i)]
     dense = np.abs(expectation_bell(states, settings, i)).tolist()
     return [
         _result_for_rows(
-            obj[s:s + 1], 0, settings[s], dense[s], sweeps[s:s + 1], converged[s:s + 1],
-            degenerate[s], upper[s],
+            lower[s:s + 1], 0, settings[s], dense[s], (0,), converged[s:s + 1], 0, upper[s]
         )
         for s in range(len(states))
     ]
 
 
-def seesaw_max_abs_d(rho, i: int, cfg: OptimizerConfig | None = None) -> OptimizationResult:
+def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     """Largest |<D_i>| over measurement settings for a fixed state, with a certified bracket.
 
     A branch and bound over the unit sphere (:func:`_sphere_search`) finds
-    the direction of s_i that maximizes the reduced objective and certifies
-    an upper end ``upper``, the smallest of its live triangle bounds and two
-    closed-form ceilings; the second, from the leading singular term of
-    Q_(i), is exact when the state is a product across cut i, and its top
+    the direction of s_i that maximizes the reduced objective and brackets
+    the maximum by [``value``, ``upper``]: ``value`` is the best point found,
+    ``upper`` the smallest of its live triangle bounds and two closed-form
+    ceilings.  The second ceiling, from the leading singular term of Q_(i),
+    is exact when the state is a product across cut i, and its top
     eigenvector is one of the searched points, so such states close before
-    the first split.  The best direction becomes explicit settings, and one
-    see-saw start polishes them: sweeps cycle j = 1..3 over a_j then b_j, and
-    each update replaces the active vector by the exact argmax +/- g/|g| of
-    the affine expectation.  Vanishing gradients keep the previous vector and
-    are counted in ``degenerate_updates``.  ``value`` is the polished value,
-    rechecked on the dense path; ``converged`` means upper - value <=
-    ``SPHERE_TOL`` and the polish stopped before ``cfg.max_sweeps``.  Only
-    ``max_sweeps`` of ``cfg`` applies.
+    the first split.  The best direction becomes explicit settings in closed
+    form (:func:`_sphere_settings`), and the dense path rechecks ``value``
+    at them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
+    sweeps run: ``sweeps_used`` and ``degenerate_updates`` are 0 and
+    ``per_start_values`` holds ``value`` alone.  The name is kept from the
+    see-saw ascent this search replaced.
     """
-    return seesaw_max_abs_d_many([rho], i, cfg)[0]
+    return seesaw_max_abs_d_many([rho], i)[0]
 
 
 def _sum_squares(d):
-    """Per-row omega sum_o d_o^2 of the operator values d, shape (rows, ops)."""
+    """Per-row omega sum_o d_o^2 of the operator values d, shape (rows, 3)."""
     return np.sum(d * d, axis=1)
 
 
@@ -739,8 +720,7 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     local, q = np.repeat(_local_vectors(d)[None], k, axis=0), np.repeat(d.Q[None], k, axis=0)
 
     def ascend(vecs, sweeps):
-        return _ascend(local[:len(vecs)], q[:len(vecs)], vecs, (1, 2, 3),
-                       _maximize_sphere_quadratic, _sum_squares, sweeps)
+        return _ascend(local[:len(vecs)], q[:len(vecs)], vecs, sweeps)
 
     warmup = min(WARMUP_SWEEPS, cfg.max_sweeps)
     obj, vecs, sweeps, converged, degenerate = ascend(_initial_vectors(cfg), warmup)

@@ -33,7 +33,6 @@ __all__ = [
     "mix",
     "maximally_mixed",
     "reduced_qubit",
-    "random_single_unitary",
     "random_local_unitaries",
     "apply_local_unitaries",
 ]
@@ -294,10 +293,14 @@ def mix(states, weights) -> DensityMatrix:
     The loosest validation tolerance among the inputs carries over (a convex
     mixture cannot exceed the worst input's trace deviation).
     """
-    weights = np.asarray(weights, dtype=float)
-    if len(states) != weights.shape[0]:
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"mixture weights must be numbers, got {weights!r}") from exc
+    if weights.shape != (len(states),):
         raise ValidationError(
-            f"got {len(states)} states but {weights.shape[0]} weights"
+            f"need a 1-D array of one weight per state: got {len(states)} states "
+            f"and weights of shape {weights.shape}"
         )
     if not np.all(np.isfinite(weights)):
         raise ValidationError(f"mixture weights must be finite, got {weights.tolist()!r}")
@@ -330,17 +333,18 @@ def reduced_qubit(rho, slot: int) -> np.ndarray:
     return np.einsum(pattern, t)
 
 
-def random_single_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def random_local_unitaries(rng: np.random.Generator) -> np.ndarray:
-    """Stack of three independent Haar-random 2x2 unitaries, one per qubit."""
-    return np.stack([random_single_unitary(rng) for _ in range(3)])
+    """Stack of three independent Haar-random 2x2 unitaries, one per qubit.
+
+    One stacked QR of three complex Ginibre matrices, drawn in turn (real
+    then imaginary part of each); the phases of R's diagonal move into Q.
+    """
+    z = np.stack([
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)
+    ]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def apply_local_unitaries(psi: PureState, us) -> PureState:

@@ -162,13 +162,12 @@ class TestSampleRegion:
 
     def test_optimized_coordinates_are_the_certified_maxima(self):
         """Optimized coordinates are the optimizer's m_i, not a signed re-trace."""
-        cfg = OptimizerConfig(n_starts=8, seed=3)
-        points = sample_region("1-23", 12, seed=10, mode="optimized", cfg=cfg)
+        points = sample_region("1-23", 12, seed=10, mode="optimized")
         rng = np.random.default_rng(10)
         rng.integers(0, 2**63)  # the shared fixed-settings draw
         states = [_draw_state("1-23", rng) for _ in range(12)]
         for i in (1, 2, 3):
-            results = seesaw_max_abs_d_many(states, i, cfg)
+            results = seesaw_max_abs_d_many(states, i)
             for pt, res in zip(points, results):
                 coord = (pt.d1, pt.d2, pt.d3)[i - 1]
                 assert coord >= 0.0

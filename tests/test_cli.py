@@ -12,7 +12,7 @@ from test_classify import capture_draws
 
 import tribell
 from tribell.bell import expectation_bell
-from tribell.classify import SOURCE_CLASSES
+from tribell.classify import CLASSIFICATION_NOTE, GENUINE_FLAG, SOURCE_CLASSES
 from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, main
 
 SQ2 = np.sqrt(2.0)
@@ -213,6 +213,35 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["excluded"] == []
         assert payload["genuine_tripartite_indicated"] is False
+
+    # (m, omega_max, excluded) of the parameter-free built-ins, as printed
+    PINNED = {
+        "ghz": ([1.41421356] * 3, 3.94669546, ["fully-separable", "1-23", "2-13", "12-3"]),
+        "w": ([1.20185043] * 3, 3.3904604, ["fully-separable", "1-23", "2-13", "12-3"]),
+        "000": ([1.0, 1.0, 1.0], 3.0, []),
+        "mixed-identity": ([0.0, 0.0, 0.0], 0.0, []),
+        "phi-plus-otimes-0": (
+            [1.0, 1.0, 1.41421356], 3.22251709, ["fully-separable", "1-23", "2-13"]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_builtin_output_is_pinned(self, capsys, name):
+        m, omega_max, excluded = self.PINNED[name]
+        genuine = len(excluded) == 4
+        expected = {
+            "m": m,
+            "omega_max": omega_max,
+            "excluded": excluded,
+            "margin": 1e-06,
+            "genuine_tripartite_indicated": genuine,
+            "flags": [GENUINE_FLAG] if genuine else [],
+            "converged": [True] * 4,
+            "note": CLASSIFICATION_NOTE,
+        }
+        code, out, _ = run_cli(capsys, "classify", f"builtin:{name}")
+        assert code == EXIT_OK
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "0"])
     def test_bad_margin_exits_2(self, capsys, margin):

@@ -1,4 +1,4 @@
-"""Multi-start see-saw, omega maximization, planar oracles and grid cross-checks."""
+"""The certified m_i search, omega maximization, planar oracles and grid cross-checks."""
 
 from unittest import mock
 
@@ -102,34 +102,36 @@ def plus_phi_plus():
 class TestSeesaw:
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_ghz_reaches_sqrt2_on_every_index(self, i):
-        res = seesaw_max_abs_d(to_density(ghz()), i, CFG)
+        res = seesaw_max_abs_d(to_density(ghz()), i)
         assert res.value == pytest.approx(SQ2, abs=1e-6)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_product_state_saturates_local_bound(self, i):
-        res = seesaw_max_abs_d(ket000(), i, CFG)
+        res = seesaw_max_abs_d(ket000(), i)
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
     def test_one_entangled_pair_pattern(self):
         """Qubit 1 separable from an entangled pair: sqrt(2) on axis 1 only."""
         rho = plus_phi_plus()
-        assert seesaw_max_abs_d(rho, 1, CFG).value == pytest.approx(SQ2, abs=1e-6)
-        assert seesaw_max_abs_d(rho, 2, CFG).value <= 1.0 + 1e-6
-        assert seesaw_max_abs_d(rho, 3, CFG).value <= 1.0 + 1e-6
+        assert seesaw_max_abs_d(rho, 1).value == pytest.approx(SQ2, abs=1e-6)
+        assert seesaw_max_abs_d(rho, 2).value <= 1.0 + 1e-6
+        assert seesaw_max_abs_d(rho, 3).value <= 1.0 + 1e-6
 
     def test_result_contract(self):
         rho = to_density(random_pure(17))
-        res = seesaw_max_abs_d(rho, 2, CFG)
-        assert res.value == max(res.per_start_values)
-        assert len(res.per_start_values) == 1  # the one polish start
+        res = seesaw_max_abs_d(rho, 2)
+        # the search's lower end is the value; no ascent runs
+        assert res.per_start_values == (res.value,)
+        assert (res.sweeps_used, res.degenerate_updates) == (0, 0)
+        assert res.value <= res.upper
+        assert res.converged == (res.upper - res.value <= SPHERE_TOL + 1e-12)
         # the reported settings reproduce the reported value through the matrix path
         assert abs(expectation_bell(rho, res.settings, 2)) == pytest.approx(res.value, abs=1e-10)
-        assert 1 <= res.sweeps_used <= CFG.max_sweeps
 
     def test_bit_for_bit_reproducible(self):
         rho = random_in_class("2-13", 2, 8)
-        r1 = seesaw_max_abs_d(rho, 1, CFG)
-        r2 = seesaw_max_abs_d(rho, 1, CFG)
+        r1 = seesaw_max_abs_d(rho, 1)
+        r2 = seesaw_max_abs_d(rho, 1)
         assert r1.value == r2.value
         assert r1.per_start_values == r2.per_start_values
         np.testing.assert_array_equal(r1.settings.a, r2.settings.a)
@@ -140,12 +142,13 @@ class TestSeesaw:
         for _ in range(10):
             rho = to_density(random_pure(int(rng.integers(2**63))))
             i = int(rng.integers(1, 4))
-            assert seesaw_max_abs_d(rho, i, FAST_CFG).value <= SQ2 + 1e-9
+            assert seesaw_max_abs_d(rho, i).value <= SQ2 + 1e-9
 
-    def test_degenerate_gradients_flagged_on_maximally_mixed(self):
-        res = seesaw_max_abs_d(maximally_mixed(), 1, FAST_CFG)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert res.degenerate_updates > 0
+    def test_maximally_mixed_closes_at_zero(self):
+        """Every ceiling vanishes, so the bracket is [0, 0] with no degenerate updates."""
+        res = seesaw_max_abs_d(maximally_mixed(), 1)
+        assert (res.value, res.upper, res.converged) == (0.0, 0.0, True)
+        assert res.degenerate_updates == 0
 
     def test_local_unitary_covariance_of_value(self):
         """Settings absorb local rotations, so the optimum is LU-invariant."""
@@ -153,28 +156,28 @@ class TestSeesaw:
         for seed in range(4):
             psi = random_pure(seed)
             rotated = apply_local_unitaries(psi, random_local_unitaries(rng))
-            v1 = seesaw_max_abs_d(to_density(psi), 1, CFG).value
-            v2 = seesaw_max_abs_d(to_density(rotated), 1, CFG).value
+            v1 = seesaw_max_abs_d(to_density(psi), 1).value
+            v2 = seesaw_max_abs_d(to_density(rotated), 1).value
             assert v1 == pytest.approx(v2, abs=1e-5)
 
     def test_schmidt_form_product_respects_stretched_axis(self):
         """A pure single-pair product: the distinguished axis caps at sqrt(2)."""
         rho = random_in_class("12-3", 1, 77, pure_factors=True)
-        assert seesaw_max_abs_d(rho, 3, CFG).value <= SQ2 + 1e-6
+        assert seesaw_max_abs_d(rho, 3).value <= SQ2 + 1e-6
 
     def test_batch_matches_single(self):
         states = [to_density(random_pure(s)) for s in (3, 4)] + [random_in_class("2-13", 2, 6)]
         from tribell.optimize import seesaw_max_abs_d_many
 
-        batch = seesaw_max_abs_d_many(states, 2, FAST_CFG)
+        batch = seesaw_max_abs_d_many(states, 2)
         for state, res in zip(states, batch):
-            single = seesaw_max_abs_d(state, 2, FAST_CFG)
+            single = seesaw_max_abs_d(state, 2)
             assert res.value == pytest.approx(single.value, abs=1e-9)
 
     def test_bad_index_rejected(self):
         for i in (5, 2.0, True):
             with pytest.raises(ValidationError, match="index"):
-                seesaw_max_abs_d(ket000(), i, CFG)
+                seesaw_max_abs_d(ket000(), i)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_starts"):
@@ -190,21 +193,21 @@ class TestSeesaw:
         assert OptimizerConfig(n_starts=np.int64(3)).n_starts == 3
 
     def test_one_contraction_per_slot_pair(self, monkeypatch):
-        """Each sweep contracts every slot once for both of its vectors, plus one initial call."""
-        import tribell.optimize as opt
+        """An omega sweep contracts every slot once per operator, plus one initial call each.
 
+        The m_i search works on the Pauli tensors directly and contracts nothing.
+        """
         calls = []
         original = opt.affine_coefficients
         monkeypatch.setattr(opt, "affine_coefficients", lambda *a: calls.append(a) or original(*a))
-        cfg = OptimizerConfig(n_starts=1, max_sweeps=1)
-        seesaw_max_abs_d(to_density(w_state()), 2, cfg)
-        assert len(calls) == 4
-        calls.clear()
-        maximize_omega(to_density(w_state()), cfg)
+        res = seesaw_max_abs_d(to_density(w_state()), 2)
+        assert calls == []
+        assert res.sweeps_used == 0
+        maximize_omega(to_density(w_state()), OptimizerConfig(n_starts=1, max_sweeps=1))
         assert len(calls) == 12
 
     def test_single_start_works(self):
-        res = seesaw_max_abs_d(to_density(ghz()), 1, OptimizerConfig(n_starts=1))
+        res = seesaw_max_abs_d(to_density(ghz()), 1)
         assert len(res.per_start_values) == 1
         assert res.value <= SQ2 + 1e-9
 
@@ -213,7 +216,7 @@ class TestSeesaw:
         from tribell.optimize import seesaw_max_abs_d_many
 
         states = [random_in_class("2-13", 2, seed) for seed in (6, 7, 8)]
-        honest = seesaw_max_abs_d_many(states, 2, FAST_CFG)
+        honest = seesaw_max_abs_d_many(states, 2)
         dense = opt.expectation_bell
         calls = []
 
@@ -225,14 +228,14 @@ class TestSeesaw:
 
         monkeypatch.setattr(opt, "expectation_bell", shifted)
         with pytest.raises(ConsistencyError, match="disagrees with matrix-path recomputation") as info:
-            seesaw_max_abs_d_many(states, 2, FAST_CFG)
+            seesaw_max_abs_d_many(states, 2)
         assert calls == [3]
         assert repr(honest[1].value) in str(info.value)
 
     def test_empty_batch(self):
         from tribell.optimize import seesaw_max_abs_d_many
 
-        assert seesaw_max_abs_d_many([], 1, FAST_CFG) == []
+        assert seesaw_max_abs_d_many([], 1) == []
 
 
 def random_state(kind, seed):
@@ -313,7 +316,7 @@ class TestSphereSearch:
     def test_bracket_holds(self, kind, seed, i):
         """value <= upper + tol <= Frobenius bound + tol, value >= |<D_i>| at random settings."""
         rho = random_state(kind, seed)
-        res = seesaw_max_abs_d(rho, i, CFG)
+        res = seesaw_max_abs_d(rho, i)
         assert res.value <= res.upper + SPHERE_TOL
         assert res.upper <= frobenius_bound(rho, i) + 1e-12
         assert res.upper <= rank_one_ceiling(rho, i) + 1e-12
@@ -329,7 +332,7 @@ class TestSphereSearch:
         about 5e-5 wide and can stop at MAX_LIVE first.
         """
         rho = product_across_cut(i, pure, seed)
-        res = seesaw_max_abs_d(rho, i, CFG)
+        res = seesaw_max_abs_d(rho, i)
         assert res.converged
         assert res.upper - res.value <= SPHERE_TOL
         assert res.upper == pytest.approx(rank_one_ceiling(rho, i), abs=1e-12)
@@ -344,8 +347,8 @@ class TestSphereSearch:
     def test_white_noise_scales_the_bracket(self, kind, seed, i, p):
         """Noise scales alpha and Q by p, so m_i and both bracket ends scale by p."""
         rho = random_state(kind, seed)
-        clean = seesaw_max_abs_d(rho, i, CFG)
-        noisy = seesaw_max_abs_d(with_white_noise(rho, p), i, CFG)
+        clean = seesaw_max_abs_d(rho, i)
+        noisy = seesaw_max_abs_d(with_white_noise(rho, p), i)
         assert noisy.value == pytest.approx(p * clean.value, abs=1e-8)
         assert noisy.upper == pytest.approx(p * clean.upper, abs=1e-8)
 
@@ -629,7 +632,7 @@ class TestPlanarGrid:
     def test_grid_never_beats_seesaw_on_ghz(self, i):
         rho = to_density(ghz())
         grid = planar_grid_max(rho, i)
-        best = seesaw_max_abs_d(rho, i, CFG).value
+        best = seesaw_max_abs_d(rho, i).value
         assert grid <= best + 1e-6
 
     @pytest.mark.parametrize("partition", ["1-23", "2-13", "12-3"])
@@ -638,5 +641,5 @@ class TestPlanarGrid:
             rho = to_density(canonical_biseparable(partition, alpha))
             for i in (1, 2, 3):
                 grid = planar_grid_max(rho, i)
-                best = seesaw_max_abs_d(rho, i, FAST_CFG).value
+                best = seesaw_max_abs_d(rho, i).value
                 assert grid <= best + 1e-6

@@ -214,6 +214,15 @@ class TestDensityOps:
             mix([rho, rho], [1.5, -0.5])
         with pytest.raises(ValidationError, match="weights"):
             mix([rho], [0.5, 0.5])
+        # one weight per state, as a 1-D array: no scalar, no nesting
+        for weights in (1.0, [[0.5, 0.5]], [[0.5], [0.5]]):
+            with pytest.raises(ValidationError, match="one weight per state"):
+                mix([rho, rho], weights)
+        with pytest.raises(ValidationError, match="one weight per state"):
+            mix([rho], [[1.0]])
+        for weights in ("ab", ["x", 1.0], [[0.5], [0.5, 0.0]]):
+            with pytest.raises(ValidationError, match="must be numbers"):
+                mix([rho, rho], weights)
 
     @pytest.mark.parametrize("weights", [[np.nan], [np.inf, -np.inf]])
     def test_mix_non_finite_weights_rejected(self, weights):
@@ -326,6 +335,23 @@ class TestLocalUnitaries:
             us = random_local_unitaries(rng)
             for u in us:
                 np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+    def test_stacked_qr_matches_one_qr_per_matrix(self):
+        """Same draws, same bits as three separate QR factorizations; the RNG ends in step."""
+
+        def one_at_a_time(rng):
+            out = []
+            for _ in range(3):
+                z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
+                q, r = np.linalg.qr(z)
+                d = np.diagonal(r)
+                out.append(q * (d / np.abs(d)))
+            return np.stack(out)
+
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_local_unitaries(rng).tobytes() == one_at_a_time(ref).tobytes()
+            assert rng.random() == ref.random()
 
     def test_apply_preserves_norm(self):
         rng = np.random.default_rng(1)
