@@ -14,9 +14,11 @@ with strict slot interleaving (the (A_i +/- B_i) factors act on slot i).
 and for states separable across the cut i-(rest) only axis i can exceed 1
 (up to sqrt(2)).  The sum of the three squared expectations at one shared
 setting (omega) reaches 3 on product states at aligned settings and on the
-maximally entangled state; finely tuned settings on strongly entangled
-states can push it above 3 (to about 3.947 for the maximally entangled
-state), so omega is a diagnostic quantity, not a certified bound.
+maximally entangled state.  Fully separable states never exceed 3, but
+biseparable ones can (omega about 3.564 has been found on a 1-23 state), and
+finely tuned settings on strongly entangled states push it further (to about
+3.947 for the maximally entangled state), so omega is a diagnostic quantity,
+not a certified bound.
 
 Expectations come in two independently implemented flavors, both taking the
 same settings (a, b): a dense matrix-trace path and a fast contraction of the
@@ -269,8 +271,9 @@ def omega(rho, m: MeasurementSettings) -> float:
     """Sum of the three squared expectations at one shared setting.
 
     Equals 3 at cube corners (product states, aligned settings) and for the
-    maximally entangled state at aligned settings.  Separable states never
-    exceed 3; strongly entangled states can, at finely tuned settings.
+    maximally entangled state at aligned settings.  Fully separable states
+    never exceed 3; biseparable and strongly entangled states can, at finely
+    tuned settings.
     """
     return float(sum(expectation_bell(rho, m, i) ** 2 for i in (1, 2, 3)))
 

@@ -17,6 +17,7 @@ all the inequalities.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class ClassificationReport:
     ``converged`` holds the convergence flags of the four optimizations
     (m1, m2, m3, omega) so non-convergence is visible without blocking the
     verdict.  The flags differ in strength: for each m_i True means a
-    certified gap of at most 1e-9 to the global maximum, for omega only a
-    local-maximum certificate or the gain test, so ``omega_max`` may lie
+    certified gap of at most 1e-9 to the global maximum, for omega only the
+    local-maximum certificate of its Newton ascent, so ``omega_max`` may lie
     below the global maximum even when its flag is True.
     """
 
@@ -105,8 +106,9 @@ class RegionPoint:
 
 
 def _check_margin(margin: float) -> None:
-    if not np.isfinite(margin) or margin <= 0:
-        raise ValidationError(f"margin must be a finite number > 0, got {margin}")
+    """Reject a margin that is not a finite number > 0, a bool or a non-number included."""
+    if isinstance(margin, bool) or not (isinstance(margin, numbers.Real) and 0 < margin < np.inf):
+        raise ValidationError(f"margin must be a finite number > 0, got {margin!r}")
 
 
 def excluded_classes(m, margin: float) -> tuple:

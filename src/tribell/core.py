@@ -114,8 +114,11 @@ def _check_integer(name: str, value, minimum: int) -> int:
 
 
 def _check_tol(value) -> None:
-    """Reject a tolerance that is not a finite number >= 0: NaN or inf would accept any input."""
-    if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
+    """Reject a tolerance that is not a finite number >= 0: NaN or inf would accept any input.
+
+    A bool is not a tolerance, though Python counts ``True`` as the number 1.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
         raise ValidationError(f"tol must be a finite number >= 0, got {value!r}")
 
 

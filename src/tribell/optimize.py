@@ -13,24 +13,15 @@
   the search's lower end, and its best direction becomes explicit settings
   in closed form (:func:`_sphere_settings`), which the dense path rechecks.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
-  shared setting.  Each expectation is affine in every slot pair jointly,
-  <D_i> = g_a . a_j + g_b . b_j + c0, and
-  :func:`tribell.bell.affine_coefficients` contracts the Pauli coefficients
-  directly into (g_a, g_b, c0).  A block-coordinate ascent cycles
-  j = 1..3, one contraction per slot serving both of its vectors, and
-  replaces a_j, then b_j.  Per coordinate the objective |G v + c|^2 is a
-  quadratic on the unit sphere, and the step is its exact global maximizer:
-  the solution of a 3-D trust-region subproblem, including the hard case
-  where G^T c is orthogonal to the top eigenvector of G^T G.  A row keeps its
-  vector unless the step strictly improves it (monotone by construction).
-  Every start draws its six initial unit vectors from an independent RNG
-  stream derived from (seed, start index); all starts advance in lockstep.
-  Coordinate ascent converges only linearly, so after ``WARMUP_SWEEPS``
-  sweeps the starts still climbing switch to a batched Riemannian Newton
-  polish on the six unit spheres.  Its exact gradient and Hessian come from
-  the multi-affine form <D_i> = C_i[X_1, X_2, X_3], X_j = (1, a_j, b_j),
-  built from the same contraction, and a start it leaves with a vanishing
-  gradient and no positive curvature is certified as a local maximum.
+  shared setting.  Each expectation is affine in every slot pair, so it is
+  multi-affine in the slots: <D_i> = C_i[X_1, X_2, X_3] with
+  X_j = (1, a_j, b_j), and one :func:`tribell.bell.affine_coefficients` call
+  per i builds C.  Every start draws its six initial unit vectors from an
+  independent RNG stream derived from (seed, start index), and all starts
+  run one batched Riemannian Newton ascent on the six unit spheres with the
+  exact gradient and Hessian of omega from C.  A start that reaches a
+  vanishing gradient with no positive curvature is certified as a local
+  maximum.
 
 :func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
 search and one stacked dense recheck, which is how the Monte Carlo bound
@@ -71,8 +62,6 @@ __all__ = [
 
 GRAD_FLOOR = 1e-14
 _MONOTONE_SLACK = 1e-12
-#: a row stops after the first sweep that gains less than this
-ABS_TOL = 1e-12
 #: the first start within this of the best value gives the reported settings,
 #: so ties at rounding level do not decide them
 TIE_TOL = 1e-12
@@ -92,26 +81,23 @@ _COLLAPSE = 0.1
 # children of a triangle split at its edge midpoints, as indices into
 # (v0, v1, v2, m01, m12, m20)
 _CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
-#: coordinate sweeps an omega start runs before the Newton polish
-WARMUP_SWEEPS = 20
-#: Newton iterations a start may take before it returns to the coordinate ascent
-NEWTON_ITERS = 30
-#: a polished start is certified when its Riemannian gradient norm is at most
+#: an omega start is certified when its Riemannian gradient norm is at most
 #: CERT_GRAD and its Riemannian Hessian has no eigenvalue above CERT_CURV
 CERT_GRAD = 1e-9
 CERT_CURV = 1e-6
-# the Newton step clamps Hessian eigenvalues above -max(|grad_R|, _CURVATURE_FLOOR)
-# there, so it ascends and its clamped part is at most about a radian long; a
-# step is halved up to _HALVINGS times
-_CURVATURE_FLOOR = 1e-3
+# the Newton step clamps Hessian eigenvalues above -max(|grad_R|, CERT_CURV) there,
+# so it ascends and its clamped part is at most about a radian long; a step is
+# halved up to _HALVINGS times
 _HALVINGS = 3
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Parameters of the omega ascent: starts, sweep cap and seed.
+    """Parameters of the omega ascent: starts, Newton iteration cap and seed.
 
-    The |<D_i>| search takes none of them; it runs no ascent.
+    ``max_sweeps`` caps the Newton iterations of every start; the name is
+    kept from the coordinate sweeps they replaced.  The |<D_i>| search takes
+    none of them; it runs no ascent.
     """
 
     n_starts: int = 32
@@ -132,8 +118,10 @@ class OptimizationResult:
     "start"; ``converged`` means a certified gap upper - value <=
     ``SPHERE_TOL`` (1e-9) to the global maximum.  For omega ``upper`` is
     inf, since it has no certificate, and ``converged`` only means that the
-    reported start passed the local-maximum certificate of the Newton polish
-    or the gain test, which says nothing about other maxima.
+    reported start passed the local-maximum certificate of the Newton ascent,
+    which says nothing about other maxima; ``sweeps_used`` counts its Newton
+    iterations.  ``degenerate_updates`` is always 0, kept for the CLI JSON
+    and the bench tracer.
     """
 
     value: float
@@ -155,25 +143,6 @@ def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
     return vecs
 
 
-def _coefficients(local, q, vecs, j: int):
-    """(g_a, g_b, c0) of D_1, D_2, D_3 in slot pair (a_j, b_j).
-
-    Shapes (rows, 3, 3), (rows, 3, 3) and (rows, 3).
-    """
-    forms = [affine_coefficients(local, q, vecs[:, 0], vecs[:, 1], i, j) for i in (1, 2, 3)]
-    return tuple(np.stack(parts, axis=1) for parts in zip(*forms))
-
-
-def _offset(other, other_g, c0):
-    """Constant term c of c + g . v with the slot's other vector held fixed."""
-    return np.sum(other[:, None] * other_g, axis=-1) + c0
-
-
-def _at(g, c, v):
-    """Operator values c + g . v per row, shape (rows, 3)."""
-    return c + np.einsum("noc,nc->no", g, v)
-
-
 def _best_row(obj) -> int:
     """The first row within ``TIE_TOL`` of the best, so rounding-level ties do not pick it."""
     return int(np.flatnonzero(obj >= obj.max() - TIE_TOL)[0])
@@ -184,8 +153,7 @@ def _settings_of(row) -> MeasurementSettings:
     return MeasurementSettings(row[0].copy(), row[1].copy())
 
 
-def _result_for_rows(obj, best, settings, check, sweeps_done, converged, degenerate_total,
-                     upper=np.inf):
+def _result_for_rows(obj, best, settings, check, sweeps_done, converged, upper=np.inf):
     """One state's result from its rows.
 
     The value is the best row's; settings, sweeps and convergence come from
@@ -206,58 +174,8 @@ def _result_for_rows(obj, best, settings, check, sweeps_done, converged, degener
         sweeps_used=int(sweeps_done[best]),
         converged=bool(converged[best]),
         per_start_values=tuple(float(x) for x in obj),
-        degenerate_updates=int(degenerate_total),
         upper=float(upper),
     )
-
-
-def _ascend(local, q, vecs, max_sweeps: int):
-    """Lockstep block-coordinate ascent of omega over independent rows.
-
-    Row n starts from ``vecs[n]`` (a/b, slot, xyz) on the state with local
-    vectors ``local[n]`` and three-body tensor ``q[n]``.  Each sweep
-    contracts every slot j once into the form g_a . a_j + g_b . b_j + c0 of
-    D_1, D_2, D_3.  With b_j held, c = g_b . b_j + c0 and g = g_a give the
-    new a_j from :func:`_maximize_sphere_quadratic`; then c = g_a . a_j + c0
-    (new a_j) and g = g_b give the new b_j.  Each step also returns a per-row
-    count of degenerate updates, and omega must not decrease.  A row stops
-    after the first sweep that gains less than ``ABS_TOL``, or at
-    ``max_sweeps``.  Returns per-row (omega, vectors, sweeps used, converged,
-    degenerate updates).
-    """
-    vecs = np.array(vecs, dtype=float)
-    n = vecs.shape[0]
-    g_a, g_b, c0 = _coefficients(local, q, vecs, 1)
-    obj = _sum_squares(_at(g_a, _offset(vecs[:, 1, 0], g_b, c0), vecs[:, 0, 0]))
-    active = np.ones(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
-    sweeps_done = np.full(n, max_sweeps, dtype=int)
-    degenerate = np.zeros(n, dtype=int)
-
-    for sweep in range(1, max_sweeps + 1):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        sub, sub_local, sub_q, sub_obj = vecs[rows], local[rows], q[rows], obj[rows]
-        for j in (1, 2, 3):
-            g_a, g_b, c0 = _coefficients(sub_local, sub_q, sub, j)
-            for ab, g, other_g in ((0, g_a, g_b), (1, g_b, g_a)):
-                c = _offset(sub[:, 1 - ab, j - 1], other_g, c0)
-                new, n_degenerate = _maximize_sphere_quadratic(g, c, sub[:, ab, j - 1])
-                new_obj = _sum_squares(_at(g, c, new))
-                if np.any(new_obj < sub_obj - _MONOTONE_SLACK):
-                    raise ConsistencyError("objective decreased during a coordinate update")
-                sub[:, ab, j - 1] = new
-                sub_obj = new_obj
-                degenerate[rows] += n_degenerate
-        gain = sub_obj - obj[rows]
-        vecs[rows] = sub
-        obj[rows] = sub_obj
-        done = rows[gain < ABS_TOL]
-        sweeps_done[done] = sweep
-        converged[done] = True
-        active[done] = False
-    return obj, vecs, sweeps_done, converged, degenerate
 
 
 def _pair_power(t):
@@ -480,7 +398,7 @@ def seesaw_max_abs_d_many(states, i: int):
     dense = np.abs(expectation_bell(states, settings, i)).tolist()
     return [
         _result_for_rows(
-            lower[s:s + 1], 0, settings[s], dense[s], (0,), converged[s:s + 1], 0, upper[s]
+            lower[s:s + 1], 0, settings[s], dense[s], (0,), converged[s:s + 1], upper[s]
         )
         for s in range(len(states))
     ]
@@ -504,50 +422,6 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     see-saw ascent this search replaced.
     """
     return seesaw_max_abs_d_many([rho], i)[0]
-
-
-def _sum_squares(d):
-    """Per-row omega sum_o d_o^2 of the operator values d, shape (rows, 3)."""
-    return np.sum(d * d, axis=1)
-
-
-def _maximize_sphere_quadratic(g, c, v0):
-    """Exact maximizer of |G v + c|^2 over unit v: a 3-D trust-region subproblem.
-
-    With A = G^T G = Q diag(mu) Q^T (mu ascending) and b = G^T c, the global
-    maximizer solves (lam I - A) v = b with lam >= mu_max, and lam is the
-    largest real eigenvalue of [[A, I], [b b^T, A]] (Adachi, Iwata,
-    Nakatsukasa & Takeda, SIAM J. Optim. 27 (2017)).  In the eigenbasis the
-    lower coordinates are beta_k / (lam - mu_k) with beta = Q^T b, and the top
-    one is filled from |v| = 1.  That fill also covers the hard case
-    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)): b orthogonal to
-    the top eigenvector, lam = mu_max, where the top coordinate takes the
-    sign nearer v0.  Rows with G = 0 keep v0 and count as degenerate, and
-    every row keeps v0 unless the candidate's objective is strictly higher.
-    Returns (v, n_degenerate).
-    """
-    n = v0.shape[0]
-    a = np.einsum("noc,nod->ncd", g, g)
-    b = np.einsum("noc,no->nc", g, c)
-    mu, q = np.linalg.eigh(a)
-    beta = np.einsum("ncd,nc->nd", q, b)
-    pencil = np.zeros((n, 6, 6))
-    pencil[:, :3, :3] = pencil[:, 3:, 3:] = a
-    pencil[:, :3, 3:] = np.eye(3)
-    pencil[:, 3:, :3] = b[:, :, None] * b[:, None, :]
-    lam = np.maximum(np.linalg.eigvals(pencil).real.max(axis=1), mu[:, 2])
-    # lam - mu_k >= |beta_k| holds at the root; the floor keeps rounding from
-    # dividing by a vanishing gap
-    gap = np.maximum(lam[:, None] - mu[:, :2], np.maximum(np.abs(beta[:, :2]), GRAD_FLOOR))
-    low = beta[:, :2] / gap
-    side = np.where(beta[:, 2] != 0.0, beta[:, 2], np.einsum("nc,nc->n", q[:, :, 2], v0))
-    fill = np.sqrt(np.maximum(1.0 - np.sum(low * low, axis=1), 0.0))
-    top = np.where(side < 0.0, -fill, fill)
-    cand = np.einsum("ncd,nd->nc", q, np.concatenate([low, top[:, None]], axis=1))
-    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    degenerate = np.linalg.norm(g, axis=(1, 2)) <= GRAD_FLOOR
-    better = ~degenerate & (_sum_squares(_at(g, c, cand)) > _sum_squares(_at(g, c, v0)))
-    return np.where(better[:, None], cand, v0), degenerate.astype(int)
 
 
 def _multiaffine_form(local, q) -> np.ndarray:
@@ -587,7 +461,8 @@ def _homogeneous(vecs):
 def _omega_values(form, vecs):
     """omega per row from the multi-affine form."""
     x = _homogeneous(vecs)
-    return _sum_squares(np.einsum("iklm,nk,nl,nm->ni", form, x[:, 0], x[:, 1], x[:, 2]))
+    d = np.einsum("iklm,nk,nl,nm->ni", form, x[:, 0], x[:, 1], x[:, 2])
+    return np.sum(d * d, axis=1)
 
 
 def _omega_model(form, vecs):
@@ -639,14 +514,14 @@ def _retract(vecs, basis, step):
     return np.swapaxes(v.reshape(n, 3, 2, 3), 1, 2)
 
 
-def _newton_polish(form, vecs, iters: int):
+def _newton_ascent(form, vecs, iters: int):
     """Batched Riemannian Newton ascent of omega from rows ``vecs`` (rows, 2, 3, 3).
 
     Each iteration evaluates the exact gradient and Hessian
     (:func:`_omega_model`).  A row with |grad_R| <= ``CERT_GRAD`` and
     lambda_max(H_R) <= ``CERT_CURV`` is certified and stops.  The others
-    take a Newton step with the Hessian's eigenvalues clamped below zero
-    (see ``_CURVATURE_FLOOR``), so the step ascends.  It is halved up to
+    take a Newton step with the Hessian's eigenvalues clamped at
+    -max(|grad_R|, ``CERT_CURV``), so the step ascends.  It is halved up to
     ``_HALVINGS`` times until omega does not fall by more than the rounding
     slack ``_MONOTONE_SLACK``; a row whose step still lowers omega stops
     uncertified.  Returns per-row (omega, vectors, iterations used,
@@ -664,7 +539,7 @@ def _newton_polish(form, vecs, iters: int):
         size = np.linalg.norm(grad_r, axis=1)
         ok = (size <= CERT_GRAD) & (lam[:, -1] <= CERT_CURV)
         certified[active[ok]] = True
-        floor = np.maximum(size, _CURVATURE_FLOOR)[:, None]
+        floor = np.maximum(size, CERT_CURV)[:, None]
         coef = np.einsum("nkl,nk->nl", eig, grad_r) / np.maximum(-lam, floor)
         step = np.einsum("nkl,nl->nk", eig, coef)
         moved = ok.copy()
@@ -688,26 +563,17 @@ def _newton_polish(form, vecs, iters: int):
 def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResult:
     """Largest omega (sum of three squared expectations) found over shared settings.
 
-    Warm-up: block-coordinate ascent for at most ``WARMUP_SWEEPS`` sweeps,
-    where each update replaces one setting vector by the exact maximizer of
-    omega in that vector alone, a trust-region step on the unit sphere (see
-    :func:`_maximize_sphere_quadratic`).  Coordinates where omega does not
-    depend on the vector keep it and are counted in ``degenerate_updates``.
-    A start that gains less than ``ABS_TOL`` in a sweep is final.  Polish:
-    the starts still climbing go to one batched Riemannian Newton loop over
-    the six unit vectors (:func:`_newton_polish`), whose exact gradient and
-    Hessian come from the multi-affine form of the three expectations
-    (:func:`_multiaffine_form`).  Stop rule: a start whose Riemannian
-    gradient is at most ``CERT_GRAD`` and whose Riemannian Hessian has no
-    eigenvalue above ``CERT_CURV`` is certified as a local maximum; a start
-    whose step is rejected, or that is still uncertified after
-    ``NEWTON_ITERS`` iterations, returns to the coordinate ascent with the
-    rest of its budget.  Each Newton iteration counts as one sweep, in
-    ``sweeps_used`` and against ``cfg.max_sweeps``, so ``max_sweeps <=
-    WARMUP_SWEEPS`` runs the coordinate ascent alone.
+    The multi-affine form of the three expectations
+    (:func:`_multiaffine_form`) is built once, and every start runs the
+    batched Riemannian Newton ascent over the six unit vectors
+    (:func:`_newton_ascent`) for at most ``cfg.max_sweeps`` iterations.
+    Stop rule: a start whose Riemannian gradient is at most ``CERT_GRAD``
+    and whose Riemannian Hessian has no eigenvalue above ``CERT_CURV`` is
+    certified as a local maximum; a start whose step is rejected stops
+    uncertified.  ``sweeps_used`` counts the reported start's iterations.
 
-    ``converged`` means the reported start stopped on the gain test or was
-    certified; a start at the sweep cap reports False.  Best across the
+    ``converged`` means the reported start was certified; a start stopped by
+    a rejected step or at the iteration cap reports False.  Best across the
     configured starts; the joint landscape has genuine local optima for
     generic entangled states, so raise ``n_starts`` when a better maximum
     matters.  The settings are those of the first start within ``TIE_TOL``
@@ -716,37 +582,11 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
     d = decompose(rho)
-    k = cfg.n_starts
-    local, q = np.repeat(_local_vectors(d)[None], k, axis=0), np.repeat(d.Q[None], k, axis=0)
-
-    def ascend(vecs, sweeps):
-        return _ascend(local[:len(vecs)], q[:len(vecs)], vecs, sweeps)
-
-    warmup = min(WARMUP_SWEEPS, cfg.max_sweeps)
-    obj, vecs, sweeps, converged, degenerate = ascend(_initial_vectors(cfg), warmup)
-    rows = np.flatnonzero(~converged)
-    if rows.size and cfg.max_sweeps > warmup:
-        form = _multiaffine_form(_local_vectors(d), d.Q)
-        polished, vecs[rows], used, certified = _newton_polish(
-            form, vecs[rows], min(NEWTON_ITERS, cfg.max_sweeps - warmup)
-        )
-        obj[rows] = polished
-        sweeps[rows] = warmup + used
-        converged[rows] = certified
-        back = rows[~certified]
-        for spent in np.unique(sweeps[back]):
-            group = back[sweeps[back] == spent]
-            if spent < cfg.max_sweeps:
-                obj[group], vecs[group], more, converged[group], extra = ascend(
-                    vecs[group], cfg.max_sweeps - spent
-                )
-                sweeps[group] = spent + more
-                degenerate[group] += extra
+    form = _multiaffine_form(_local_vectors(d), d.Q)
+    obj, vecs, sweeps, converged = _newton_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
     best = _best_row(obj)
     settings = _settings_of(vecs[best])
-    return _result_for_rows(
-        obj, best, settings, omega_matrix(rho, settings), sweeps, converged, degenerate.sum()
-    )
+    return _result_for_rows(obj, best, settings, omega_matrix(rho, settings), sweeps, converged)
 
 
 def planar_case_settings(theta1: float, theta2: float, theta3: float) -> MeasurementSettings:

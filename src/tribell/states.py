@@ -8,6 +8,7 @@ is numpy's PCG64 via ``default_rng``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,9 @@ def ghz() -> PureState:
 
 
 def generalized_ghz(alpha: float) -> PureState:
-    """cos(alpha)|000> + sin(alpha)|111>."""
+    """cos(alpha)|000> + sin(alpha)|111>; ``alpha`` must be a finite number."""
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
+        raise ValidationError(f"generalized-ghz angle must be a finite number, got {alpha!r}")
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = np.cos(alpha)
     amp[0b111] = np.sin(alpha)

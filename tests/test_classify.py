@@ -77,8 +77,11 @@ class TestExclusionRules:
         with pytest.raises(ValidationError, match="margin"):
             excluded_classes((1.0, 1.0, 1.0), 0.0)
 
-    @pytest.mark.parametrize("margin", [0.0, -1e-6, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "margin", [0.0, -1e-6, float("nan"), float("inf"), True, np.True_, "1e-6", 1e-6j, None]
+    )
     def test_bad_margin_rejected_before_optimizing(self, margin, monkeypatch):
+        """Bools and non-real values too, as ValidationError and never numpy's TypeError."""
         # the package's ``classify`` attribute is the function, not this module
         classify_mod = importlib.import_module("tribell.classify")
 
@@ -88,6 +91,8 @@ class TestExclusionRules:
         monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
         with pytest.raises(ValidationError, match="margin"):
             classify(to_density(ghz()), CFG, margin=margin)
+        with pytest.raises(ValidationError, match="margin"):
+            excluded_classes((1.2, 0.5, 0.5), margin)
 
 
 class TestClassify:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", f"builtin:{name}")
         assert code == EXIT_OK
         assert out == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_non_finite_ghz_angle_exits_2(self, capsys, angle):
+        """Only the error line reaches stderr: no numpy warning from the trigonometry."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "classify", f"builtin:generalized-ghz:{angle}")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: generalized-ghz angle must be a finite number, got {float(angle)}\n"
+        assert caught == []
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "0"])
     def test_bad_margin_exits_2(self, capsys, margin):

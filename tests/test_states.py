@@ -50,6 +50,12 @@ class TestCanonicalStates:
         amp = generalized_ghz(np.pi / 6).amplitudes
         assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan, True, "0.3", None])
+    def test_generalized_ghz_bad_angle_rejected(self, alpha):
+        """Rejected before any trigonometry, so a non-finite angle raises no numpy warning."""
+        with pytest.raises(ValidationError, match="angle must be a finite number"):
+            generalized_ghz(alpha)
+
     def test_w_state(self):
         amp = w_state().amplitudes
         assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0)
@@ -312,7 +318,7 @@ class TestValidation:
         np.testing.assert_array_equal(getattr(state, attr), before)
         assert not getattr(state, attr).flags.writeable
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, True, "1e-3", 1e-3j, None])
     @pytest.mark.parametrize(
         "build",
         [
@@ -323,7 +329,10 @@ class TestValidation:
         ids=["pure", "density", "settings"],
     )
     def test_bad_tol_rejected(self, build, tol):
-        """A NaN or infinite tolerance would accept any input; a negative one none."""
+        """A NaN or infinite tolerance would accept any input; a negative one none.
+
+        A bool or a non-real value is no tolerance: ``True`` would act as 1.
+        """
         with pytest.raises(ValidationError, match="tol must be"):
             build(tol)
 
