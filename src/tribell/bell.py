@@ -22,10 +22,16 @@ not a certified bound.
 
 Expectations come in two independently implemented flavors, both taking the
 same settings (a, b): a dense matrix-trace path and a fast contraction of the
-state's Pauli coefficients.  Inside the contraction the settings enter
-through the half-sum and half-difference vectors s_j = (a_j + b_j)/2 and
-t_j = (a_j - b_j)/2, which satisfy |s_j|^2 + |t_j|^2 = 1 and s_j . t_j = 0
-for unit a_j, b_j.  The two paths are cross-checked in the test suite.
+state's Pauli coefficients.  The fast path is the multi-affine form
+(:func:`multiaffine_form`) <D_i> = C_i[X_1, X_2, X_3], X_j = (1, a_j, b_j):
+every term of D_i puts one of I, A_j or B_j on each qubit j, so each entry of
+C_i is one Pauli coefficient tr(rho s_k s_l s_m) (index 0 is the identity)
+times a term weight, by the factors on slots (i, p, q):
+
+    A I I: +1/2,  B I I: -1/2                          from (A_i - B_i)/2 (x) I
+    A or B on i, then AA, AB or BA: +1/4, or BB: -1/4  from (A_i + B_i)/2 (x) W_i
+
+and 0 otherwise.  The two paths are cross-checked in the test suite.
 
 The dense path is the independent oracle and never reads Pauli
 coefficients.  One builder, :func:`_bell_operators`, makes D_i from
@@ -44,7 +50,7 @@ import numpy as np
 
 from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _check_tol
 from .core import _expectations, _kron, _place
-from .pauli import PauliDecomposition
+from .pauli import PauliDecomposition, _coefficient_grid
 from .states import as_density
 
 __all__ = [
@@ -55,7 +61,7 @@ __all__ = [
     "wwzb_pair",
     "bell_operator",
     "expectation_bell",
-    "affine_coefficients",
+    "multiaffine_form",
     "expectation_bell_fast",
     "omega",
     "random_settings",
@@ -202,69 +208,45 @@ def expectation_bell(rho, m, i: int):
     return _expectations(_bell_operators(a, b, i), mats)
 
 
-# einsum subscripts contracting Q on the two slots other than the free one
-_FREE_SLOT = {1: "...ijk,...j,...k->...i", 2: "...ijk,...i,...k->...j", 3: "...ijk,...i,...j->...k"}
+# kind (0 = I, 1 = A_j, 2 = B_j) and Pauli index of each entry of X_j = (1, a_j, b_j)
+_KIND = [0, 1, 1, 1, 2, 2, 2]
+_PAULI = [0, 1, 2, 3, 1, 2, 3]
+# D_i = (A_i + B_i)/2 (x) W_i + (A_i - B_i)/2 (x) I: _W and _ID weigh W_i and the
+# identity by the kinds of slots (p, q), and _BY_KIND weighs D_i by the kinds of (i, p, q)
+_W = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, -0.5]])
+_ID = np.diag([1.0, 0.0, 0.0])
+_BY_KIND = np.array([0.0 * _W, (_W + _ID) / 2, (_W - _ID) / 2])
+#: those weights in slot order for each entry of X_1, X_2, X_3, shape (3, 7, 7, 7)
+_TERMS = np.stack([np.moveaxis(_BY_KIND, 0, i) for i in range(3)])[np.ix_(range(3), _KIND, _KIND, _KIND)]
+_TERMS.setflags(write=False)
 
 
-def _contract(q, free: int, vectors: dict) -> np.ndarray:
-    """Q contracted with ``vectors[k]`` on both slots k != ``free``; the free slot remains."""
-    x, y = (vectors[k] for k in (1, 2, 3) if k != free)
-    return np.einsum(_FREE_SLOT[free], q, x, y)
+def multiaffine_form(d: PauliDecomposition) -> np.ndarray:
+    """C (3, 7, 7, 7) with <D_i> = C[i - 1][X_1, X_2, X_3] for X_j = (1, a_j, b_j).
 
-
-def affine_coefficients(local, q, a, b, i: int, j: int):
-    """Coefficients (g_a, g_b, c0) of <D_i> = g_a . a_j + g_b . b_j + c0 in slot pair j.
-
-    ``local`` (..., 3, 3) stacks the single-qubit Bloch vectors alpha, beta,
-    gamma; ``q`` (..., 3, 3, 3) is the three-body tensor; ``a`` and ``b``
-    (..., 3, 3) are slot-major setting vectors, which need not be unit.
-    Leading axes broadcast, so one state's coefficients serve a whole stack
-    of settings and per-row coefficients serve per-row settings.  Returns
-    g_a and g_b with a trailing axis of 3 and c0 with the leading shape of
-    the slot; the current a_j and b_j are not used.
-
-    Every term of D_i acts on qubit j with exactly one of A_j, B_j or the
-    identity, so <D_i> is affine in (a_j, b_j) jointly, with no a_j . b_j
-    term.  With s = (a+b)/2, t = (a-b)/2 and (p, r) the other slots of i,
-    <D_i> = s_i . M_i + t_i . alpha_i where M_i = Q(.; s_p, a_r) + Q(.; t_p, b_r).
-    So on slot i itself g_a, g_b = (M_i +/- alpha_i)/2 and c0 = 0.  On a pair
-    slot j, with k the third slot, g_a = Q(s_i; ., s_k), g_b = Q(s_i; ., t_k)
-    and c0 = t_i . alpha_i.
+    Each entry is a fixed term weight of D_i times one Pauli coefficient of
+    the state (see the module docstring).  The settings need not be unit.
     """
-    p, r = _pair_indices(i)  # validates i
-    j = _check_slot(j)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = (a + b) * 0.5
-    t = (a - b) * 0.5
-    slot = lambda x, k: x[..., k - 1, :]
-    alpha = slot(np.asarray(local, dtype=float), i)
-    if j == i:
-        m = _contract(q, i, {p: slot(s, p), r: slot(a, r)})
-        m = m + _contract(q, i, {p: slot(t, p), r: slot(b, r)})
-        g_a, g_b = (m + alpha) * 0.5, (m - alpha) * 0.5
-        return g_a, g_b, np.zeros(g_a.shape[:-1])
-    k = 6 - i - j
-    g_a = _contract(q, j, {i: slot(s, i), k: slot(s, k)})
-    g_b = _contract(q, j, {i: slot(s, i), k: slot(t, k)})
-    return g_a, g_b, np.sum(slot(t, i) * alpha, axis=-1)
+    if not isinstance(d, PauliDecomposition):
+        raise ValidationError(f"expected PauliDecomposition, got {type(d).__name__}")
+    return _TERMS * _coefficient_grid(d)[np.ix_(_PAULI, _PAULI, _PAULI)]
 
 
-def _local_vectors(d: PauliDecomposition) -> np.ndarray:
-    """alpha, beta, gamma stacked slot-major, shape (3, 3)."""
-    return np.stack([d.alpha, d.beta, d.gamma])
+def _homogeneous(a, b) -> np.ndarray:
+    """X_j = (1, a_j, b_j) along the last axis: rows (..., 3, 3) give X (..., 3, 7)."""
+    return np.concatenate([np.ones(np.shape(a)[:-1] + (1,)), a, b], axis=-1)
 
 
 def expectation_bell_fast(d: PauliDecomposition, m: MeasurementSettings, i: int) -> float:
     """<D_i> via the Pauli-coefficient contraction path.
 
-    Agrees with :func:`expectation_bell` to machine precision for valid
-    inputs; :func:`affine_coefficients`, whose slot-i form it evaluates at
-    (a_i, b_i), is the contraction used inside optimization loops.
+    Evaluates the multi-affine form (:func:`multiaffine_form`) at
+    X_j = (1, a_j, b_j).  Agrees with :func:`expectation_bell` to machine
+    precision for valid inputs.
     """
-    g_a, g_b, c0 = affine_coefficients(_local_vectors(d), d.Q, m.a, m.b, i, i)
-    c = np.sum(m.b[i - 1] * g_b, axis=-1) + c0
-    return float(c + g_a @ m.a[i - 1])
+    i = _check_slot(i, "operator index")
+    m = _check_settings(m)
+    return float(np.einsum("klm,k,l,m->", multiaffine_form(d)[i - 1], *_homogeneous(m.a, m.b)))
 
 
 def omega(rho, m: MeasurementSettings) -> float:

@@ -112,7 +112,11 @@ def _check_margin(margin: float) -> None:
 
 
 def excluded_classes(m, margin: float) -> tuple:
-    """Classes ruled out by optimized maxima ``m`` at threshold 1 + margin."""
+    """Classes ruled out by optimized maxima ``m`` (three finite numbers) at threshold 1 + margin."""
+    values = list(m) if isinstance(m, (tuple, list, np.ndarray)) else ()
+    finite = [isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v) for v in values]
+    if len(values) != 3 or not all(finite):
+        raise ValidationError(f"maxima must be three finite numbers (m1, m2, m3), got {m!r}")
     _check_margin(margin)
     out: set = set()
     for axis, value in enumerate(m, start=1):
@@ -124,13 +128,13 @@ def excluded_classes(m, margin: float) -> tuple:
 def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> ClassificationReport:
     """Maximize all three |<D_i>| plus omega and report which classes are excluded.
 
-    ``cfg`` configures the omega ascent; the m_i search takes no parameters.
+    ``cfg`` configures the omega ascent, which runs first and so rejects a
+    bad ``cfg`` before any search; the m_i search takes no parameters.
     """
     _check_margin(margin)
-    cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
-    results = [seesaw_max_abs_d(rho, i) for i in (1, 2, 3)]
     omega_res = maximize_omega(rho, cfg)
+    results = [seesaw_max_abs_d(rho, i) for i in (1, 2, 3)]
     m = tuple(r.value for r in results)
     excluded = excluded_classes(m, margin)
     return ClassificationReport(

@@ -13,15 +13,15 @@
   the search's lower end, and its best direction becomes explicit settings
   in closed form (:func:`_sphere_settings`), which the dense path rechecks.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
-  shared setting.  Each expectation is affine in every slot pair, so it is
-  multi-affine in the slots: <D_i> = C_i[X_1, X_2, X_3] with
-  X_j = (1, a_j, b_j), and one :func:`tribell.bell.affine_coefficients` call
-  per i builds C.  Every start draws its six initial unit vectors from an
-  independent RNG stream derived from (seed, start index), and all starts
-  run one batched Riemannian Newton ascent on the six unit spheres with the
-  exact gradient and Hessian of omega from C.  A start that reaches a
-  vanishing gradient with no positive curvature is certified as a local
-  maximum.
+  shared setting.  Each expectation is multi-affine in the slots:
+  <D_i> = C_i[X_1, X_2, X_3] with X_j = (1, a_j, b_j), and
+  :func:`tribell.bell.multiaffine_form` builds C in closed form from the
+  state's Pauli coefficients.  Every start draws its six initial unit
+  vectors from an independent RNG stream derived from (seed, start index),
+  and all starts run one batched Riemannian Newton ascent on the six unit
+  spheres with the exact gradient and Hessian of omega from C.  A start
+  that reaches a vanishing gradient with no positive curvature is certified
+  as a local maximum.
 
 :func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
 search and one stacked dense recheck, which is how the Monte Carlo bound
@@ -39,13 +39,13 @@ import numpy as np
 from .bell import (
     DUAL_PATH_TOL,
     MeasurementSettings,
-    _local_vectors,
+    _homogeneous,
     _pair_indices,
-    affine_coefficients,
     expectation_bell,
+    multiaffine_form,
     omega as omega_matrix,
 )
-from .core import ConsistencyError, _check_integer, _check_slot
+from .core import ConsistencyError, ValidationError, _check_integer, _check_slot
 from .pauli import decompose
 from .states import as_density, ghz, to_density
 
@@ -388,9 +388,8 @@ def seesaw_max_abs_d_many(states, i: int):
     if not states:
         return []
     decs = [decompose(rho) for rho in states]
-    local = np.stack([_local_vectors(d) for d in decs])
-    q = np.stack([d.Q for d in decs])
-    alpha, q_i = local[:, i - 1], np.moveaxis(q, i, 1)
+    alpha = np.stack([(d.alpha, d.beta, d.gamma)[i - 1] for d in decs])
+    q_i = np.moveaxis(np.stack([d.Q for d in decs]), i, 1)
     direction, lower, upper = _sphere_search(alpha, q_i)
     # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
     converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
@@ -424,44 +423,10 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     return seesaw_max_abs_d_many([rho], i)[0]
 
 
-def _multiaffine_form(local, q) -> np.ndarray:
-    """C (3, 7, 7, 7) with <D_i> = C_i[X_1, X_2, X_3] for X_j = (1, a_j, b_j).
-
-    <D_i> is affine in every slot pair, so it is multi-affine in the X_j.
-    Each slot takes the seven settings X = e_0 + e_l: a = b = 0, a = e_k or
-    b = e_k.  One :func:`affine_coefficients` call per i evaluates all 343
-    combinations, and differencing along each axis (C[l] = F[l] - F[0] for
-    l >= 1) leaves the coefficients.
-    """
-    choice = np.zeros((7, 2, 3))
-    choice[1:4, 0] = choice[4:, 1] = np.eye(3)
-    vecs = np.empty((7, 7, 7, 2, 3, 3))
-    vecs[..., 0, :] = choice[:, None, None]
-    vecs[..., 1, :] = choice[None, :, None]
-    vecs[..., 2, :] = choice[None, None, :]
-    a, b = vecs[..., 0, :, :], vecs[..., 1, :, :]
-    values = []
-    for i in (1, 2, 3):
-        g_a, g_b, c0 = affine_coefficients(local, q, a, b, i, 1)
-        values.append(c0 + np.sum(g_a * a[..., 0, :] + g_b * b[..., 0, :], axis=-1))
-    form = np.stack(values)
-    for axis in (1, 2, 3):
-        f = np.moveaxis(form, axis, 0)
-        f[1:] -= f[0]
-    return form
-
-
-def _homogeneous(vecs):
-    """X (rows, 3, 7) with X_j = (1, a_j, b_j) from vectors (rows, 2, 3, 3)."""
-    x = np.ones((len(vecs), 3, 7))
-    x[:, :, 1:] = np.swapaxes(vecs, 1, 2).reshape(-1, 3, 6)
-    return x
-
-
 def _omega_values(form, vecs):
     """omega per row from the multi-affine form."""
-    x = _homogeneous(vecs)
-    d = np.einsum("iklm,nk,nl,nm->ni", form, x[:, 0], x[:, 1], x[:, 2])
+    x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
+    d = np.einsum("iklm,nk,nl,nm->ni", form, x1, x2, x3)
     return np.sum(d * d, axis=1)
 
 
@@ -478,8 +443,7 @@ def _omega_model(form, vecs):
     ch. 5-6), with E the tangent bases.
     """
     n = len(vecs)
-    x = _homogeneous(vecs)
-    x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+    x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
     p12 = np.einsum("iklm,nm->nikl", form, x3)
     p13 = np.einsum("iklm,nl->nikm", form, x2)
     p23 = np.einsum("iklm,nk->nilm", form, x1)
@@ -564,8 +528,8 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     """Largest omega (sum of three squared expectations) found over shared settings.
 
     The multi-affine form of the three expectations
-    (:func:`_multiaffine_form`) is built once, and every start runs the
-    batched Riemannian Newton ascent over the six unit vectors
+    (:func:`tribell.bell.multiaffine_form`) is built once, and every start
+    runs the batched Riemannian Newton ascent over the six unit vectors
     (:func:`_newton_ascent`) for at most ``cfg.max_sweeps`` iterations.
     Stop rule: a start whose Riemannian gradient is at most ``CERT_GRAD``
     and whose Riemannian Hessian has no eigenvalue above ``CERT_CURV`` is
@@ -579,14 +543,20 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     matters.  The settings are those of the first start within ``TIE_TOL``
     of the best.
     """
+    if not isinstance(cfg, (OptimizerConfig, type(None))):
+        raise ValidationError(f"cfg must be an OptimizerConfig, got {type(cfg).__name__}")
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
-    d = decompose(rho)
-    form = _multiaffine_form(_local_vectors(d), d.Q)
+    form = multiaffine_form(decompose(rho))
     obj, vecs, sweeps, converged = _newton_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
     best = _best_row(obj)
     settings = _settings_of(vecs[best])
     return _result_for_rows(obj, best, settings, omega_matrix(rho, settings), sweeps, converged)
+
+
+def _planar(angles) -> np.ndarray:
+    """Unit vectors (cos, sin, 0) at ``angles`` (n,), shape (n, 3)."""
+    return np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
 
 
 def planar_case_settings(theta1: float, theta2: float, theta3: float) -> MeasurementSettings:
@@ -596,13 +566,7 @@ def planar_case_settings(theta1: float, theta2: float, theta3: float) -> Measure
     t_i - pi/4.
     """
     thetas = np.array([theta1, theta2, theta3], dtype=float)
-    a = np.stack(
-        [np.cos(thetas + np.pi / 4), np.sin(thetas + np.pi / 4), np.zeros(3)], axis=1
-    )
-    b = np.stack(
-        [np.cos(thetas - np.pi / 4), np.sin(thetas - np.pi / 4), np.zeros(3)], axis=1
-    )
-    return MeasurementSettings(a, b)
+    return MeasurementSettings(_planar(thetas + np.pi / 4), _planar(thetas - np.pi / 4))
 
 
 def omega_planar_oracle(theta1: float, theta2: float, theta3: float) -> float:
@@ -630,22 +594,15 @@ def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
     uses an aligned pair a_i = b_i at angle theta_i; each remaining qubit uses
     an orthogonal pair at angles theta +/- pi/4, the geometry that contains
     the known optimum for the GHZ state.  The three base angles each range
-    over ``n_angles`` equally spaced values and every combination is
-    evaluated through the fast contraction path.
+    over ``n_angles`` equally spaced values, and one contraction of the
+    multi-affine form (:func:`tribell.bell.multiaffine_form`) with each
+    slot's (n_angles, 7) grid of X_j = (1, a_j, b_j) evaluates them all.
     """
     i = _check_slot(i, "operator index")
     _check_integer("n_angles", n_angles, 1)
-    d = decompose(as_density(state))
+    form = multiaffine_form(decompose(as_density(state)))[i - 1]
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    grids = np.meshgrid(angles, angles, angles, indexing="ij")
-    a = np.zeros(grids[0].shape + (3, 3))
-    b = np.zeros_like(a)
-    others = [j for j in (1, 2, 3) if j != i]
-    for slot, grid in zip([i] + others, grids):
-        shift = 0.0 if slot == i else np.pi / 4
-        a[..., slot - 1, :2] = np.stack([np.cos(grid + shift), np.sin(grid + shift)], axis=-1)
-        b[..., slot - 1, :2] = np.stack([np.cos(grid - shift), np.sin(grid - shift)], axis=-1)
-    g_a, g_b, c0 = affine_coefficients(_local_vectors(d), d.Q, a, b, i, i)
-    c = np.sum(b[..., i - 1, :] * g_b, axis=-1) + c0
-    vals = c + np.sum(g_a * a[..., i - 1, :], axis=-1)
+    shifts = [0.0 if slot == i else np.pi / 4 for slot in (1, 2, 3)]
+    x = [_homogeneous(_planar(angles + s), _planar(angles - s)) for s in shifts]
+    vals = np.einsum("klm,ak,bl,cm->abc", form, *x, optimize=True)
     return float(np.max(np.abs(vals)))

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _check_integer, _check_slot, _check_tol, _kron, _place, is_hermitian
+from .core import ValidationError, _as_operator, _check_integer, _check_slot, _check_tol
+from .core import _kron, _place, is_hermitian
 
 __all__ = [
     "PureState",
@@ -54,6 +55,13 @@ _PAIR_KETS = {
     "1-23": (0b001, 0b010),
     "2-13": (0b001, 0b100),
 }
+
+
+def _check_angle(name: str, value) -> float:
+    """Reject an angle that is a bool, not a real number, or not finite, before any trigonometry."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and np.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _check_partition(partition: str) -> str:
@@ -140,10 +148,12 @@ class AcinParameters:
             raise ValidationError(
                 f"lambda normalization invariant violated: sum lambda^2 = {total!r}"
             )
-        if not 0.0 <= self.phi <= np.pi:
+        phi = _check_angle("phi", self.phi)
+        if not 0.0 <= phi <= np.pi:
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi!r}")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "phi", phi)
 
 
 def ghz() -> PureState:
@@ -155,8 +165,7 @@ def ghz() -> PureState:
 
 def generalized_ghz(alpha: float) -> PureState:
     """cos(alpha)|000> + sin(alpha)|111>; ``alpha`` must be a finite number."""
-    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
-        raise ValidationError(f"generalized-ghz angle must be a finite number, got {alpha!r}")
+    alpha = _check_angle("generalized-ghz angle", alpha)
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = np.cos(alpha)
     amp[0b111] = np.sin(alpha)
@@ -182,6 +191,7 @@ def canonical_biseparable(partition: str, alpha: float) -> PureState:
     split-off qubit of ``partition`` is left in |0>.
     """
     idx01, idx10 = _PAIR_KETS[_check_partition(partition)]
+    alpha = _check_angle("canonical-biseparable angle", alpha)
     amp = np.zeros(8, dtype=complex)
     amp[idx01] = np.cos(alpha)
     amp[idx10] = -np.sin(alpha)
@@ -351,7 +361,9 @@ def random_local_unitaries(rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_local_unitaries(psi: PureState, us) -> PureState:
-    """(U1 (x) U2 (x) U3)|psi>; norm (and its validation slack) is preserved."""
-    u1, u2, u3 = np.asarray(us)
-    full = _kron(_kron(u1, u2), u3)
+    """(U1 (x) U2 (x) U3)|psi> for a finite (3, 2, 2) stack ``us``; norm and its slack are kept."""
+    us = _as_operator(us, "local unitaries", stacked=True)
+    if us.shape != (3, 2, 2):
+        raise ValidationError(f"local unitaries must be a (3, 2, 2) stack, got shape {us.shape}")
+    full = _kron(_kron(us[0], us[1]), us[2])
     return PureState(full @ psi.amplitudes, tol=psi.tol)

@@ -8,18 +8,20 @@ from hypothesis import strategies as hst
 from tribell.bell import (
     MeasurementSettings,
     _bell_operators,
-    affine_coefficients,
+    _homogeneous,
     bell_operator,
     expectation_bell,
     expectation_bell_fast,
+    multiaffine_form,
     observable,
     omega,
     random_settings,
     wwzb_pair,
 )
-from tribell.core import I2, SX, SY, SZ, ValidationError, is_hermitian
+from tribell.core import I2, SX, SY, SZ, ValidationError, _expectations, is_hermitian
+from tribell.optimize import planar_grid_max
 from tribell.pauli import decompose
-from tribell.states import ghz, maximally_mixed, random_in_class, random_pure, to_density
+from tribell.states import ghz, maximally_mixed, random_in_class, random_pure, reduced_qubit, to_density
 
 SQ2 = np.sqrt(2.0)
 X_HAT = np.array([1.0, 0.0, 0.0])
@@ -247,75 +249,102 @@ class TestFastPath:
             assert delta == pytest.approx(-2.0 * float(t_i @ local), abs=1e-12)
 
 
-def local_vectors(d):
-    return np.stack([d.alpha, d.beta, d.gamma])
-
-
 def draw_state(kind, seed):
     if kind == "pure":
         return to_density(random_pure(seed))
     return random_in_class(kind, 1 + seed % 3, seed)
 
 
-UNIT_VECTORS = (
-    hst.lists(hst.floats(-1.0, 1.0), min_size=3, max_size=3)
-    .map(np.array)
-    .filter(lambda v: np.linalg.norm(v) > 1e-3)
-    .map(lambda v: v / np.linalg.norm(v))
+# arbitrary real setting rows: the form is multi-affine, so unit length is not needed
+SETTING_ROWS = hst.lists(hst.floats(-2.0, 2.0), min_size=9, max_size=9).map(
+    lambda v: np.array(v).reshape(3, 3)
 )
 
 
-class TestAffineCoefficients:
+def form_value(form, a, b):
+    """C[X_1, X_2, X_3] at X_j = (1, a_j, b_j); leading axes of a, b broadcast."""
+    x = _homogeneous(a, b)
+    return np.einsum("klm,...k,...l,...m->...", form, x[..., 0, :], x[..., 1, :], x[..., 2, :])
+
+
+class TestMultiaffineForm:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         kind=hst.sampled_from(["pure", "fully-separable", "1-23", "2-13", "12-3"]),
         state_seed=hst.integers(0, 2**32 - 1),
-        settings_seed=hst.integers(0, 2**32 - 1),
-        i=hst.sampled_from((1, 2, 3)),
-        j=hst.sampled_from((1, 2, 3)),
-        u=UNIT_VECTORS,
-        w=UNIT_VECTORS,
+        a=SETTING_ROWS,
+        b=SETTING_ROWS,
     )
-    def test_affine_form_matches_matrix_path(self, kind, state_seed, settings_seed, i, j, u, w):
-        """g_a . u + g_b . w + c0 is <D_i> with u, w substituted for a_j and b_j at once."""
-        rho = draw_state(kind, state_seed)
-        m = random_settings(settings_seed)
-        d = decompose(rho)
-        g_a, g_b, c0 = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j)
-        a, b = m.a.copy(), m.b.copy()
-        a[j - 1], b[j - 1] = u, w
-        dense = expectation_bell(rho, MeasurementSettings(a, b), i)
-        assert abs(float(g_a @ u + g_b @ w + c0) - dense) <= 1e-10
+    def test_form_matches_dense_builder(self, kind, state_seed, a, b):
+        """C_i at any real rows a, b is the dense trace of D_i built from the same rows.
 
-    def test_leading_axes_broadcast(self):
-        """One state against stacked settings and per-row states both match row by row."""
+        Arbitrary rows make every one of the 343 coefficients of each C_i
+        count, so this pins the whole term table against the dense builder.
+        """
+        rho = draw_state(kind, state_seed)
+        form = multiaffine_form(decompose(rho))
+        for i in (1, 2, 3):
+            dense = _expectations(_bell_operators(a, b, i), rho.matrix)
+            assert abs(form_value(form[i - 1], a, b) - dense) <= 1e-10
+
+    def test_one_form_serves_a_stack_of_settings(self):
+        """One state's form against stacked setting rows matches the dense stack row by row."""
         rng = np.random.default_rng(17)
-        decs = [decompose(to_density(random_pure(int(rng.integers(2**63))))) for _ in range(4)]
-        ms = [random_settings(int(rng.integers(2**63))) for _ in range(4)]
-        a = np.stack([m.a for m in ms])
-        b = np.stack([m.b for m in ms])
-        local = np.stack([local_vectors(d) for d in decs])
-        q = np.stack([d.Q for d in decs])
-        for i, j in [(1, 1), (2, 3), (3, 1)]:
-            rows = affine_coefficients(local, q, a, b, i, j)
-            one = affine_coefficients(local[0], q[0], a, b, i, j)
-            for form in (rows, one):
-                assert [x.shape for x in form] == [(4, 3), (4, 3), (4,)]
-            for n, (d, m) in enumerate(zip(decs, ms)):
-                own = affine_coefficients(local_vectors(d), d.Q, m.a, m.b, i, j)
-                first = affine_coefficients(local[0], q[0], m.a, m.b, i, j)
-                for x_rows, x, x_one, x0 in zip(rows, own, one, first):
-                    np.testing.assert_allclose(x_rows[n], x, atol=1e-15)
-                    np.testing.assert_allclose(x_one[n], x0, atol=1e-15)
+        rho = to_density(random_pure(int(rng.integers(2**63))))
+        form = multiaffine_form(decompose(rho))
+        a, b = rng.standard_normal((2, 5, 3, 3))
+        for i in (1, 2, 3):
+            stacked = form_value(form[i - 1], a, b)
+            assert stacked.shape == (5,)
+            dense = _expectations(_bell_operators(a, b, i), rho.matrix)
+            np.testing.assert_allclose(stacked, dense, atol=1e-12)
 
     def test_bad_indices_rejected(self):
         d = decompose(to_density(ghz()))
         m = random_settings(3)
         for bad in (0, 4, 2.0, True):
-            with pytest.raises(ValidationError):
-                affine_coefficients(local_vectors(d), d.Q, m.a, m.b, bad, 1)
-            with pytest.raises(ValidationError):
-                affine_coefficients(local_vectors(d), d.Q, m.a, m.b, 1, bad)
+            with pytest.raises(ValidationError, match="operator index"):
+                expectation_bell_fast(d, m, bad)
+            with pytest.raises(ValidationError, match="operator index"):
+                planar_grid_max(to_density(ghz()), bad)
+
+    def test_wrong_argument_types_rejected(self):
+        """A state in place of its decomposition, or no settings, is a ValidationError."""
+        rho = to_density(ghz())
+        with pytest.raises(ValidationError, match="PauliDecomposition"):
+            multiaffine_form(rho)
+        with pytest.raises(ValidationError, match="PauliDecomposition"):
+            expectation_bell_fast(rho, random_settings(1), 1)
+        for bad in (None, {"a": X_HAT}):
+            with pytest.raises(ValidationError, match="MeasurementSettings"):
+                expectation_bell_fast(decompose(rho), bad, 1)
+
+    @pytest.mark.parametrize("k, partition", [(1, "1-23"), (2, "2-13"), (3, "12-3")])
+    def test_cut_qubit_enters_through_two_projections(self, k, partition):
+        """On a product across cut k, <D_i> sees a_k, b_k only through a_k . n and b_k . n.
+
+        n is qubit k's Bloch vector: slot k of the form reads (1, a_k . n,
+        b_k . n).  Rotating a_k and b_k about n by different angles keeps
+        both projections, so the dense path must give the same three values.
+        """
+        rng = np.random.default_rng(40 + k)
+        for seed in range(3):
+            rho = random_in_class(partition, 1, seed)  # one product (qubit k) (x) (pair)
+            n = np.array([np.trace(reduced_qubit(rho, k) @ p).real for p in (SX, SY, SZ)])
+            m = random_settings(int(rng.integers(2**63)))
+            a, b = m.a.copy(), m.b.copy()
+            a[k - 1], b[k - 1] = rotate_about(m.a[k - 1], n, 0.7), rotate_about(m.b[k - 1], n, -2.1)
+            moved = MeasurementSettings(a, b)
+            assert np.abs(a[k - 1] - m.a[k - 1]).max() > 1e-3
+            for i in (1, 2, 3):
+                before = expectation_bell(rho, m, i)
+                assert expectation_bell(rho, moved, i) == pytest.approx(before, abs=1e-12)
+
+
+def rotate_about(v, axis, angle):
+    """Rodrigues rotation of v about ``axis`` by ``angle``; keeps v . axis."""
+    u = axis / np.linalg.norm(axis)
+    return v * np.cos(angle) + np.cross(u, v) * np.sin(angle) + u * (u @ v) * (1.0 - np.cos(angle))
 
 
 class TestOmega:

@@ -62,6 +62,29 @@ class TestExclusionRules:
         assert excluded_classes((1.0 + 5e-7, 0.0, 0.0), 1e-6) == ()
         assert excluded_classes((1.0 + 5e-7, 0.0, 0.0), 1e-7) != ()
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (0.5, 0.5, 0.5, 2.0),
+            (0.5, 1.2),
+            (float("nan"), 1.2, 0.0),
+            (0.5, float("inf"), 0.0),
+            "abc",
+            (True, 0.5, 0.5),
+            (0.5, "1.2", 0.5),
+            1.2,
+            None,
+        ],
+    )
+    def test_malformed_maxima_rejected(self, m):
+        with pytest.raises(ValidationError, match="three finite numbers"):
+            excluded_classes(m, 1e-6)
+
+    def test_maxima_may_be_an_array_or_list(self):
+        expected = ("fully-separable", "2-13", "12-3")
+        assert excluded_classes(np.array([1.2, 0.5, 0.5]), 1e-6) == expected
+        assert excluded_classes([1.2, 0.5, 0.5], 1e-6) == expected
+
     def test_monotone_in_each_axis(self):
         """Raising any coordinate never un-excludes a class."""
         rng = np.random.default_rng(7)
@@ -96,6 +119,18 @@ class TestExclusionRules:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("cfg", [{"n_starts": 4}, {}, 4, "cfg"])
+    def test_bad_config_rejected_before_any_search(self, cfg, monkeypatch):
+        """A cfg that is not an OptimizerConfig is a ValidationError, never an AttributeError."""
+        classify_mod = importlib.import_module("tribell.classify")
+
+        def unexpected(*args, **kwargs):
+            pytest.fail("classify searched before checking cfg")
+
+        monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
+        with pytest.raises(ValidationError, match="cfg must be an OptimizerConfig"):
+            classify(ghz(), cfg=cfg)
+
     def test_ghz_excludes_all_four(self):
         report = classify(to_density(ghz()), CFG)
         assert report.excluded == CLASS_LABELS

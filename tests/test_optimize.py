@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
-from tribell.bell import expectation_bell, omega, random_settings
+from tribell.bell import expectation_bell, multiaffine_form, omega, random_settings
 from tribell.classify import _draw_state
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
@@ -16,7 +16,6 @@ from tribell.optimize import (
     SPHERE_TOL,
     OptimizerConfig,
     _best_row,
-    _multiaffine_form,
     _omega_model,
     _omega_values,
     _pair_power,
@@ -167,18 +166,20 @@ class TestSeesaw:
         assert OptimizerConfig(n_starts=np.int64(3)).n_starts == 3
 
     def test_one_contraction_per_slot_pair(self, monkeypatch):
-        """Omega contracts once per operator, to build its multi-affine form.
+        """Omega builds the multi-affine form once; the m_i search never builds it.
 
-        The m_i search works on the Pauli tensors directly and contracts nothing.
+        The m_i search works on the Pauli tensors directly.
         """
         calls = []
-        original = opt.affine_coefficients
-        monkeypatch.setattr(opt, "affine_coefficients", lambda *a: calls.append(a) or original(*a))
+        original = opt.multiaffine_form
+        monkeypatch.setattr(opt, "multiaffine_form", lambda *a: calls.append(a) or original(*a))
         res = seesaw_max_abs_d(to_density(w_state()), 2)
         assert calls == []
         assert res.sweeps_used == 0
         maximize_omega(to_density(w_state()), OptimizerConfig(n_starts=1, max_sweeps=1))
-        assert len(calls) == 3
+        assert len(calls) == 1
+        maximize_omega(to_density(ghz()), OptimizerConfig(n_starts=3, max_sweeps=5))
+        assert len(calls) == 2
 
     def test_single_start_works(self):
         res = seesaw_max_abs_d(to_density(ghz()), 1)
@@ -363,6 +364,11 @@ class TestTieRule:
 
 
 class TestMaximizeOmega:
+    @pytest.mark.parametrize("cfg", [{"n_starts": 4}, {}, 4, "cfg"])
+    def test_bad_config_rejected(self, cfg):
+        with pytest.raises(ValidationError, match="cfg must be an OptimizerConfig"):
+            maximize_omega(to_density(ghz()), cfg)
+
     def test_product_corner_saturates_three(self):
         """For product states every coordinate is capped at 1, so omega <= 3."""
         res = maximize_omega(ket000(), CFG)
@@ -472,8 +478,7 @@ def as_rows(m):
 
 
 def multiaffine(rho):
-    d = decompose(rho)
-    return _multiaffine_form(np.stack([d.alpha, d.beta, d.gamma]), d.Q)
+    return multiaffine_form(decompose(rho))
 
 
 def pullback_gradient(form, vecs, basis, step):

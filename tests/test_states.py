@@ -102,6 +102,15 @@ class TestAcin:
         with pytest.raises(ValidationError, match="phi"):
             AcinParameters(np.array([1.0, 0, 0, 0, 0]), 4.0)
 
+    @pytest.mark.parametrize("phi", [True, "x", 1j, np.nan, None])
+    def test_phase_must_be_a_finite_number(self, phi):
+        with pytest.raises(ValidationError, match="phi must be a finite number"):
+            AcinParameters(np.array([1.0, 0, 0, 0, 0]), phi)
+
+    def test_phase_is_stored_as_a_float(self):
+        p = AcinParameters(np.array([1.0, 0, 0, 0, 0]), np.int64(1))
+        assert type(p.phi) is float and p.phi == 1.0
+
 
 class TestCanonicalBiseparable:
     def test_pair_on_12(self):
@@ -117,6 +126,12 @@ class TestCanonicalBiseparable:
         amp = canonical_biseparable("1-23", np.pi / 4).amplitudes
         assert amp[0b001] == pytest.approx(SQ2)
         assert amp[0b010] == pytest.approx(-SQ2)
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan, True, "0.3", 1j])
+    def test_bad_angle_rejected(self, alpha):
+        """Rejected before any trigonometry: no numpy warning, no float16 cosine of a bool."""
+        with pytest.raises(ValidationError, match="canonical-biseparable angle must be a finite number"):
+            canonical_biseparable("1-23", alpha)
 
     def test_unknown_partition_rejected(self):
         with pytest.raises(ValidationError, match="bipartition"):
@@ -361,6 +376,20 @@ class TestLocalUnitaries:
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             assert random_local_unitaries(rng).tobytes() == one_at_a_time(ref).tobytes()
             assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "us",
+        [
+            np.stack([np.eye(3)] * 3),  # (3, 3, 3)
+            np.stack([np.eye(2)] * 2),  # two matrices
+            np.stack([np.eye(2)] * 4),  # four matrices
+            np.eye(2),
+            np.array([[[np.nan, 0], [0, 1]], np.eye(2), np.eye(2)]),
+        ],
+    )
+    def test_apply_rejects_a_malformed_stack(self, us):
+        with pytest.raises(ValidationError, match="local unitaries"):
+            apply_local_unitaries(random_pure(3), us)
 
     def test_apply_preserves_norm(self):
         rng = np.random.default_rng(1)
