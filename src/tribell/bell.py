@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SX, SY, SZ, ValidationError, _check_integer, _check_slot, _check_tol
-from .core import _expectations, _kron, _place
-from .pauli import PauliDecomposition, _coefficient_grid
+from .core import SX, SY, SZ, ValidationError, _check_integer, _check_real, _check_slot
+from .core import _expectations, _frozen_array, _kron, _place
+from .pauli import PauliDecomposition
 from .states import as_density
 
 __all__ = [
@@ -73,19 +73,14 @@ DUAL_PATH_TOL = 1e-10
 _I4 = np.eye(4, dtype=complex)
 
 
-def _check_unit_rows(rows: np.ndarray, name: str, tol: float = UNIT_TOL) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape != (3, 3):
-        raise ValidationError(f"{name} must be three 3-vectors, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def _check_unit_rows(rows, name: str, tol: float = UNIT_TOL) -> np.ndarray:
+    rows = _frozen_array(rows, name, (3, 3))
     norms_sq = np.sum(rows**2, axis=1)
     if np.any(np.abs(norms_sq - 1.0) > tol):
         worst = float(np.max(np.abs(norms_sq - 1.0)))
         raise ValidationError(
             f"{name} rows must be unit vectors within {tol:g} (worst norm-square deviation {worst:.3g})"
         )
-    rows.setflags(write=False)
     return rows
 
 
@@ -98,15 +93,15 @@ class MeasurementSettings:
     tol: float = field(default=UNIT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_tol(self.tol)
+        _check_real("tol", self.tol, 0)
         object.__setattr__(self, "a", _check_unit_rows(self.a, "a", self.tol))
         object.__setattr__(self, "b", _check_unit_rows(self.b, "b", self.tol))
 
     @classmethod
     def aligned(cls, v) -> "MeasurementSettings":
         """All six vectors equal to v (so A_j = B_j for every qubit)."""
-        rows = np.tile(np.asarray(v, dtype=float), (3, 1))
-        return cls(rows, rows.copy())
+        rows = np.tile(_frozen_array(v, "aligned vector", 3), (3, 1))
+        return cls(rows, rows)
 
 
 def _obs_unchecked(v) -> np.ndarray:
@@ -118,10 +113,8 @@ def _obs_unchecked(v) -> np.ndarray:
 
 def observable(v) -> np.ndarray:
     """The dichotomic observable v . sigma for a unit Bloch vector v."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise ValidationError(f"Bloch vector must have 3 components, got {v.shape}")
-    if not abs(np.sum(v**2) - 1.0) <= UNIT_TOL:  # NaN fails this comparison too
+    v = _frozen_array(v, "Bloch vector", 3)
+    if abs(np.sum(v**2) - 1.0) > UNIT_TOL:
         raise ValidationError(
             f"Bloch vector must be unit length within {UNIT_TOL:g}, got |v|^2 = {np.sum(v**2)!r}"
         )
@@ -229,7 +222,7 @@ def multiaffine_form(d: PauliDecomposition) -> np.ndarray:
     """
     if not isinstance(d, PauliDecomposition):
         raise ValidationError(f"expected PauliDecomposition, got {type(d).__name__}")
-    return _TERMS * _coefficient_grid(d)[np.ix_(_PAULI, _PAULI, _PAULI)]
+    return _TERMS * d._grid[np.ix_(_PAULI, _PAULI, _PAULI)]
 
 
 def _homogeneous(a, b) -> np.ndarray:

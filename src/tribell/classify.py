@@ -17,13 +17,12 @@ all the inequalities.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import expectation_bell, random_settings
-from .core import ValidationError, _check_integer
+from .core import ValidationError, _check_integer, _check_real
 from .optimize import OptimizerConfig, maximize_omega, seesaw_max_abs_d, seesaw_max_abs_d_many
 from .states import (
     FULLY_SEPARABLE,
@@ -105,21 +104,15 @@ class RegionPoint:
     source_class: str
 
 
-def _check_margin(margin: float) -> None:
-    """Reject a margin that is not a finite number > 0, a bool or a non-number included."""
-    if isinstance(margin, bool) or not (isinstance(margin, numbers.Real) and 0 < margin < np.inf):
-        raise ValidationError(f"margin must be a finite number > 0, got {margin!r}")
-
-
 def excluded_classes(m, margin: float) -> tuple:
     """Classes ruled out by optimized maxima ``m`` (three finite numbers) at threshold 1 + margin."""
     values = list(m) if isinstance(m, (tuple, list, np.ndarray)) else ()
-    finite = [isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v) for v in values]
-    if len(values) != 3 or not all(finite):
+    if len(values) != 3:
         raise ValidationError(f"maxima must be three finite numbers (m1, m2, m3), got {m!r}")
-    _check_margin(margin)
+    values = [_check_real(f"m{axis}", value) for axis, value in enumerate(values, start=1)]
+    _check_real("margin", margin, 0, strict=True)
     out: set = set()
-    for axis, value in enumerate(m, start=1):
+    for axis, value in enumerate(values, start=1):
         if value > 1.0 + margin:
             out.update(_EXCLUDED_BY_AXIS[axis])
     return tuple(label for label in CLASS_LABELS if label in out)
@@ -131,7 +124,7 @@ def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> C
     ``cfg`` configures the omega ascent, which runs first and so rejects a
     bad ``cfg`` before any search; the m_i search takes no parameters.
     """
-    _check_margin(margin)
+    margin = _check_real("margin", margin, 0, strict=True)
     rho = as_density(rho)
     omega_res = maximize_omega(rho, cfg)
     results = [seesaw_max_abs_d(rho, i) for i in (1, 2, 3)]
@@ -141,7 +134,7 @@ def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> C
         m=m,
         omega_max=omega_res.value,
         excluded=excluded,
-        margin=float(margin),
+        margin=margin,
         genuine_indicated=len(excluded) == len(CLASS_LABELS),
         converged=tuple(r.converged for r in results) + (omega_res.converged,),
     )
@@ -217,10 +210,10 @@ def region_label(u: float, v: float) -> str:
     I is the unit square (local bound respected in both retained axes), II
     has only |u| > 1, III only |v| > 1, corner both.  Membership of the
     closed square carries a 1e-9 slack so saturating points stay on the
-    boundary they belong to.
+    boundary they belong to.  ``u`` and ``v`` must be finite numbers.
     """
-    u_in = abs(u) <= 1.0 + REGION_TOL
-    v_in = abs(v) <= 1.0 + REGION_TOL
+    u_in = abs(_check_real("u", u)) <= 1.0 + REGION_TOL
+    v_in = abs(_check_real("v", v)) <= 1.0 + REGION_TOL
     if u_in and v_in:
         return "I"
     if not u_in and v_in:

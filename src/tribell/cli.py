@@ -184,7 +184,9 @@ def load_settings(path: str) -> MeasurementSettings:
 
 
 def _settings_payload(m: MeasurementSettings) -> dict:
-    return {"a": m.a.tolist(), "b": m.b.tolist()}
+    """Rows a and b; a nonzero entry below 1e-12 (the ascent's rounding noise) prints as 0.0."""
+    return {key: np.where((rows != 0) & (np.abs(rows) < 1e-12), 0.0, rows).tolist()
+            for key, rows in (("a", m.a), ("b", m.b))}
 
 
 def _cmd_decompose(args, out) -> int:

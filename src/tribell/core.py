@@ -9,11 +9,14 @@ Conventions used throughout the package:
   or stacks of them along leading axes, (..., 8, 8).  No single operator
   is larger than 8x8.
 
-This module owns those conventions for the whole package: every tensor
-product goes through :func:`_kron` and into slot order through
-:func:`_place`, every slot or operator index through :func:`_check_slot`,
-every count or seed through :func:`_check_integer`, and every validation
-tolerance through :func:`_check_tol`.  :func:`_kron` and :func:`_place`
+This module owns those conventions for the whole package, and the intake of
+outside values: every tensor product goes through :func:`_kron` and into
+slot order through :func:`_place`, every slot or operator index through
+:func:`_check_slot`, every count or seed through :func:`_check_integer`,
+every other number through :func:`_check_real`, and every array through
+:func:`_frozen_array` (a private read-only copy) or, uncopied, through
+:func:`_as_operator`; both refuse strings, bools, objects, ragged nests and
+complex entries where real ones are due.  :func:`_kron` and :func:`_place`
 broadcast over leading axes, and one helper, :func:`_expectations`, takes
 every dense trace: Re tr(rho . obs) for a whole stack of states against one
 operator or one operator per state, with the non-finite, Hermiticity and
@@ -67,8 +70,8 @@ _VALID_DIMS = (2, 4, 8)
 
 
 def _as_operator(m, name: str = "operator", stacked: bool = False) -> np.ndarray:
-    """``m`` as a finite complex square matrix, or a stack (..., d, d) of them if ``stacked``."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a finite complex square matrix, or a stack (..., d, d) if ``stacked``; uncopied."""
+    m = _as_numbers(m, name, complex)
     if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[-1] not in _VALID_DIMS:
@@ -113,13 +116,49 @@ def _check_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _check_tol(value) -> None:
-    """Reject a tolerance that is not a finite number >= 0: NaN or inf would accept any input.
+def _check_real(name: str, value, minimum=None, strict: bool = False) -> float:
+    """``value`` as a float if it is a finite real number, not a bool, >= ``minimum`` (> if ``strict``)."""
+    low = -np.inf if minimum is None else minimum
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        (low < value if strict or minimum is None else low <= value) and value < np.inf
+    ):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
 
-    A bool is not a tolerance, though Python counts ``True`` as the number 1.
+
+def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
+    """``value`` as an ndarray of ``dtype``, uncopied where numpy allows.
+
+    Refuses what numpy would parse, count or drop: strings, bools, objects,
+    ragged nests, and complex entries for a real ``dtype``.
     """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
-        raise ValidationError(f"tol must be a finite number >= 0, got {value!r}")
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ValidationError(f"{name} must be numbers, got a ragged nest") from exc
+    if arr.dtype.kind not in "iufc":
+        raise ValidationError(f"{name} must be numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValidationError(f"{name} must be real numbers, got complex entries")
+    return arr.astype(dtype, copy=False)
+
+
+def _frozen_array(value, name: str, shape, dtype=float) -> np.ndarray:
+    """A private, read-only copy of ``value``: finite numbers of ``dtype`` in ``shape``.
+
+    An int ``shape`` n takes any shape of n entries and returns them flat.
+    """
+    arr = _as_numbers(value, name, dtype)
+    flat = isinstance(shape, int)
+    if arr.size != shape if flat else arr.shape != shape:
+        want = f"{shape} entries" if flat else f"shape {shape}"
+        raise ValidationError(f"{name} must have {want}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite numbers, got non-finite entries")
+    arr = np.array(arr.reshape(-1) if flat else arr)
+    arr.setflags(write=False)
+    return arr
 
 
 def _place(full: np.ndarray, slot: int) -> np.ndarray:

@@ -148,11 +148,6 @@ def _best_row(obj) -> int:
     return int(np.flatnonzero(obj >= obj.max() - TIE_TOL)[0])
 
 
-def _settings_of(row) -> MeasurementSettings:
-    """Settings from one row (2, 3, 3) of stacked a and b vectors."""
-    return MeasurementSettings(row[0].copy(), row[1].copy())
-
-
 def _result_for_rows(obj, best, settings, check, sweeps_done, converged, upper=np.inf):
     """One state's result from its rows.
 
@@ -393,7 +388,7 @@ def seesaw_max_abs_d_many(states, i: int):
     direction, lower, upper = _sphere_search(alpha, q_i)
     # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
     converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
-    settings = [_settings_of(row) for row in _sphere_settings(direction, alpha, q_i, i)]
+    settings = [MeasurementSettings(*row) for row in _sphere_settings(direction, alpha, q_i, i)]
     dense = np.abs(expectation_bell(states, settings, i)).tolist()
     return [
         _result_for_rows(
@@ -550,7 +545,7 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     form = multiaffine_form(decompose(rho))
     obj, vecs, sweeps, converged = _newton_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
     best = _best_row(obj)
-    settings = _settings_of(vecs[best])
+    settings = MeasurementSettings(*vecs[best])
     return _result_for_rows(obj, best, settings, omega_matrix(rho, settings), sweeps, converged)
 
 

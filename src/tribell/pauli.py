@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULIS, ValidationError
+from .core import PAULIS, ValidationError, _as_numbers, _frozen_array
 from .states import DensityMatrix, as_density
 
 __all__ = [
@@ -36,10 +36,18 @@ _STRINGS = np.einsum("iab,jcd,kef->ijkacebdf", PAULIS, PAULIS, PAULIS).reshape(
 )
 _STRINGS.setflags(write=False)
 
+#: where each block sits in the (4, 4, 4) grid of all coefficients, indexed like _STRINGS
+_BLOCKS = {"alpha": np.s_[1:, 0, 0], "beta": np.s_[0, 1:, 0], "gamma": np.s_[0, 0, 1:],
+           "R": np.s_[1:, 1:, 0], "S": np.s_[1:, 0, 1:], "T": np.s_[0, 1:, 1:], "Q": np.s_[1:, 1:, 1:]}
+
 
 @dataclass(frozen=True, eq=False)
 class PauliDecomposition:
-    """Real coefficient blocks of the 3-qubit Pauli expansion."""
+    """Real coefficient blocks of the 3-qubit Pauli expansion.
+
+    Each block is a read-only view into one private (4, 4, 4) grid ``_grid``: finite
+    floats copied from the arguments, indexed like the Pauli strings, [0, 0, 0] = 1.
+    """
 
     alpha: np.ndarray  # (3,)   single-qubit terms, qubit 1
     beta: np.ndarray   # (3,)   qubit 2
@@ -50,14 +58,17 @@ class PauliDecomposition:
     Q: np.ndarray      # (3,3,3) full three-body tensor
 
     def __post_init__(self):
-        shapes = {"alpha": (3,), "beta": (3,), "gamma": (3,), "R": (3, 3),
-                  "S": (3, 3), "T": (3, 3), "Q": (3, 3, 3)}
-        for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        grid = np.empty((4, 4, 4))
+        grid[0, 0, 0] = 1.0  # the blocks fill the other 63 entries
+        for name, index in _BLOCKS.items():
+            block, part = _as_numbers(getattr(self, name), name), grid[index]
+            if block.shape != part.shape:
+                raise ValidationError(f"{name} must have shape {part.shape}, got {block.shape}")
+            part[...] = block
+        grid = _frozen_array(grid, "Pauli coefficients", (4, 4, 4))  # one check, not seven
+        object.__setattr__(self, "_grid", grid)
+        for name, index in _BLOCKS.items():
+            object.__setattr__(self, name, grid[index])
 
 
 def decompose(state) -> PauliDecomposition:
@@ -78,26 +89,13 @@ def decompose(state) -> PauliDecomposition:
     )
 
 
-def _coefficient_grid(d: PauliDecomposition) -> np.ndarray:
-    c = np.zeros((4, 4, 4))
-    c[0, 0, 0] = 1.0
-    c[1:, 0, 0] = d.alpha
-    c[0, 1:, 0] = d.beta
-    c[0, 0, 1:] = d.gamma
-    c[1:, 1:, 0] = d.R
-    c[1:, 0, 1:] = d.S
-    c[0, 1:, 1:] = d.T
-    c[1:, 1:, 1:] = d.Q
-    return c
-
-
 def reconstruct(d: PauliDecomposition) -> np.ndarray:
     """The 8x8 matrix (1/8)(I + sum of coefficient * Pauli string).
 
     Arbitrary coefficient sets are allowed; the result is always Hermitian
     with unit trace but need not be positive semidefinite.
     """
-    return np.einsum("ijk,ijkab->ab", _coefficient_grid(d), _STRINGS) / 8.0
+    return np.einsum("ijk,ijkab->ab", d._grid, _STRINGS) / 8.0
 
 
 def reconstruct_state(d: PauliDecomposition) -> DensityMatrix:

@@ -8,13 +8,12 @@ is numpy's PCG64 via ``default_rng``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _as_operator, _check_integer, _check_slot, _check_tol
-from .core import _kron, _place, is_hermitian
+from .core import ValidationError, _as_operator, _check_integer, _check_real, _check_slot
+from .core import _frozen_array, _kron, _place, is_hermitian
 
 __all__ = [
     "PureState",
@@ -57,13 +56,6 @@ _PAIR_KETS = {
 }
 
 
-def _check_angle(name: str, value) -> float:
-    """Reject an angle that is a bool, not a real number, or not finite, before any trigonometry."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and np.isfinite(value)):
-        raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _check_partition(partition: str) -> str:
     if partition not in PARTITIONS:
         raise ValidationError(f"unknown bipartition label {partition!r}; expected one of {PARTITIONS}")
@@ -78,20 +70,14 @@ class PureState:
     tol: float = field(default=PURE_NORM_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_tol(self.tol)
-        # a private copy: the caller's array stays writable and cannot reach the state
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if amp.shape != (8,):
-            raise ValidationError(f"pure state needs 8 amplitudes, got {amp.shape}")
-        if not np.all(np.isfinite(amp)):
-            raise ValidationError("pure state amplitudes contain non-finite entries")
+        _check_real("tol", self.tol, 0)
+        amp = _frozen_array(self.amplitudes, "pure state amplitudes", 8, complex)
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > self.tol:
             raise ValidationError(
                 f"pure state norm invariant violated: sum |amp|^2 = {norm_sq!r} "
                 f"differs from 1 by more than {self.tol:g}"
             )
-        amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
 
@@ -103,12 +89,8 @@ class DensityMatrix:
     tol: float = field(default=DM_TRACE_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_tol(self.tol)
-        m = np.array(self.matrix, dtype=complex)  # a private copy, as for PureState
-        if m.shape != (8, 8):
-            raise ValidationError(f"density matrix must be 8x8, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("density matrix contains non-finite entries")
+        _check_real("tol", self.tol, 0)
+        m = _frozen_array(self.matrix, "density matrix", (8, 8), complex)
         herm_tol = max(DM_HERMITIAN_TOL, self.tol)
         if not is_hermitian(m, herm_tol):
             raise ValidationError(
@@ -124,7 +106,6 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix is not positive semidefinite: min eigenvalue {min_eig:.3g}"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -136,11 +117,7 @@ class AcinParameters:
     phi: float
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
-        if lam.shape != (5,):
-            raise ValidationError(f"expected 5 lambda values, got {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise ValidationError(f"lambda values must be finite, got {lam.tolist()!r}")
+        lam = _frozen_array(self.lambdas, "lambda values", 5)
         if np.any(lam < 0):
             raise ValidationError("lambda values must be non-negative")
         total = float(np.sum(lam**2))
@@ -148,10 +125,9 @@ class AcinParameters:
             raise ValidationError(
                 f"lambda normalization invariant violated: sum lambda^2 = {total!r}"
             )
-        phi = _check_angle("phi", self.phi)
+        phi = _check_real("phi", self.phi)
         if not 0.0 <= phi <= np.pi:
             raise ValidationError(f"phi must lie in [0, pi], got {self.phi!r}")
-        lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "phi", phi)
 
@@ -165,7 +141,7 @@ def ghz() -> PureState:
 
 def generalized_ghz(alpha: float) -> PureState:
     """cos(alpha)|000> + sin(alpha)|111>; ``alpha`` must be a finite number."""
-    alpha = _check_angle("generalized-ghz angle", alpha)
+    alpha = _check_real("generalized-ghz angle", alpha)
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = np.cos(alpha)
     amp[0b111] = np.sin(alpha)
@@ -191,7 +167,7 @@ def canonical_biseparable(partition: str, alpha: float) -> PureState:
     split-off qubit of ``partition`` is left in |0>.
     """
     idx01, idx10 = _PAIR_KETS[_check_partition(partition)]
-    alpha = _check_angle("canonical-biseparable angle", alpha)
+    alpha = _check_real("canonical-biseparable angle", alpha)
     amp = np.zeros(8, dtype=complex)
     amp[idx01] = np.cos(alpha)
     amp[idx10] = -np.sin(alpha)
@@ -306,17 +282,7 @@ def mix(states, weights) -> DensityMatrix:
     The loosest validation tolerance among the inputs carries over (a convex
     mixture cannot exceed the worst input's trace deviation).
     """
-    try:
-        weights = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"mixture weights must be numbers, got {weights!r}") from exc
-    if weights.shape != (len(states),):
-        raise ValidationError(
-            f"need a 1-D array of one weight per state: got {len(states)} states "
-            f"and weights of shape {weights.shape}"
-        )
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError(f"mixture weights must be finite, got {weights.tolist()!r}")
+    weights = _frozen_array(weights, "mixture weights", (len(states),))
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-9:
@@ -352,6 +318,8 @@ def random_local_unitaries(rng: np.random.Generator) -> np.ndarray:
     One stacked QR of three complex Ginibre matrices, drawn in turn (real
     then imaginary part of each); the phases of R's diagonal move into Q.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     z = np.stack([
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)
     ]) / np.sqrt(2.0)
@@ -362,6 +330,8 @@ def random_local_unitaries(rng: np.random.Generator) -> np.ndarray:
 
 def apply_local_unitaries(psi: PureState, us) -> PureState:
     """(U1 (x) U2 (x) U3)|psi> for a finite (3, 2, 2) stack ``us``; norm and its slack are kept."""
+    if not isinstance(psi, PureState):
+        raise ValidationError(f"expected PureState, got {type(psi).__name__}")
     us = _as_operator(us, "local unitaries", stacked=True)
     if us.shape != (3, 2, 2):
         raise ValidationError(f"local unitaries must be a (3, 2, 2) stack, got shape {us.shape}")

@@ -57,7 +57,7 @@ class TestObservable:
             observable(np.array([1.0, 1.0, 0.0]))
 
     def test_nan_rejected(self):
-        with pytest.raises(ValidationError, match="unit"):
+        with pytest.raises(ValidationError, match="Bloch vector must be finite"):
             observable(np.array([np.nan, 0.0, 0.0]))
 
 

@@ -77,7 +77,7 @@ class TestExclusionRules:
         ],
     )
     def test_malformed_maxima_rejected(self, m):
-        with pytest.raises(ValidationError, match="three finite numbers"):
+        with pytest.raises(ValidationError, match="finite number"):
             excluded_classes(m, 1e-6)
 
     def test_maxima_may_be_an_array_or_list(self):
@@ -95,6 +95,14 @@ class TestExclusionRules:
             m2 = m.copy()
             m2[axis] += rng.uniform(0, 0.3)
             assert base <= set(excluded_classes(tuple(m2), 1e-6))
+
+    def test_exclusions_only_shrink_as_the_margin_grows(self):
+        rng = np.random.default_rng(8)
+        margins = np.sort(rng.uniform(1e-9, 0.5, size=12))
+        for _ in range(60):
+            m = tuple(rng.uniform(0.8, SQ2, size=3))
+            verdicts = [set(excluded_classes(m, margin)) for margin in margins]
+            assert all(later <= earlier for earlier, later in zip(verdicts, verdicts[1:]))
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ValidationError, match="margin"):
@@ -275,3 +283,16 @@ class TestFigureProjection:
     def test_bad_plane_rejected(self):
         with pytest.raises(ValidationError, match="plane"):
             figure_projection([], "21")
+
+    @pytest.mark.parametrize(
+        "u, v, name",
+        [(np.nan, 0.0, "u"), (0.0, np.inf, "v"), (-np.inf, 0.5, "u"), (True, 0.5, "u"), (0.5, "1", "v")],
+    )
+    def test_non_finite_coordinate_rejected(self, u, v, name):
+        """NaN fails every comparison, so it used to land in region II."""
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
+            region_label(u, v)
+
+    def test_non_finite_point_rejected_by_projection(self):
+        with pytest.raises(ValidationError, match="^u must be a finite number"):
+            figure_projection([RegionPoint(np.nan, 0.0, 0.0, "x")])

@@ -186,6 +186,19 @@ class TestOptimize:
         code, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega")
         assert json.loads(out)["value"] == pytest.approx(3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", ["2", "5"])
+    def test_settings_rounding_noise_prints_as_zero(self, capsys, seed):
+        """The ascent ends a few ulp off exact zeros (-3.7e-18, 2.8e-26, ...); those print as 0.0."""
+        code, out, _ = run_cli(
+            capsys, "optimize", "builtin:phi-plus-otimes-0", "--omega", "--seed", seed
+        )
+        payload = json.loads(out)
+        rows = np.array([payload["settings"]["a"], payload["settings"]["b"]])
+        assert code == EXIT_OK
+        assert np.all((rows == 0.0) | (np.abs(rows) >= 1e-12))
+        assert np.count_nonzero(rows == 0.0) >= 2
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0, atol=1e-8)
+
     def test_index_and_omega_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "builtin:ghz", "1", "--omega")
         assert code == EXIT_INPUT
@@ -195,6 +208,12 @@ class TestOptimize:
 
 
 class TestClassify:
+    def test_tiny_margin_prints_as_given(self, capsys):
+        """Only settings entries lose their rounding noise; a margin of 1e-13 prints as it is."""
+        code, out, _ = run_cli(capsys, "classify", "builtin:000", "--margin", "1e-13")
+        assert code == EXIT_OK
+        assert json.loads(out)["margin"] == 1e-13
+
     def test_ghz_excludes_all(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "builtin:ghz")
         payload = json.loads(out)

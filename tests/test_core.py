@@ -1,9 +1,12 @@
-"""Tensor algebra: Kronecker products, slot placement, trace expectations."""
+"""Tensor algebra: Kronecker products, slot placement, trace expectations; the intake."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from test_states import decomposition_with
 
 from tribell.core import (
     I2,
@@ -17,7 +20,17 @@ from tribell.core import (
     _place,
     expectation_matrix,
 )
-from tribell.states import ghz, maximally_mixed, random_pure, to_density
+from tribell.bell import MeasurementSettings, observable
+from tribell.states import (
+    AcinParameters,
+    DensityMatrix,
+    PureState,
+    ghz,
+    maximally_mixed,
+    mix,
+    random_pure,
+    to_density,
+)
 
 
 def k3(a, b, c):
@@ -266,3 +279,77 @@ def _xx_like():
     m = np.zeros((8, 8), dtype=complex)
     m[0, 1] = m[1, 0] = 1.0
     return m
+
+
+# (name in the message, constructor of one input, a valid input to spoil)
+_INTAKES = {
+    "pure": ("pure state amplitudes", PureState, np.eye(8)[0]),
+    "density": ("density matrix", DensityMatrix, np.eye(8) / 8),
+    "settings-a": ("a", lambda x: MeasurementSettings(x, np.eye(3)), np.eye(3)),
+    "settings-b": ("b", lambda x: MeasurementSettings(np.eye(3), x), np.eye(3)),
+    "settings-aligned": ("aligned vector", MeasurementSettings.aligned, np.array([0.0, 0.0, 1.0])),
+    "observable": ("Bloch vector", observable, np.array([0.0, 0.0, 1.0])),
+    "acin": ("lambda values", lambda x: AcinParameters(x, 0.0), np.eye(5)[0]),
+    **{
+        f"pauli-{name}": (name, lambda x, name=name: decomposition_with(**{name: x}), np.zeros(shape))
+        for name, shape in [("alpha", 3), ("beta", 3), ("gamma", 3), ("R", (3, 3)),
+                            ("S", (3, 3)), ("T", (3, 3)), ("Q", (3, 3, 3))]
+    },
+    "mix-weights": ("mixture weights", lambda x: mix([maximally_mixed()] * 2, x), np.array([0.5, 0.5])),
+}
+
+
+def _ragged(valid):
+    rows = valid.reshape(len(valid), -1).tolist()
+    return rows[:-1] + [rows[-1] + [0.0]]
+
+
+def _with_nan(valid):
+    spoiled = valid.astype(float)
+    spoiled.flat[-1] = np.nan
+    return spoiled
+
+
+_SPOILERS = {
+    "string": (lambda v: v.astype(str), "must be numbers, got dtype <U"),
+    "bool": (lambda v: v.astype(bool), "must be numbers, got dtype bool"),
+    "ragged": (_ragged, "must be numbers, got a ragged nest"),
+    "nan": (_with_nan, "must be finite numbers"),
+    "complex": (lambda v: v + 0j, "must be real numbers"),
+}
+# amplitudes and density matrices are complex, so a complex entry is no fault there
+_CASES = [
+    (intake, spoiler)
+    for intake in _INTAKES
+    for spoiler in _SPOILERS
+    if not (spoiler == "complex" and intake in ("pure", "density"))
+]
+
+
+class TestIntake:
+    """Every array from outside goes through one intake with one set of refusals.
+
+    numpy alone would parse strings, read bools as 0 and 1, drop imaginary
+    parts with a warning, and raise its own error on ragged nesting.  The
+    seven Pauli blocks are checked for finiteness once, as one grid.
+    """
+
+    @pytest.mark.parametrize("intake, spoiler", _CASES, ids=[f"{i}-{s}" for i, s in _CASES])
+    def test_malformed_array_rejected_by_name(self, intake, spoiler):
+        name, build, valid = _INTAKES[intake]
+        spoil, message = _SPOILERS[spoiler]
+        build(valid)  # the unspoiled input is accepted
+        if spoiler == "nan" and intake.startswith("pauli-"):
+            name = "Pauli coefficients"
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}"):
+            build(spoil(valid))
+
+    @pytest.mark.parametrize("spoil", [lambda m: m.astype(str), lambda m: m.astype(bool)],
+                             ids=["string", "bool"])
+    def test_dense_path_refuses_the_same_dtypes(self, spoil):
+        """Operators and states on the dense path are refused the same way, though not copied."""
+        obs = k3(SZ, SZ, SZ).real
+        with pytest.raises(ValidationError, match="^observable must be numbers"):
+            expectation_matrix(spoil(obs), maximally_mixed())
+        with pytest.raises(ValidationError, match="^state must be numbers"):
+            expectation_matrix(obs, spoil(np.eye(8)))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
-from tribell.bell import expectation_bell, multiaffine_form, omega, random_settings
+from tribell.bell import MeasurementSettings, expectation_bell, multiaffine_form, omega, random_settings
 from tribell.classify import _draw_state
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
@@ -21,12 +21,12 @@ from tribell.optimize import (
     _pair_power,
     _result_for_rows,
     _retract,
-    _settings_of,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
     planar_grid_max,
     seesaw_max_abs_d,
+    seesaw_max_abs_d_many,
 )
 from tribell.pauli import decompose
 from tribell.states import (
@@ -346,6 +346,24 @@ class TestSphereSearch:
         sigma = np.linalg.svd(t, compute_uv=False)
         assert np.all(_pair_power(t) >= sigma[:, 0] ** 2 + sigma[:, 1] ** 2 - 1e-12)
 
+    def test_brackets_of_locally_rotated_states_overlap(self):
+        """m_i is invariant under local unitaries, so the two brackets of U rho U^dagger and rho meet.
+
+        Where both searches converged, both ends agree to twice the search tolerance.
+        """
+        rng = np.random.default_rng(2024)
+        states = [random_pure(seed) for seed in range(12)]
+        states += [canonical_biseparable(p, 0.6) for p in PARTITIONS] + [ghz(), w_state()]
+        rotated = [apply_local_unitaries(psi, random_local_unitaries(rng)) for psi in states]
+        for i in (1, 2, 3):
+            pairs = zip(seesaw_max_abs_d_many(states, i), seesaw_max_abs_d_many(rotated, i))
+            for k, (one, other) in enumerate(pairs):
+                assert one.value <= other.upper + 1e-12, (i, k)
+                assert other.value <= one.upper + 1e-12, (i, k)
+                if one.converged and other.converged:
+                    assert abs(one.value - other.value) <= 2 * SPHERE_TOL, (i, k)
+                    assert abs(one.upper - other.upper) <= 2 * SPHERE_TOL, (i, k)
+
 
 class TestTieRule:
     def test_first_start_within_tolerance_gives_the_settings(self):
@@ -355,7 +373,7 @@ class TestTieRule:
         obj = np.array([1.0, 1.0 + 1e-13])
         best = _best_row(obj)
         res = _result_for_rows(
-            obj, best, _settings_of(vecs[best]), 1.0, np.array([3, 7]), np.array([True, False]),
+            obj, best, MeasurementSettings(*vecs[best]), 1.0, np.array([3, 7]), np.array([True, False]),
         )
         assert best == 0
         assert res.value == obj[1]

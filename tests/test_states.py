@@ -5,6 +5,7 @@ import pytest
 
 from tribell.bell import MeasurementSettings
 from tribell.core import ValidationError
+from tribell.pauli import PauliDecomposition
 from tribell.states import (
     AcinParameters,
     DensityMatrix,
@@ -27,6 +28,13 @@ from tribell.states import (
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def decomposition_with(**blocks):
+    """Zero Pauli coefficient blocks, with the given ones in their place."""
+    zero = {"alpha": np.zeros(3), "beta": np.zeros(3), "gamma": np.zeros(3), "R": np.zeros((3, 3)),
+            "S": np.zeros((3, 3)), "T": np.zeros((3, 3)), "Q": np.zeros((3, 3, 3))}
+    return PauliDecomposition(**dict(zero, **blocks))
 
 
 class TestCanonicalStates:
@@ -237,9 +245,9 @@ class TestDensityOps:
             mix([rho], [0.5, 0.5])
         # one weight per state, as a 1-D array: no scalar, no nesting
         for weights in (1.0, [[0.5, 0.5]], [[0.5], [0.5]]):
-            with pytest.raises(ValidationError, match="one weight per state"):
+            with pytest.raises(ValidationError, match="mixture weights must have shape"):
                 mix([rho, rho], weights)
-        with pytest.raises(ValidationError, match="one weight per state"):
+        with pytest.raises(ValidationError, match="mixture weights must have shape"):
             mix([rho], [[1.0]])
         for weights in ("ab", ["x", 1.0], [[0.5], [0.5, 0.0]]):
             with pytest.raises(ValidationError, match="must be numbers"):
@@ -315,18 +323,23 @@ class TestValidation:
             DensityMatrix(bad.T)
 
     @pytest.mark.parametrize(
-        "build, attr",
+        "build, construct, attr",
         [
-            (lambda: np.eye(8, dtype=complex)[0], "amplitudes"),
-            (lambda: np.eye(8, dtype=complex)[[0]], "amplitudes"),
-            (lambda: np.eye(8, dtype=complex) / 8, "matrix"),
+            (lambda: np.eye(8, dtype=complex)[0], PureState, "amplitudes"),
+            (lambda: np.eye(8, dtype=complex)[[0]], PureState, "amplitudes"),
+            (lambda: np.eye(8, dtype=complex) / 8, DensityMatrix, "matrix"),
+            (lambda: np.eye(3), lambda a: MeasurementSettings(a, a), "a"),
+            (lambda: np.eye(3), lambda b: MeasurementSettings(np.eye(3), b), "b"),
+            (lambda: np.eye(5)[0], lambda lam: AcinParameters(lam, 0.0), "lambdas"),
+            (lambda: np.zeros((3, 3, 3)), lambda q: decomposition_with(Q=q), "Q"),
+            (lambda: np.zeros(3), lambda alpha: decomposition_with(alpha=alpha), "alpha"),
         ],
-        ids=["pure", "pure-2d", "density"],
+        ids=["pure", "pure-2d", "density", "settings-a", "settings-b", "acin", "pauli-Q", "pauli-alpha"],
     )
-    def test_state_owns_its_array(self, build, attr):
-        """The caller's array stays writable, and editing it afterwards does not reach the state."""
+    def test_state_owns_its_array(self, build, construct, attr):
+        """The caller's array stays writable, and editing it afterwards does not reach the object."""
         given = build()
-        state = (PureState if attr == "amplitudes" else DensityMatrix)(given)
+        state = construct(given)
         before = getattr(state, attr).copy()
         assert given.flags.writeable
         given.flat[0] = 5.0
@@ -390,6 +403,16 @@ class TestLocalUnitaries:
     def test_apply_rejects_a_malformed_stack(self, us):
         with pytest.raises(ValidationError, match="local unitaries"):
             apply_local_unitaries(random_pure(3), us)
+
+    def test_apply_takes_a_pure_state_only(self):
+        us = random_local_unitaries(np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="expected PureState, got DensityMatrix"):
+            apply_local_unitaries(maximally_mixed(), us)
+
+    @pytest.mark.parametrize("rng", [5, None, np.random.RandomState(5)], ids=["int", "none", "legacy"])
+    def test_draw_takes_a_generator_only(self, rng):
+        with pytest.raises(ValidationError, match="rng must be a numpy Generator"):
+            random_local_unitaries(rng)
 
     def test_apply_preserves_norm(self):
         rng = np.random.default_rng(1)
