@@ -136,6 +136,12 @@ def _pair_operator(obs_a: np.ndarray, obs_b: np.ndarray, p: int, q: int) -> np.n
     return (_kron(ap, aq) + _kron(ap, bq) + _kron(bp, aq) - _kron(bp, bq)) / 2.0
 
 
+def _check_settings(m) -> MeasurementSettings:
+    if not isinstance(m, MeasurementSettings):
+        raise ValidationError(f"expected MeasurementSettings, got {type(m).__name__}")
+    return m
+
+
 def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     """CHSH-type pair operator on the two qubits other than ``excluded``.
 
@@ -143,6 +149,7 @@ def wwzb_pair(m: MeasurementSettings, excluded: int) -> np.ndarray:
     (A_p A_q + A_p B_q + B_p A_q - B_p B_q)/2 as a 4x4 matrix whose first
     tensor factor is qubit p.  Operator norm is at most sqrt(2).
     """
+    m = _check_settings(m)
     p, q = _pair_indices(excluded)
     return _pair_operator(_obs_unchecked(m.a), _obs_unchecked(m.b), p, q)
 
@@ -163,13 +170,8 @@ def _bell_operators(a, b, i: int) -> np.ndarray:
 
 def bell_operator(m: MeasurementSettings, i: int) -> np.ndarray:
     """The 8x8 Hermitian operator D_i at settings ``m``."""
+    m = _check_settings(m)
     return _bell_operators(m.a, m.b, i)
-
-
-def _check_settings(m) -> MeasurementSettings:
-    if not isinstance(m, MeasurementSettings):
-        raise ValidationError(f"expected MeasurementSettings, got {type(m).__name__}")
-    return m
 
 
 def expectation_bell(rho, m, i: int):
@@ -187,7 +189,7 @@ def expectation_bell(rho, m, i: int):
         expectation_bell([rho1, rho2], [m1, m2], 1)   # one setting per state
     """
     if not isinstance(rho, (list, tuple)):
-        return float(_expectations(bell_operator(_check_settings(m), i), as_density(rho).matrix))
+        return float(_expectations(bell_operator(m, i), as_density(rho).matrix))
     if isinstance(m, MeasurementSettings):
         a, b = m.a, m.b
     else:
@@ -222,7 +224,7 @@ def multiaffine_form(d: PauliDecomposition) -> np.ndarray:
     """
     if not isinstance(d, PauliDecomposition):
         raise ValidationError(f"expected PauliDecomposition, got {type(d).__name__}")
-    return _TERMS * d._grid[np.ix_(_PAULI, _PAULI, _PAULI)]
+    return _TERMS * d.grid[np.ix_(_PAULI, _PAULI, _PAULI)]
 
 
 def _homogeneous(a, b) -> np.ndarray:

@@ -238,6 +238,8 @@ def figure_projection(points, plane="12") -> list[tuple]:
     iu, iv = _PLANES[key]
     rows = []
     for pt in points:
+        if not isinstance(pt, RegionPoint):
+            raise ValidationError(f"expected RegionPoint, got {type(pt).__name__}")
         coords = (pt.d1, pt.d2, pt.d3)
         u, v = coords[iu], coords[iv]
         rows.append((u, v, region_label(u, v), pt.source_class))

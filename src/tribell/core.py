@@ -131,7 +131,8 @@ def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
     """``value`` as an ndarray of ``dtype``, uncopied where numpy allows.
 
     Refuses what numpy would parse, count or drop: strings, bools, objects,
-    ragged nests, and complex entries for a real ``dtype``.
+    ragged nests, and complex entries for a real ``dtype``.  A list or tuple
+    is also scanned for bools, which numpy would upcast; an ndarray's dtype tells.
     """
     try:
         arr = np.asarray(value)
@@ -139,6 +140,10 @@ def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
         raise ValidationError(f"{name} must be numbers, got a ragged nest") from exc
     if arr.dtype.kind not in "iufc":
         raise ValidationError(f"{name} must be numbers, got dtype {arr.dtype}")
+    if isinstance(value, (list, tuple)) and any(
+        np.asarray(x).dtype == bool for x in np.asarray(value, dtype=object).flat
+    ):
+        raise ValidationError(f"{name} must be numbers, got a bool")
     if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValidationError(f"{name} must be real numbers, got complex entries")
     return arr.astype(dtype, copy=False)

@@ -45,7 +45,7 @@ from .bell import (
     multiaffine_form,
     omega as omega_matrix,
 )
-from .core import ConsistencyError, ValidationError, _check_integer, _check_slot
+from .core import ConsistencyError, ValidationError, _check_integer, _check_real, _check_slot
 from .pauli import decompose
 from .states import as_density, ghz, to_density
 
@@ -382,9 +382,9 @@ def seesaw_max_abs_d_many(states, i: int):
     states = [as_density(s) for s in states]
     if not states:
         return []
-    decs = [decompose(rho) for rho in states]
-    alpha = np.stack([(d.alpha, d.beta, d.gamma)[i - 1] for d in decs])
-    q_i = np.moveaxis(np.stack([d.Q for d in decs]), i, 1)
+    grid = np.moveaxis(np.stack([decompose(rho).grid for rho in states]), i, 1)  # slot i first
+    # dense copies keep the search's row gathers fast; views of the grid slow them
+    alpha, q_i = np.copy(grid[:, 1:, 0, 0]), np.copy(grid[:, 1:, 1:, 1:])
     direction, lower, upper = _sphere_search(alpha, q_i)
     # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
     converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
@@ -560,7 +560,8 @@ def planar_case_settings(theta1: float, theta2: float, theta3: float) -> Measure
     Equivalently a_i and b_i are planar unit vectors at angles t_i + pi/4 and
     t_i - pi/4.
     """
-    thetas = np.array([theta1, theta2, theta3], dtype=float)
+    thetas = (theta1, theta2, theta3)
+    thetas = np.array([_check_real(f"theta{k}", t) for k, t in enumerate(thetas, start=1)])
     return MeasurementSettings(_planar(thetas + np.pi / 4), _planar(thetas - np.pi / 4))
 
 
@@ -571,9 +572,9 @@ def omega_planar_oracle(theta1: float, theta2: float, theta3: float) -> float:
     cross-checks it against the matrix-path omega at the corresponding
     settings before returning.
     """
+    settings = planar_case_settings(theta1, theta2, theta3)  # checks the angles
     total = theta1 + theta2 + theta3
     closed = 1.5 * (np.cos(total) - np.sin(total)) ** 2
-    settings = planar_case_settings(theta1, theta2, theta3)
     direct = omega_matrix(to_density(ghz()), settings)
     if abs(direct - closed) > DUAL_PATH_TOL:
         raise ConsistencyError(

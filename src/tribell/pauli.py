@@ -9,7 +9,10 @@ Any 8x8 density matrix expands as
 with s_i^j the i-th Pauli matrix on qubit j and all coefficients real.  The
 squared norms of these coefficient blocks are invariant under local unitaries;
 for every pure state the two-body norms sum to 3 and |Q|^2 + |a|^2 + |b|^2
-+ |c|^2 = 4, which pins |Q| between 1 (product states) and 2 (GHZ).
++ |c|^2 = 4, which pins |Q| between 1 (product states) and 2 (GHZ).  All 64
+coefficients are kept as one (4, 4, 4) grid indexed like the Pauli strings
+(0 = identity), so a = grid[1:, 0, 0] and Q = grid[1:, 1:, 1:]; its [0, 0, 0]
+entry, the trace, is exactly 1.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULIS, ValidationError, _as_numbers, _frozen_array
+from .core import PAULIS, ValidationError, _frozen_array
 from .states import DensityMatrix, as_density
 
 __all__ = [
@@ -36,57 +39,40 @@ _STRINGS = np.einsum("iab,jcd,kef->ijkacebdf", PAULIS, PAULIS, PAULIS).reshape(
 )
 _STRINGS.setflags(write=False)
 
-#: where each block sits in the (4, 4, 4) grid of all coefficients, indexed like _STRINGS
-_BLOCKS = {"alpha": np.s_[1:, 0, 0], "beta": np.s_[0, 1:, 0], "gamma": np.s_[0, 0, 1:],
-           "R": np.s_[1:, 1:, 0], "S": np.s_[1:, 0, 1:], "T": np.s_[0, 1:, 1:], "Q": np.s_[1:, 1:, 1:]}
-
 
 @dataclass(frozen=True, eq=False)
 class PauliDecomposition:
-    """Real coefficient blocks of the 3-qubit Pauli expansion.
+    """3-qubit Pauli coefficients ``grid[i, j, k]`` = tr(rho s_i (x) s_j (x) s_k), 0 = identity.
 
-    Each block is a read-only view into one private (4, 4, 4) grid ``_grid``: finite
-    floats copied from the arguments, indexed like the Pauli strings, [0, 0, 0] = 1.
+    ``grid`` is a private read-only copy of finite floats whose [0, 0, 0]
+    entry, the trace, must be exactly 1; the seven blocks are views of it.
     """
 
-    alpha: np.ndarray  # (3,)   single-qubit terms, qubit 1
-    beta: np.ndarray   # (3,)   qubit 2
-    gamma: np.ndarray  # (3,)   qubit 3
-    R: np.ndarray      # (3,3)  qubits 1,2
-    S: np.ndarray      # (3,3)  qubits 1,3
-    T: np.ndarray      # (3,3)  qubits 2,3
-    Q: np.ndarray      # (3,3,3) full three-body tensor
+    grid: np.ndarray
 
     def __post_init__(self):
-        grid = np.empty((4, 4, 4))
-        grid[0, 0, 0] = 1.0  # the blocks fill the other 63 entries
-        for name, index in _BLOCKS.items():
-            block, part = _as_numbers(getattr(self, name), name), grid[index]
-            if block.shape != part.shape:
-                raise ValidationError(f"{name} must have shape {part.shape}, got {block.shape}")
-            part[...] = block
-        grid = _frozen_array(grid, "Pauli coefficients", (4, 4, 4))  # one check, not seven
-        object.__setattr__(self, "_grid", grid)
-        for name, index in _BLOCKS.items():
-            object.__setattr__(self, name, grid[index])
+        grid = _frozen_array(self.grid, "Pauli coefficients", (4, 4, 4))
+        if grid[0, 0, 0] != 1.0:  # the identity's coefficient, the trace
+            raise ValidationError(f"Pauli coefficients must have [0, 0, 0] = 1, got {grid.flat[0]}")
+        object.__setattr__(self, "grid", grid)
+
+    alpha = property(lambda self: self.grid[1:, 0, 0], doc="(3,) single-qubit terms, qubit 1")
+    beta = property(lambda self: self.grid[0, 1:, 0], doc="(3,) single-qubit terms, qubit 2")
+    gamma = property(lambda self: self.grid[0, 0, 1:], doc="(3,) single-qubit terms, qubit 3")
+    R = property(lambda self: self.grid[1:, 1:, 0], doc="(3, 3) two-body terms, qubits 1, 2")
+    S = property(lambda self: self.grid[1:, 0, 1:], doc="(3, 3) two-body terms, qubits 1, 3")
+    T = property(lambda self: self.grid[0, 1:, 1:], doc="(3, 3) two-body terms, qubits 2, 3")
+    Q = property(lambda self: self.grid[1:, 1:, 1:], doc="(3, 3, 3) full three-body tensor")
 
 
 def decompose(state) -> PauliDecomposition:
-    """Coefficients tr(rho P) for every non-identity Pauli string P.
+    """Coefficients tr(rho P) for every Pauli string P, identity included.
 
     Accepts a PureState or a DensityMatrix.
     """
-    rho = as_density(state).matrix
-    coeffs = np.einsum("ijkab,ba->ijk", _STRINGS, rho).real
-    return PauliDecomposition(
-        alpha=coeffs[1:, 0, 0],
-        beta=coeffs[0, 1:, 0],
-        gamma=coeffs[0, 0, 1:],
-        R=coeffs[1:, 1:, 0],
-        S=coeffs[1:, 0, 1:],
-        T=coeffs[0, 1:, 1:],
-        Q=coeffs[1:, 1:, 1:],
-    )
+    grid = np.einsum("ijkab,ba->ijk", _STRINGS, as_density(state).matrix).real
+    grid[0, 0, 0] = 1.0  # tr(rho) is 1 within tolerance; the expansion takes it exact
+    return PauliDecomposition(grid)
 
 
 def reconstruct(d: PauliDecomposition) -> np.ndarray:
@@ -95,7 +81,7 @@ def reconstruct(d: PauliDecomposition) -> np.ndarray:
     Arbitrary coefficient sets are allowed; the result is always Hermitian
     with unit trace but need not be positive semidefinite.
     """
-    return np.einsum("ijk,ijkab->ab", d._grid, _STRINGS) / 8.0
+    return np.einsum("ijk,ijkab->ab", d.grid, _STRINGS) / 8.0
 
 
 def reconstruct_state(d: PauliDecomposition) -> DensityMatrix:

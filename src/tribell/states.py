@@ -282,6 +282,8 @@ def mix(states, weights) -> DensityMatrix:
     The loosest validation tolerance among the inputs carries over (a convex
     mixture cannot exceed the worst input's trace deviation).
     """
+    if not isinstance(states, (list, tuple)):
+        raise ValidationError(f"states must be a list or tuple, got {type(states).__name__}")
     weights = _frozen_array(weights, "mixture weights", (len(states),))
     if np.any(weights < 0):
         raise ValidationError("mixture weights must be non-negative")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from test_states import decomposition_with
+from test_states import identity_grid
 
 from tribell.core import (
     I2,
@@ -20,7 +20,10 @@ from tribell.core import (
     _place,
     expectation_matrix,
 )
-from tribell.bell import MeasurementSettings, observable
+from tribell.bell import MeasurementSettings, bell_operator, observable, wwzb_pair
+from tribell.classify import figure_projection
+from tribell.optimize import omega_planar_oracle, planar_case_settings
+from tribell.pauli import PauliDecomposition
 from tribell.states import (
     AcinParameters,
     DensityMatrix,
@@ -281,6 +284,26 @@ def _xx_like():
     return m
 
 
+#: where each Pauli block sits in the (4, 4, 4) coefficient grid
+_BLOCK_AT = {"alpha": np.s_[1:, 0, 0], "beta": np.s_[0, 1:, 0], "gamma": np.s_[0, 0, 1:],
+             "R": np.s_[1:, 1:, 0], "S": np.s_[1:, 0, 1:], "T": np.s_[0, 1:, 1:], "Q": np.s_[1:, 1:, 1:]}
+
+
+def _grid_with(name, block):
+    """The identity grid with ``block`` in the place of Pauli block ``name``.
+
+    An array block gives the whole grid its dtype; a nest (ragged, or with a
+    bool inside) leaves a nest, so a spoiled block spoils the grid alike.
+    """
+    if isinstance(block, np.ndarray):
+        grid = identity_grid().astype(block.dtype)
+        grid[_BLOCK_AT[name]] = block
+        return grid
+    grid = identity_grid().astype(object)
+    grid[_BLOCK_AT[name]] = np.array(block, dtype=object)
+    return grid.tolist()
+
+
 # (name in the message, constructor of one input, a valid input to spoil)
 _INTAKES = {
     "pure": ("pure state amplitudes", PureState, np.eye(8)[0]),
@@ -290,10 +313,11 @@ _INTAKES = {
     "settings-aligned": ("aligned vector", MeasurementSettings.aligned, np.array([0.0, 0.0, 1.0])),
     "observable": ("Bloch vector", observable, np.array([0.0, 0.0, 1.0])),
     "acin": ("lambda values", lambda x: AcinParameters(x, 0.0), np.eye(5)[0]),
+    "pauli-grid": ("Pauli coefficients", PauliDecomposition, identity_grid()),
     **{
-        f"pauli-{name}": (name, lambda x, name=name: decomposition_with(**{name: x}), np.zeros(shape))
-        for name, shape in [("alpha", 3), ("beta", 3), ("gamma", 3), ("R", (3, 3)),
-                            ("S", (3, 3)), ("T", (3, 3)), ("Q", (3, 3, 3))]
+        f"pauli-{name}": ("Pauli coefficients", lambda x, name=name: PauliDecomposition(_grid_with(name, x)),
+                          np.zeros(identity_grid()[index].shape))
+        for name, index in _BLOCK_AT.items()
     },
     "mix-weights": ("mixture weights", lambda x: mix([maximally_mixed()] * 2, x), np.array([0.5, 0.5])),
 }
@@ -310,12 +334,22 @@ def _with_nan(valid):
     return spoiled
 
 
+def _mixed_bool(valid):
+    nest = valid.tolist()
+    row = nest
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = True  # numpy alone would read the list as numbers, with True as 1
+    return nest
+
+
 _SPOILERS = {
     "string": (lambda v: v.astype(str), "must be numbers, got dtype <U"),
     "bool": (lambda v: v.astype(bool), "must be numbers, got dtype bool"),
     "ragged": (_ragged, "must be numbers, got a ragged nest"),
     "nan": (_with_nan, "must be finite numbers"),
     "complex": (lambda v: v + 0j, "must be real numbers"),
+    "mixed-bool": (_mixed_bool, "must be numbers, got a bool"),
 }
 # amplitudes and density matrices are complex, so a complex entry is no fault there
 _CASES = [
@@ -330,8 +364,9 @@ class TestIntake:
     """Every array from outside goes through one intake with one set of refusals.
 
     numpy alone would parse strings, read bools as 0 and 1, drop imaginary
-    parts with a warning, and raise its own error on ragged nesting.  The
-    seven Pauli blocks are checked for finiteness once, as one grid.
+    parts with a warning, and raise its own error on ragged nesting.  A bool
+    inside a list is refused too, though numpy would upcast it.  The Pauli
+    grid is one intake; a fault in any of its seven blocks is refused by it.
     """
 
     @pytest.mark.parametrize("intake, spoiler", _CASES, ids=[f"{i}-{s}" for i, s in _CASES])
@@ -339,8 +374,6 @@ class TestIntake:
         name, build, valid = _INTAKES[intake]
         spoil, message = _SPOILERS[spoiler]
         build(valid)  # the unspoiled input is accepted
-        if spoiler == "nan" and intake.startswith("pauli-"):
-            name = "Pauli coefficients"
         with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}"):
             build(spoil(valid))
 
@@ -353,3 +386,20 @@ class TestIntake:
             expectation_matrix(spoil(obs), maximally_mixed())
         with pytest.raises(ValidationError, match="^state must be numbers"):
             expectation_matrix(obs, spoil(np.eye(8)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bell_operator("x", 1), "expected MeasurementSettings, got str"),
+            (lambda: wwzb_pair("x", 1), "expected MeasurementSettings, got str"),
+            (lambda: planar_case_settings(float("inf"), 0, 0), "theta1 must be a finite number"),
+            (lambda: omega_planar_oracle("a", 0, 0), "theta1 must be a finite number"),
+            (lambda: mix(maximally_mixed(), [1.0]), "states must be a list or tuple"),
+            (lambda: figure_projection([(0.1, 0.2, 0.3, "x")]), "expected RegionPoint, got tuple"),
+        ],
+        ids=["bell-operator", "wwzb-pair", "planar-settings", "planar-oracle", "mix-states", "projection"],
+    )
+    def test_wrong_argument_type_rejected(self, call, message):
+        """An argument of the wrong type is refused by name, before numpy or an attribute lookup fails."""
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()

@@ -1,7 +1,10 @@
 """Pauli decomposition, reconstruction round trips, local-unitary invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from test_states import identity_grid
 
 from tribell.core import I2, SX, SY, SZ, ValidationError
 from tribell.pauli import (
@@ -41,6 +44,8 @@ def naive_decompose(rho):
 def assert_matches_naive(state):
     d = decompose(state)
     c = naive_decompose(to_density(state).matrix if isinstance(state, PureState) else state.matrix)
+    assert d.grid[0, 0, 0] == 1.0
+    np.testing.assert_allclose(d.grid, c, atol=1e-12)
     np.testing.assert_allclose(d.alpha, c[1:, 0, 0], atol=1e-12)
     np.testing.assert_allclose(d.beta, c[0, 1:, 0], atol=1e-12)
     np.testing.assert_allclose(d.gamma, c[0, 0, 1:], atol=1e-12)
@@ -90,12 +95,32 @@ class TestDecompose:
             assert_matches_naive(random_pure(seed))
 
 
+class TestGrid:
+    """The (4, 4, 4) grid is the one stored form; the seven blocks are views of it."""
+
+    def test_grid_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(PauliDecomposition)] == ["grid"]
+
+    @pytest.mark.parametrize("trace", [0.0, 1.0 + 2**-52, 8.0])
+    def test_identity_entry_must_be_one(self, trace):
+        grid = identity_grid()
+        grid[0, 0, 0] = trace
+        with pytest.raises(ValidationError, match=r"^Pauli coefficients must have \[0, 0, 0\] = 1"):
+            PauliDecomposition(grid)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "R", "S", "T", "Q"])
+    def test_blocks_are_read_only_views(self, name):
+        d = decompose(random_pure(7))
+        block = getattr(d, name)
+        assert np.shares_memory(block, d.grid)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.0
+
+
 class TestReconstruct:
     def test_zero_coefficients_give_maximally_mixed(self):
-        d = PauliDecomposition(
-            np.zeros(3), np.zeros(3), np.zeros(3),
-            np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3, 3)),
-        )
+        d = PauliDecomposition(identity_grid())
         np.testing.assert_allclose(reconstruct(d), np.eye(8) / 8, atol=0)
 
     def test_round_trip_state_space(self):
@@ -104,35 +129,22 @@ class TestReconstruct:
             np.testing.assert_allclose(reconstruct(decompose(rho)), rho.matrix, atol=1e-12)
 
     def test_round_trip_coefficient_space(self):
-        rng = np.random.default_rng(17)
-        d = PauliDecomposition(
-            rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
-            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3, 3)),
-        )
+        d = PauliDecomposition(random_grid(17))
         back = decompose_raw(reconstruct(d))
         for name in ("alpha", "beta", "gamma", "R", "S", "T", "Q"):
             np.testing.assert_allclose(getattr(back, name), getattr(d, name), atol=1e-12)
 
     def test_reconstruction_is_exactly_hermitian_unit_trace(self):
-        rng = np.random.default_rng(23)
-        d = PauliDecomposition(
-            rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
-            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3, 3)),
-        )
+        d = PauliDecomposition(random_grid(23))
         m = reconstruct(d)
         np.testing.assert_array_equal(m, m.conj().T)  # conjugate pairs round identically
         assert m.trace().real == pytest.approx(1.0, abs=1e-15)  # 1 ulp of addition order
         assert m.trace().imag == 0.0
 
     def test_unphysical_coefficients_flagged(self):
-        q = np.zeros((3, 3, 3))
-        q[0, 0, 0] = 5.0  # far outside the physical range
-        d = PauliDecomposition(
-            np.zeros(3), np.zeros(3), np.zeros(3),
-            np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)), q,
-        )
+        grid = identity_grid()
+        grid[1, 1, 1] = 5.0  # Q[0, 0, 0], far outside the physical range
+        d = PauliDecomposition(grid)
         with pytest.raises(ValidationError, match="positive semidefinite"):
             reconstruct_state(d)
 
@@ -146,12 +158,16 @@ def decompose_raw(matrix):
     """Decompose an arbitrary 8x8 Hermitian matrix without state validation."""
     from tribell import pauli as _p
 
-    coeffs = np.einsum("ijkab,ba->ijk", _p._STRINGS, matrix).real
-    return PauliDecomposition(
-        alpha=coeffs[1:, 0, 0], beta=coeffs[0, 1:, 0], gamma=coeffs[0, 0, 1:],
-        R=coeffs[1:, 1:, 0], S=coeffs[1:, 0, 1:], T=coeffs[0, 1:, 1:],
-        Q=coeffs[1:, 1:, 1:],
-    )
+    grid = np.einsum("ijkab,ba->ijk", _p._STRINGS, matrix).real
+    grid[0, 0, 0] = 1.0
+    return PauliDecomposition(grid)
+
+
+def random_grid(seed):
+    """Coefficients uniform in [-1, 1], with the identity's [0, 0, 0] = 1."""
+    grid = np.random.default_rng(seed).uniform(-1, 1, (4, 4, 4))
+    grid[0, 0, 0] = 1.0
+    return grid
 
 
 class TestInvariants:

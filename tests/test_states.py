@@ -30,11 +30,11 @@ from tribell.states import (
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def decomposition_with(**blocks):
-    """Zero Pauli coefficient blocks, with the given ones in their place."""
-    zero = {"alpha": np.zeros(3), "beta": np.zeros(3), "gamma": np.zeros(3), "R": np.zeros((3, 3)),
-            "S": np.zeros((3, 3)), "T": np.zeros((3, 3)), "Q": np.zeros((3, 3, 3))}
-    return PauliDecomposition(**dict(zero, **blocks))
+def identity_grid():
+    """The Pauli coefficient grid of I/8: zero but for the identity's [0, 0, 0] = 1."""
+    grid = np.zeros((4, 4, 4))
+    grid[0, 0, 0] = 1.0
+    return grid
 
 
 class TestCanonicalStates:
@@ -331,10 +331,13 @@ class TestValidation:
             (lambda: np.eye(3), lambda a: MeasurementSettings(a, a), "a"),
             (lambda: np.eye(3), lambda b: MeasurementSettings(np.eye(3), b), "b"),
             (lambda: np.eye(5)[0], lambda lam: AcinParameters(lam, 0.0), "lambdas"),
-            (lambda: np.zeros((3, 3, 3)), lambda q: decomposition_with(Q=q), "Q"),
-            (lambda: np.zeros(3), lambda alpha: decomposition_with(alpha=alpha), "alpha"),
+            (identity_grid, PauliDecomposition, "grid"),
+            # a writable view of one block in the caller's grid, which is its .base
+            (lambda: identity_grid()[1:, 1:, 1:], lambda q: PauliDecomposition(q.base), "Q"),
+            (lambda: identity_grid()[1:, 0, 0], lambda alpha: PauliDecomposition(alpha.base), "alpha"),
         ],
-        ids=["pure", "pure-2d", "density", "settings-a", "settings-b", "acin", "pauli-Q", "pauli-alpha"],
+        ids=["pure", "pure-2d", "density", "settings-a", "settings-b", "acin", "pauli-grid", "pauli-Q",
+             "pauli-alpha"],
     )
     def test_state_owns_its_array(self, build, construct, attr):
         """The caller's array stays writable, and editing it afterwards does not reach the object."""
