@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import SX, SY, SZ, ValidationError, _check_integer, _check_real, _check_slot
 from .core import _expectations, _frozen_array, _kron, _place
-from .pauli import PauliDecomposition
+from .pauli import PauliDecomposition, _check_decomposition
 from .states import as_density
 
 __all__ = [
@@ -114,9 +114,10 @@ def _obs_unchecked(v) -> np.ndarray:
 def observable(v) -> np.ndarray:
     """The dichotomic observable v . sigma for a unit Bloch vector v."""
     v = _frozen_array(v, "Bloch vector", 3)
-    if abs(np.sum(v**2) - 1.0) > UNIT_TOL:
+    norm_sq = float(np.sum(v**2))
+    if abs(norm_sq - 1.0) > UNIT_TOL:
         raise ValidationError(
-            f"Bloch vector must be unit length within {UNIT_TOL:g}, got |v|^2 = {np.sum(v**2)!r}"
+            f"Bloch vector must be unit length within {UNIT_TOL:g}, got |v|^2 = {norm_sq!r}"
         )
     return _obs_unchecked(v)
 
@@ -180,7 +181,7 @@ def expectation_bell(rho, m, i: int):
     ``rho`` is one state (PureState or DensityMatrix) and ``m`` one
     MeasurementSettings, and the result is a float.  ``rho`` may also be a
     list or tuple of states; ``m`` is then one MeasurementSettings shared by
-    all of them, or a sequence of one per state, and the result is an (n,)
+    all of them, or a list or tuple of one per state, and the result is an (n,)
     array.  A shared D_i is built and validated once for the whole stack,
     per-state operators are built in one stacked call, and every trace is
     bit-identical to the single-state one::
@@ -193,6 +194,10 @@ def expectation_bell(rho, m, i: int):
     if isinstance(m, MeasurementSettings):
         a, b = m.a, m.b
     else:
+        if not isinstance(m, (list, tuple)):
+            raise ValidationError(
+                f"expected MeasurementSettings or a list or tuple of them, got {type(m).__name__}"
+            )
         m = [_check_settings(x) for x in m]
         if len(m) != len(rho):
             raise ValidationError(f"got {len(rho)} states but {len(m)} settings")
@@ -222,9 +227,7 @@ def multiaffine_form(d: PauliDecomposition) -> np.ndarray:
     Each entry is a fixed term weight of D_i times one Pauli coefficient of
     the state (see the module docstring).  The settings need not be unit.
     """
-    if not isinstance(d, PauliDecomposition):
-        raise ValidationError(f"expected PauliDecomposition, got {type(d).__name__}")
-    return _TERMS * d.grid[np.ix_(_PAULI, _PAULI, _PAULI)]
+    return _TERMS * _check_decomposition(d).grid[np.ix_(_PAULI, _PAULI, _PAULI)]
 
 
 def _homogeneous(a, b) -> np.ndarray:

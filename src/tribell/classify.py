@@ -232,6 +232,8 @@ def figure_projection(points, plane="12") -> list[tuple]:
     ``plane`` selects the two retained axes ("12", "13" or "23"); the third
     coordinate is dropped.  Returns rows (u, v, region, source_class).
     """
+    if not isinstance(points, (list, tuple)):
+        raise ValidationError(f"points must be a list or tuple of RegionPoint, got {type(points).__name__}")
     key = str(plane)
     if key not in _PLANES:
         raise ValidationError(f"plane must be one of {tuple(_PLANES)}, got {plane!r}")

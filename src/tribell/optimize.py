@@ -6,12 +6,13 @@
   m_i^2 = max over unit s of sigma_1^2 + sigma_2^2 of T(s) + |alpha_i x s|^2
   (Horodecki et al., Phys. Lett. A 200, 340 (1995)), with T(s) the
   three-body tensor contracted along slot i.  Two closed-form global
-  ceilings can end the search early: a Frobenius bound, and one from the
-  leading singular term of the 3x9 unfolding Q_(i), which is exact on states
-  that are products across cut i; that ceiling's top eigenvector is
-  evaluated as one extra point of the first level.  The reported value is
-  the search's lower end, and its best direction becomes explicit settings
-  in closed form (:func:`_sphere_settings`), which the dense path rechecks.
+  ceilings can end the search early: a Frobenius bound, exact when another
+  qubit is in a product with the rest, and one from the leading singular
+  term of the 3x9 unfolding Q_(i), exact on states that are products across
+  cut i.  Both ceilings' top eigenvectors are points of the first level, so
+  on such states the search ends there.  The reported value is the
+  search's lower end, and its best direction becomes explicit settings in
+  closed form (:func:`_sphere_settings`), which the dense path rechecks.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
   shared setting.  Each expectation is multi-affine in the slots:
   <D_i> = C_i[X_1, X_2, X_3] with X_j = (1, a_j, b_j), and
@@ -219,23 +220,27 @@ def _sphere_values(alpha, q, owner, s):
 
 
 @cache
-def _half_icosahedron() -> np.ndarray:
-    """(10, 3, 3) unit vertices of the icosahedron faces on one side of a generic plane.
+def _half_icosahedron() -> tuple[np.ndarray, np.ndarray]:
+    """The icosahedron faces on one side of a generic plane: (10, 3) unit vertices, (10, 3) faces.
 
     Opposite faces are antipodal, so these and their antipodes tile the
-    sphere; f(s) = f(-s) makes the other ten redundant.  Built once, and
-    read-only because every call shares it.
+    sphere; f(s) = f(-s) makes the other ten redundant.  The ten faces use
+    ten distinct vertices, numbered by first appearance in face order, so
+    ``vertices[faces]`` is the (10, 3, 3) array of the faces' corners.  Built
+    once, and read-only because every call shares it.
     """
     g = (1.0 + 5.0**0.5) / 2.0
     v = np.array([[0.0, x, y * g] for x in (-1, 1) for y in (-1, 1)])
     v = np.concatenate([v, np.roll(v, 1, axis=1), np.roll(v, 2, axis=1)])
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     near = v @ v.T > 0.4  # neighbours are at cos = 1/sqrt(5), the rest at -1/sqrt(5), -1
-    faces = [f for f in combinations(range(12), 3) if near[np.ix_(f, f)].sum() == 9]
-    tri = v[np.array(faces)]
-    half = tri[tri.sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
-    half.setflags(write=False)
-    return half
+    faces = np.array([f for f in combinations(range(12), 3) if near[np.ix_(f, f)].sum() == 9])
+    faces = faces[v[faces].sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
+    used = np.array(list(dict.fromkeys(faces.flat)))  # vertex numbers in first-appearance order
+    vertices, faces = v[used], np.argmax(faces[..., None] == used, axis=-1)
+    for table in (vertices, faces):
+        table.setflags(write=False)
+    return vertices, faces
 
 
 def _heights(tri):
@@ -261,7 +266,12 @@ def _sphere_search(alpha, q):
     O = |alpha|^2 I - alpha alpha^T:
 
     * Frobenius: m^2 <= lambda_max(Q_(i) Q_(i)^T + O), since
-      sigma_1^2 + sigma_2^2 <= |T(s)|_F^2; it ends a flat f such as |000>'s.
+      sigma_1^2 + sigma_2^2 <= |T(s)|_F^2.  It is exact where T(s) has rank
+      at most 2 at its top eigenvector: then f there is |T(s)|_F^2 + |alpha|^2
+      - (alpha . s)^2, the quadratic form whose lambda_max it is.  That holds
+      for every s when a qubit other than i is in a product with the rest,
+      or in a mixture of at most two such products across its cut, and for
+      a flat f such as |000>'s.
     * Leading term: with the SVD Q_(i) = sum_r sigma_r u_r (x) T_r of the
       3x9 unfolding, |T_r|_F = 1, P = sigma_1^2 + sigma_2^2 of T_1 and
       e = sigma_2(Q_(i)), m^2 <= lambda_max(sigma_1^2 P u_1 u_1^T + O)
@@ -272,22 +282,23 @@ def _sphere_search(alpha, q):
       bound alone certifies such flat maxima only on triangles about 5e-5
       wide, and often stops at ``MAX_LIVE`` first.
 
-    The leading term's top eigenvector is evaluated with the level-0
-    vertices, after them so that ties keep a vertex, and before any pruning;
-    where that ceiling is exact it closes the bracket before any split.  A
-    state left with more than ``MAX_LIVE`` triangles stops with its live
-    bounds.  Returns the best direction (n, 3), the lower end (n,), which
-    is the value there, and the certified upper end (n,).
+    Level 0 evaluates each of the ten face vertices once, then the leading
+    term's and the Frobenius ceiling's top eigenvectors, in that order so
+    that ties keep a vertex, and before any pruning; where either ceiling is
+    exact it closes the bracket before any split.  A state left with more
+    than ``MAX_LIVE`` triangles stops with its live bounds.  Returns the
+    best direction (n, 3), the lower end (n,), which is the value there, and
+    the certified upper end (n,).
     """
     n = len(alpha)
     orth = np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
     orth -= alpha[:, :, None] * alpha[:, None, :]
-    frobenius = np.linalg.eigvalsh(np.einsum("nklm,njlm->nkj", q, q) + orth)[:, -1]
+    frob_val, frob_vec = np.linalg.eigh(np.einsum("nklm,njlm->nkj", q, q) + orth)
     u, sigma, vt = np.linalg.svd(q.reshape(n, 3, 9), full_matrices=False)
     lead = sigma[:, 0] ** 2 * _pair_power(vt[:, 0].reshape(n, 3, 3))
     top_val, top_vec = np.linalg.eigh(lead[:, None, None] * u[:, :, :1] * u[:, None, :, 0] + orth)
     rest = sigma[:, 1] * (2.0 * np.sqrt(lead) + sigma[:, 1])
-    ceiling = np.sqrt(np.maximum(np.minimum(frobenius, top_val[:, -1] + rest), 0.0))
+    ceiling = np.sqrt(np.maximum(np.minimum(frob_val[:, -1], top_val[:, -1] + rest), 0.0))
     lower = np.full(n, -np.inf)
     best = np.zeros((n, 3))
     live_bound = np.full(n, -np.inf)
@@ -310,11 +321,13 @@ def _sphere_search(alpha, q):
         keep = (bound > lower[owner] + SPHERE_TOL) & (ceiling[owner] > lower[owner] + SPHERE_TOL)
         return tri[keep], vals[keep], owner[keep], bound[keep]
 
-    tri = np.tile(_half_icosahedron(), (n, 1, 1))
-    owner = np.repeat(np.arange(n), len(tri) // n)
-    vals = evaluate(tri, owner)
-    evaluate(top_vec[:, None, :, -1], np.arange(n))
-    tri, vals, owner, bound = survivors(tri, vals, owner)
+    # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex
+    vertices, faces = _half_icosahedron()
+    eigen = np.stack([top_vec[:, :, -1], frob_vec[:, :, -1]], axis=1)
+    points = np.concatenate([np.broadcast_to(vertices, (n,) + vertices.shape), eigen], axis=1)
+    vals = evaluate(points, np.arange(n))[:, faces].reshape(-1, 3)
+    tri = np.tile(vertices[faces], (n, 1, 1))
+    tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)))
     while True:
         stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
         if stop.any():
@@ -405,12 +418,13 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     the direction of s_i that maximizes the reduced objective and brackets
     the maximum by [``value``, ``upper``]: ``value`` is the best point found,
     ``upper`` the smallest of its live triangle bounds and two closed-form
-    ceilings.  The second ceiling, from the leading singular term of Q_(i),
-    is exact when the state is a product across cut i, and its top
-    eigenvector is one of the searched points, so such states close before
-    the first split.  The best direction becomes explicit settings in closed
-    form (:func:`_sphere_settings`), and the dense path rechecks ``value``
-    at them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
+    ceilings.  The Frobenius ceiling is exact when one of the other two
+    qubits is a product with the rest, and the second, from the leading
+    singular term of Q_(i), when qubit i is; both top eigenvectors are
+    searched points, so such states close before the first split.  The best
+    direction becomes explicit settings in closed form
+    (:func:`_sphere_settings`), and the dense path rechecks ``value`` at
+    them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
     sweeps run: ``sweeps_used`` and ``degenerate_updates`` are 0 and
     ``per_start_values`` holds ``value`` alone.  The name is kept from the
     see-saw ascent this search replaced.
@@ -574,13 +588,13 @@ def omega_planar_oracle(theta1: float, theta2: float, theta3: float) -> float:
     """
     settings = planar_case_settings(theta1, theta2, theta3)  # checks the angles
     total = theta1 + theta2 + theta3
-    closed = 1.5 * (np.cos(total) - np.sin(total)) ** 2
+    closed = float(1.5 * (np.cos(total) - np.sin(total)) ** 2)
     direct = omega_matrix(to_density(ghz()), settings)
     if abs(direct - closed) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"planar omega mismatch: closed form {closed!r} vs matrix path {direct!r}"
         )
-    return float(closed)
+    return closed
 
 
 def planar_grid_max(state, i: int, n_angles: int = 16) -> float:

@@ -65,6 +65,13 @@ class PauliDecomposition:
     Q = property(lambda self: self.grid[1:, 1:, 1:], doc="(3, 3, 3) full three-body tensor")
 
 
+def _check_decomposition(d) -> PauliDecomposition:
+    """``d`` itself if it is a PauliDecomposition."""
+    if not isinstance(d, PauliDecomposition):
+        raise ValidationError(f"expected PauliDecomposition, got {type(d).__name__}")
+    return d
+
+
 def decompose(state) -> PauliDecomposition:
     """Coefficients tr(rho P) for every Pauli string P, identity included.
 
@@ -81,7 +88,7 @@ def reconstruct(d: PauliDecomposition) -> np.ndarray:
     Arbitrary coefficient sets are allowed; the result is always Hermitian
     with unit trace but need not be positive semidefinite.
     """
-    return np.einsum("ijk,ijkab->ab", d.grid, _STRINGS) / 8.0
+    return np.einsum("ijk,ijkab->ab", _check_decomposition(d).grid, _STRINGS) / 8.0
 
 
 def reconstruct_state(d: PauliDecomposition) -> DensityMatrix:
@@ -99,6 +106,7 @@ def invariant_norms(d: PauliDecomposition) -> tuple[float, float]:
     Both are invariant under local unitaries; for pure states they equal
     (3, 4).  For mixed states they are informational only.
     """
+    d = _check_decomposition(d)
     two_body = float(np.sum(d.R**2) + np.sum(d.S**2) + np.sum(d.T**2))
     q_local = float(
         np.sum(d.Q**2) + np.sum(d.alpha**2) + np.sum(d.beta**2) + np.sum(d.gamma**2)
@@ -108,4 +116,4 @@ def invariant_norms(d: PauliDecomposition) -> tuple[float, float]:
 
 def q_norm(d: PauliDecomposition) -> float:
     """Euclidean norm of the three-body tensor; in [1, 2] for pure states."""
-    return float(np.sqrt(np.sum(d.Q**2)))
+    return float(np.sqrt(np.sum(_check_decomposition(d).Q**2)))

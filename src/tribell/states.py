@@ -289,7 +289,7 @@ def mix(states, weights) -> DensityMatrix:
         raise ValidationError("mixture weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValidationError(
-            f"mixture weights must sum to 1, got {weights.sum()!r}"
+            f"mixture weights must sum to 1, got {float(weights.sum())!r}"
         )
     total = np.zeros((8, 8), dtype=complex)
     tol = DM_TRACE_TOL

@@ -20,10 +20,10 @@ from tribell.core import (
     _place,
     expectation_matrix,
 )
-from tribell.bell import MeasurementSettings, bell_operator, observable, wwzb_pair
+from tribell.bell import MeasurementSettings, bell_operator, expectation_bell, observable, wwzb_pair
 from tribell.classify import figure_projection
 from tribell.optimize import omega_planar_oracle, planar_case_settings
-from tribell.pauli import PauliDecomposition
+from tribell.pauli import PauliDecomposition, invariant_norms, q_norm, reconstruct, reconstruct_state
 from tribell.states import (
     AcinParameters,
     DensityMatrix,
@@ -403,3 +403,36 @@ class TestIntake:
         """An argument of the wrong type is refused by name, before numpy or an attribute lookup fails."""
         with pytest.raises(ValidationError, match=f"^{message}"):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: invariant_norms(5), "expected PauliDecomposition, got int"),
+            (lambda: q_norm(5), "expected PauliDecomposition, got int"),
+            (lambda: reconstruct(5), "expected PauliDecomposition, got int"),
+            (lambda: reconstruct_state(maximally_mixed()), "expected PauliDecomposition, got DensityMatrix"),
+            (lambda: figure_projection(5), "points must be a list or tuple of RegionPoint, got int"),
+            (
+                lambda: expectation_bell([maximally_mixed()], 5, 1),
+                "expected MeasurementSettings or a list or tuple of them, got int",
+            ),
+        ],
+        ids=["invariant-norms", "q-norm", "reconstruct", "reconstruct-state", "projection-points",
+             "settings-per-state"],
+    )
+    def test_readers_check_their_argument(self, call, message):
+        """Pauli readers and sequence arguments are refused by name, not by a failed lookup or loop."""
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: mix([], []), lambda: mix([maximally_mixed()], [0.5]), lambda: observable([1.0, 1.0, 0.0])],
+        ids=["mix-empty", "mix-half", "observable"],
+    )
+    def test_computed_values_print_as_python_floats(self, call):
+        """A computed number in a message reads 0.5, not np.float64(0.5)."""
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert "np." not in str(info.value)
+        assert re.search(r"got (\|v\|\^2 = )?\d", str(info.value))

@@ -1,5 +1,6 @@
 """The certified m_i search, omega maximization, planar oracles and grid cross-checks."""
 
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
 from tribell.bell import MeasurementSettings, expectation_bell, multiaffine_form, omega, random_settings
-from tribell.classify import _draw_state
+from tribell.classify import _draw_state, sample_region
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
 from tribell.optimize import (
     SPHERE_TOL,
     OptimizerConfig,
     _best_row,
+    _half_icosahedron,
     _omega_model,
     _omega_values,
     _pair_power,
@@ -279,6 +281,19 @@ def rank_deficient_state(family, x, seed):
     return to_density(apply_local_unitaries(psi, random_local_unitaries(rng)))
 
 
+def counted_points(call):
+    """``call()``'s result and the number of sphere points it evaluated."""
+    seen = []
+    values = opt._sphere_values
+
+    def spy(alpha, q, owner, s):
+        seen.append(len(s))
+        return values(alpha, q, owner, s)
+
+    with mock.patch.object(opt, "_sphere_values", spy):
+        return call(), sum(seen)
+
+
 class TestSphereSearch:
     SEARCH = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -311,6 +326,51 @@ class TestSphereSearch:
         assert res.converged
         assert res.upper - res.value <= SPHERE_TOL
         assert res.upper == pytest.approx(rank_one_ceiling(rho, i), abs=1e-12)
+
+    @SEARCH
+    @given(pure=hst.booleans(), seed=hst.integers(0, 2**32), i=hst.integers(1, 3), shift=hst.integers(1, 2))
+    def test_products_across_another_cut_close_at_level_zero(self, pure, seed, i, shift):
+        """The Frobenius ceiling is exact when another qubit j is in a product with the rest.
+
+        T(s) then has rank 1, so sigma_1^2 + sigma_2^2 = |T(s)|_F^2 and f(s) is a
+        quadratic form whose top eigenvector, a level-0 point, attains the
+        ceiling: the search evaluates the ten vertices and the two ceilings'
+        eigenvectors and splits no triangle.
+        """
+        rho = product_across_cut((i + shift - 1) % 3 + 1, pure, seed)
+        res, points = counted_points(lambda: seesaw_max_abs_d(rho, i))
+        assert res.converged
+        assert res.value == pytest.approx(frobenius_bound(rho, i), abs=1e-12)
+        assert points <= 12
+
+    def test_half_icosahedron_vertices_gather_into_its_faces(self):
+        """Ten read-only vertices, numbered by first appearance in the faces, rebuild the faces exactly."""
+        g = (1.0 + 5.0**0.5) / 2.0
+        v = np.array([[0.0, x, y * g] for x in (-1, 1) for y in (-1, 1)])
+        v = np.concatenate([v, np.roll(v, 1, axis=1), np.roll(v, 2, axis=1)])
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        near = v @ v.T > 0.4
+        tri = v[np.array([f for f in combinations(range(12), 3) if near[np.ix_(f, f)].sum() == 9])]
+        half = tri[tri.sum(axis=1) @ np.array([1.0, 2.0, 4.0]) > 0.0]
+        vertices, faces = _half_icosahedron()
+        assert vertices.shape == faces.shape == (10, 3)
+        np.testing.assert_array_equal(vertices[faces], half)
+        first = [int(k) for k in dict.fromkeys(faces.flat)]
+        assert first == list(range(10))
+        assert not vertices.flags.writeable and not faces.flags.writeable
+        assert _half_icosahedron()[0] is vertices
+
+    def test_sphere_points_on_biseparable_draws_stay_few(self):
+        """Work guard: sample_region's optimized draws at seed 0, 8 per class, stay under a fixed count.
+
+        Both closed-form ceilings close most of these states at level 0, and
+        the batch takes 24,867 sphere points; a search that loses that
+        closure takes about 32,000.  The ceiling is about 10 % above 24,867.
+        """
+        _, points = counted_points(
+            lambda: [sample_region(c, 8, 0, "optimized") for c in ("1-23", "2-13", "fully-separable")]
+        )
+        assert points <= 27_350
 
     @SEARCH
     @given(
