@@ -67,15 +67,20 @@ CLASSIFICATION_NOTE = (
 
 # Axis i exceeding 1 is compatible only with the class whose separated qubit is i.
 _EXCLUDED_BY_AXIS = {
-    1: (FULLY_SEPARABLE, "2-13", "12-3"),
-    2: (FULLY_SEPARABLE, "1-23", "12-3"),
-    3: (FULLY_SEPARABLE, "1-23", "2-13"),
+    axis: tuple(label for label in CLASS_LABELS if label != partition)
+    for axis, partition in enumerate(PARTITIONS, start=1)
 }
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     """Optimized maxima, exclusion verdicts and the quadratic-bound maximum.
+
+    ``genuine_indicated`` is True when all four classes are excluded, which
+    means only that no single-cut class contains the state.  It does not
+    certify genuine tripartite entanglement: the biseparable equal mixture of
+    |0><0|_k (x) |Phi+><Phi+|_rest over the three cuts has every m_i =
+    sqrt(10)/3 > 1 and sets it.
 
     ``converged`` holds the convergence flags of the four optimizations
     (m1, m2, m3, omega) so non-convergence is visible without blocking the
@@ -120,6 +125,9 @@ def excluded_classes(m, margin: float) -> tuple:
 
 def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> ClassificationReport:
     """Maximize all three |<D_i>| plus omega and report which classes are excluded.
+
+    Excluding all four classes sets ``genuine_indicated``, which does not
+    certify genuine tripartite entanglement (see :class:`ClassificationReport`).
 
     ``cfg`` configures the omega ascent, which runs first and so rejects a
     bad ``cfg`` before any search; the m_i search takes no parameters.

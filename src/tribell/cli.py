@@ -7,6 +7,10 @@ path is accepted, a built-in name may be used instead via the ``builtin:``
 prefix: ghz, w, 000, mixed-identity, phi-plus-otimes-0,
 generalized-ghz:<alpha>, acin:<l0,l1,l2,l3,l4,phi>.
 
+Every file is read as UTF-8 by one reader, and every number array in it goes
+through ``core``'s intake (numbers only, the exact shape, finite entries).  An
+unreadable, undecodable or malformed file exits 2 with one ``error:`` line.
+
 All numeric output is printed with 9 significant digits and reruns with
 identical inputs and seeds are byte-identical.  Exit codes: 0 success,
 2 input/validation error, 3 internal consistency (dual-path) failure.
@@ -26,11 +30,12 @@ from .classify import (
     CLASSIFICATION_NOTE,
     GENUINE_FLAG,
     SOURCE_CLASSES,
+    RegionPoint,
     classify,
     figure_projection,
     sample_region,
 )
-from .core import ConsistencyError, ValidationError
+from .core import ConsistencyError, ValidationError, _frozen_array
 from .optimize import OptimizerConfig, maximize_omega, seesaw_max_abs_d
 from .pauli import decompose, invariant_norms, q_norm
 from .states import (
@@ -58,11 +63,9 @@ def _fmt(x: float) -> str:
 
 def _rounded(obj):
     """Round every float to 9 significant digits for stable JSON output."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, (float, np.floating)):
         return float(_fmt(obj))
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
@@ -76,28 +79,22 @@ def _emit_json(obj, stream) -> None:
     stream.write("\n")
 
 
-def _is_number(x) -> bool:
-    """True for a JSON number; JSON booleans load as bool, an int subclass, and are refused."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _complex_pair(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(_is_number(x) for x in entry)
-    ):
-        raise ValidationError(f"{where} must be a [re, im] pair of numbers, got {entry!r}")
-    return complex(entry[0], entry[1])
+def _read_text(source, what: str) -> str:
+    """The text of file path or open stream ``source``; unreadable or non-UTF-8 is a ValidationError."""
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                return fh.read()
+        return source.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name = source if isinstance(source, str) else "-"
+        raise ValidationError(f"cannot read {what} file {name!r}: {exc}") from exc
 
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        data = json.loads(_read_text(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:  # a nest too deep for the parser
         raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{what} file {path!r} must contain a JSON object")
@@ -143,44 +140,22 @@ def load_state(source: str):
         return _parse_builtin(source[len("builtin:"):])
     data = _load_json(source, "state")
     kind = data.get("kind")
-    payload = data.get("data")
-    if kind == "pure":
-        if not isinstance(payload, list) or len(payload) != 8:
-            raise ValidationError("pure state data must be a list of 8 [re, im] pairs")
-        amp = np.array(
-            [_complex_pair(e, f"amplitude {k}") for k, e in enumerate(payload)]
-        )
-        return PureState(amp, tol=FILE_TOL)
-    if kind == "density":
-        if not isinstance(payload, list) or len(payload) != 8:
-            raise ValidationError("density data must be an 8x8 grid of [re, im] pairs")
-        rows = []
-        for r, row in enumerate(payload):
-            if not isinstance(row, list) or len(row) != 8:
-                raise ValidationError(f"density row {r} must hold 8 [re, im] pairs")
-            rows.append([_complex_pair(e, f"entry ({r},{k})") for k, e in enumerate(row)])
-        return DensityMatrix(np.array(rows), tol=FILE_TOL)
-    raise ValidationError(f"state kind must be 'pure' or 'density', got {kind!r}")
+    kinds = {"pure": ((8,), PureState), "density": ((8, 8), DensityMatrix)}
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"state kind must be 'pure' or 'density', got {kind!r}")
+    shape, cls = kinds[kind]
+    pairs = _frozen_array(data.get("data"), f"{kind} state data", shape + (2,))
+    # each [re, im] pair read as one complex: the same bits as complex(re, im)
+    return cls(pairs.view(complex)[..., 0], tol=FILE_TOL)
 
 
 def load_settings(path: str) -> MeasurementSettings:
     """Load measurement settings from a JSON file."""
     data = _load_json(path, "settings")
-    rows = []
     for key in ("a", "b"):
         if key not in data:
             raise ValidationError(f"settings file missing key {key!r}")
-        value = data[key]
-        bad = ValidationError(f"settings {key!r} must be three numeric 3-vectors, got {value!r}")
-        if not isinstance(value, list) or not all(
-            isinstance(row, list) and all(_is_number(x) for x in row) for row in value
-        ):
-            raise bad
-        try:
-            rows.append(np.asarray(value, dtype=float))
-        except ValueError as exc:
-            raise bad from exc
-    return MeasurementSettings(*rows, tol=FILE_TOL)
+    return MeasurementSettings(data["a"], data["b"], tol=FILE_TOL)
 
 
 def _settings_payload(m: MeasurementSettings) -> dict:
@@ -275,14 +250,13 @@ def _cmd_sample(args, out) -> int:
     return EXIT_OK
 
 
-def _read_sample_csv(stream):
-    from .classify import RegionPoint
-
-    header = stream.readline().strip()
+def _read_sample_csv(text: str):
+    lines = text.split("\n")
+    header = lines[0].strip()
     if header != "d1,d2,d3,class":
         raise ValidationError(f"line 1: expected header 'd1,d2,d3,class', got {header!r}")
     points = []
-    for lineno, line in enumerate(stream, start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue
@@ -300,14 +274,8 @@ def _read_sample_csv(stream):
 
 
 def _cmd_figure(args, out) -> int:
-    if args.input == "-":
-        points = _read_sample_csv(sys.stdin)
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                points = _read_sample_csv(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read CSV file {args.input!r}: {exc}") from exc
+    source = sys.stdin if args.input == "-" else args.input
+    points = _read_sample_csv(_read_text(source, "CSV"))
     rows = figure_projection(points, args.plane)
     out.write("u,v,region,class\n")
     for u, v, region, label in rows:

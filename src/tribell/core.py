@@ -119,12 +119,15 @@ def _check_integer(name: str, value, minimum: int) -> int:
 def _check_real(name: str, value, minimum=None, strict: bool = False) -> float:
     """``value`` as a float if it is a finite real number, not a bool, >= ``minimum`` (> if ``strict``)."""
     low = -np.inf if minimum is None else minimum
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        (low < value if strict or minimum is None else low <= value) and value < np.inf
-    ):
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    try:
+        number = float(value) if real else np.nan
+    except OverflowError:  # an int beyond float range, such as 10**400
+        number = np.nan
+    if not ((low < number if strict or minimum is None else low <= number) and number < np.inf):
         bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
         raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
@@ -141,7 +144,7 @@ def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
     if arr.dtype.kind not in "iufc":
         raise ValidationError(f"{name} must be numbers, got dtype {arr.dtype}")
     if isinstance(value, (list, tuple)) and any(
-        np.asarray(x).dtype == bool for x in np.asarray(value, dtype=object).flat
+        np.asarray(x).dtype == bool for x in np.asarray(value, dtype=object).ravel()
     ):
         raise ValidationError(f"{name} must be numbers, got a bool")
     if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":

@@ -47,12 +47,12 @@ DM_EIG_TOL = 1e-10
 PARTITIONS = ("1-23", "2-13", "12-3")
 FULLY_SEPARABLE = "fully-separable"
 
-_SEPARATED = {"1-23": 1, "2-13": 2, "12-3": 3}
+_SEPARATED = {partition: k for k, partition in enumerate(PARTITIONS, start=1)}
+# (index of |01>_pair (x) |0>_sep, index of |10>_pair (x) |0>_sep): for the
+# joined slots p < q, the single bits of slot q and of slot p
 _PAIR_KETS = {
-    # (index of |01>_pair (x) |0>_sep, index of |10>_pair (x) |0>_sep)
-    "12-3": (0b010, 0b100),
-    "1-23": (0b001, 0b010),
-    "2-13": (0b001, 0b100),
+    partition: tuple(1 << (3 - j) for j in (3, 2, 1) if j != k)
+    for partition, k in _SEPARATED.items()
 }
 
 

@@ -18,10 +18,11 @@ from tribell.classify import (
     sample_region,
 )
 from tribell.core import ValidationError
-from tribell.optimize import OptimizerConfig, seesaw_max_abs_d_many
+from tribell.optimize import OptimizerConfig, seesaw_max_abs_d, seesaw_max_abs_d_many
 from tribell.states import (
     PureState,
     ghz,
+    mix,
     phi_plus_otimes_zero,
     random_in_class,
     to_density,
@@ -40,6 +41,20 @@ def trapped_1_23():
     """
     rng = np.random.default_rng(5)
     return [_draw_state(c, rng) for c in ["fully-separable"] * 5 + ["1-23"] * 5][8]
+
+
+def cross_cut_mixture():
+    """rho_x = (1/3) sum_k |0><0|_k (x) |Phi+><Phi+|_rest: biseparable by construction.
+
+    Each term lies in the class of cut k, yet every m_i is sqrt(10)/3 > 1, so
+    the m_i exclude all four classes of this mixture across the cuts.
+    """
+    terms = []
+    for pair in (0b011, 0b101, 0b110):  # |Phi+> on slots (2, 3), (1, 3) and (1, 2)
+        amp = np.zeros(8, dtype=complex)
+        amp[0] = amp[pair] = 1 / SQ2
+        terms.append(to_density(PureState(amp)))
+    return mix(terms, [1 / 3] * 3)
 
 
 class TestExclusionRules:
@@ -72,6 +87,7 @@ class TestExclusionRules:
             "abc",
             (True, 0.5, 0.5),
             (0.5, "1.2", 0.5),
+            (10**400, 0.0, 0.0),
             1.2,
             None,
         ],
@@ -109,7 +125,11 @@ class TestExclusionRules:
             excluded_classes((1.0, 1.0, 1.0), 0.0)
 
     @pytest.mark.parametrize(
-        "margin", [0.0, -1e-6, float("nan"), float("inf"), True, np.True_, "1e-6", 1e-6j, None]
+        "margin",
+        [
+            0.0, -1e-6, float("nan"), float("inf"), True, np.True_, "1e-6", 1e-6j, None,
+            pytest.param(10**400, id="huge-int"),
+        ],
     )
     def test_bad_margin_rejected_before_optimizing(self, margin, monkeypatch):
         """Bools and non-real values too, as ValidationError and never numpy's TypeError."""
@@ -158,6 +178,18 @@ class TestClassify:
         report = classify(trapped_1_23(), CFG)
         assert report.m[0] == pytest.approx(1.16262, abs=1e-5)
         assert report.excluded == ("fully-separable", "2-13", "12-3")
+
+    def test_cross_cut_mixture_m_pinned(self):
+        """The biseparable rho_x has three certified m_i = sqrt(10)/3, which exclude all four classes.
+
+        So excluding all four classes does not certify genuine tripartite entanglement.
+        """
+        results = [seesaw_max_abs_d(cross_cut_mixture(), i) for i in (1, 2, 3)]
+        for res in results:
+            assert res.converged
+            assert res.value == pytest.approx(np.sqrt(10) / 3, abs=1e-9)
+            assert res.upper == pytest.approx(np.sqrt(10) / 3, abs=1e-9)
+        assert excluded_classes([res.value for res in results], 1e-6) == CLASS_LABELS
 
     def test_product_state_excludes_nothing(self):
         amp = np.zeros(8, dtype=complex)
@@ -286,7 +318,14 @@ class TestFigureProjection:
 
     @pytest.mark.parametrize(
         "u, v, name",
-        [(np.nan, 0.0, "u"), (0.0, np.inf, "v"), (-np.inf, 0.5, "u"), (True, 0.5, "u"), (0.5, "1", "v")],
+        [
+            (np.nan, 0.0, "u"),
+            (0.0, np.inf, "v"),
+            (-np.inf, 0.5, "u"),
+            pytest.param(10**400, 0.0, "u", id="huge-int"),
+            (True, 0.5, "u"),
+            (0.5, "1", "v"),
+        ],
     )
     def test_non_finite_coordinate_rejected(self, u, v, name):
         """NaN fails every comparison, so it used to land in region II."""

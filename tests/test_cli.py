@@ -1,7 +1,11 @@
 """Command-line interface: schemas, builtins, determinism, exit codes."""
 
+import copy
+import functools
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +18,7 @@ from test_classify import capture_draws
 import tribell
 from tribell.bell import expectation_bell
 from tribell.classify import CLASSIFICATION_NOTE, GENUINE_FLAG, SOURCE_CLASSES
-from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, main
+from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, load_state, main
 
 SQ2 = np.sqrt(2.0)
 
@@ -70,9 +74,10 @@ class TestDecompose:
     def test_boolean_amplitude_rejected(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"kind": "pure", "data": [[True, False]] + [[0.0, 0.0]] * 7}))
-        code, _, err = run_cli(capsys, "decompose", str(path))
+        code, out, err = run_cli(capsys, "decompose", str(path))
         assert code == EXIT_INPUT
-        assert "amplitude 0" in err
+        assert out == ""
+        assert err == "error: pure state data must be numbers, got a bool\n"
 
     def test_builtin_acin(self, capsys):
         name = "builtin:acin:" + ",".join(str(x) for x in [1 / np.sqrt(5)] * 5) + ",1.5707963267948966"
@@ -116,21 +121,24 @@ class TestEvaluate:
         assert "'b'" in err
 
     @pytest.mark.parametrize(
-        "a, shown",
+        "a, line",
         [
-            ([["x", 0.0, 0.0]] * 3, "'x'"),
-            ([[1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "[1.0, 0.0]"),
-            ([["1", "0", "0"]] * 3, "'1'"),
-            ([[True, False, False]] * 3, "True"),
+            ([["x", 0.0, 0.0]] * 3, "error: a must be numbers, got dtype <U32\n"),
+            (
+                [[1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                "error: a must be numbers, got a ragged nest\n",
+            ),
+            ([["1", "0", "0"]] * 3, "error: a must be numbers, got dtype <U1\n"),
+            ([[True, False, False]] * 3, "error: a must be numbers, got dtype bool\n"),
         ],
         ids=["non-numeric", "ragged", "numeric-string", "boolean"],
     )
-    def test_settings_bad_rows_rejected(self, tmp_path, capsys, a, shown):
+    def test_settings_bad_rows_rejected(self, tmp_path, capsys, a, line):
         settings = write_settings(tmp_path / "bad.json", a, ALL_X)
-        code, _, err = run_cli(capsys, "evaluate", "builtin:ghz", settings, "1")
+        code, out, err = run_cli(capsys, "evaluate", "builtin:ghz", settings, "1")
         assert code == EXIT_INPUT
-        assert "'a'" in err
-        assert shown in err
+        assert out == ""
+        assert err == line
 
     def test_settings_within_file_tolerance_evaluate(self, tmp_path, capsys):
         """Rows with |a|^2 = 1 + 5e-9 pass the 1e-8 file tolerance and evaluate."""
@@ -386,6 +394,103 @@ class TestSampleAndFigure:
         assert out.strip().split("\n")[1] == "1.3,0.2,II,left"
 
 
+def _with_first_entry(arr, value):
+    arr = copy.deepcopy(arr)
+    inner = arr
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = value
+    return arr
+
+
+# A string "@text" is written to the file as the raw JSON text ``text``.
+FILE_SPOILERS = {
+    "string": lambda arr: _with_first_entry(arr, "0.5"),
+    "bool": lambda arr: _with_first_entry(arr, True),
+    "ragged": lambda arr: [arr[0][:-1]] + arr[1:],
+    "wrong-shape": lambda arr: arr[:-1],
+    "nan": lambda arr: _with_first_entry(arr, "@NaN"),
+    "huge-int": lambda arr: _with_first_entry(arr, "@1" + "0" * 400),
+    "not-a-list": lambda arr: {"re": 1.0, "im": 0.0},
+    "deep-nest": lambda arr: functools.reduce(lambda nest, _: [nest], range(40), arr),
+    "too-deep-to-parse": lambda arr: "@" + "[" * 100_000 + "]" * 100_000,
+}
+
+VALID_FILES = {
+    "pure": ("state", "data", {"kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}),
+    "density": (
+        "state",
+        "data",
+        {"kind": "density", "data": [[[0.125 * (r == c), 0.0] for c in range(8)] for r in range(8)]},
+    ),
+    "a": ("settings", "a", {"a": ALL_X, "b": ALL_X}),
+    "b": ("settings", "b", {"a": ALL_X, "b": ALL_X}),
+}
+
+
+def _spoiled(target, spoiler) -> bytes:
+    _, key, doc = VALID_FILES[target]
+    doc = dict(doc, **{key: FILE_SPOILERS[spoiler](doc[key])})
+    return re.sub(r'"@([^"]*)"', r"\1", json.dumps(doc)).encode()
+
+
+NOT_UTF8 = b"\xff\xfe"
+CSV = b"d1,d2,d3,class\n0.1,0.2,0.3,x\n"
+
+MALFORMED_INPUTS = [
+    pytest.param(VALID_FILES[target][0], _spoiled(target, spoiler), id=f"{target}-{spoiler}")
+    for target in VALID_FILES
+    for spoiler in FILE_SPOILERS
+] + [
+    pytest.param(reader, NOT_UTF8 + content, id=f"{reader}-not-utf8")
+    for reader, content in [
+        ("state", json.dumps(VALID_FILES["pure"][2]).encode()),
+        ("settings", json.dumps(VALID_FILES["a"][2]).encode()),
+        ("csv", CSV),
+        ("stdin", CSV),
+    ]
+]
+
+INPUT_ARGV = {
+    "state": ["decompose", "{path}"],
+    "settings": ["evaluate", "builtin:ghz", "{path}", "1"],
+    "csv": ["figure", "{path}"],
+    "stdin": ["figure", "-"],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("reader, content", MALFORMED_INPUTS)
+    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, reader, content):
+        """Every malformed or undecodable input is one error line and exit 2, never a traceback."""
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+        argv = [arg.format(path=path) for arg in INPUT_ARGV[reader]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+    def test_unspoiled_files_are_accepted(self, tmp_path, capsys):
+        """Each malformed case above differs from an accepted file by its one spoiler."""
+        for kind, _, doc in VALID_FILES.values():
+            path = tmp_path / "input"
+            path.write_text(json.dumps(doc))
+            code, _, err = run_cli(capsys, *[arg.format(path=path) for arg in INPUT_ARGV[kind]])
+            assert code == EXIT_OK, err
+
+    def test_repr_density_file_reloads_bit_exact(self, tmp_path):
+        """Floats written with repr come back as the same bits: a file round trip loses nothing."""
+        from tribell.states import random_in_class
+
+        rho = random_in_class("1-23", 3, seed=4).matrix
+        path = tmp_path / "rho.json"
+        data = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
+        path.write_text(json.dumps({"kind": "density", "data": data}))
+        assert load_state(str(path)).matrix.tobytes() == rho.tobytes()
+
+
 class TestFormatting:
     def test_nine_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "optimize", "builtin:ghz", "1")
@@ -425,21 +530,29 @@ class TestFormatting:
         assert code == EXIT_OK
         assert json.loads(out)["Q"][0][0][0] == pytest.approx(1.0, abs=1e-7)
 
-    def test_installed_entry_point(self):
-        """The console script drives the same main().
+    def test_installed_entry_point(self, tmp_path):
+        """The console script drives the same main(), and a bad file is exit status 2.
 
         The child gets the directory this process imported tribell from, so
-        the test also runs on a checkout that is not pip-installed.
+        the test also runs on a checkout that is not pip-installed.  Only the
+        process's own exit status shows a crash inside main().
         """
         src = os.path.dirname(os.path.dirname(os.path.abspath(tribell.__file__)))
         paths = [src, os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "tribell.cli", "decompose", "builtin:w"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "tribell.cli", *argv], capture_output=True, text=True, env=env
+            )
+
+        proc = cli("decompose", "builtin:w")
         assert proc.returncode == EXIT_OK
         payload = json.loads(proc.stdout)
         assert payload["invariant_norms"]["two_body"] == pytest.approx(3.0)
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe{}")
+        for path in (tmp_path / "missing.json", not_utf8):
+            proc = cli("decompose", str(path))
+            assert proc.returncode == EXIT_INPUT, proc.stderr
+            assert "Traceback" not in proc.stderr
