@@ -18,12 +18,13 @@ all the inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .bell import expectation_bell, random_settings
 from .core import ValidationError, _check_integer, _check_real
-from .optimize import OptimizerConfig, maximize_omega, seesaw_max_abs_d, seesaw_max_abs_d_many
+from .optimize import maximize_omega, seesaw_max_abs_d, seesaw_max_abs_d_many
 from .states import (
     FULLY_SEPARABLE,
     PARTITIONS,
@@ -87,16 +88,17 @@ class ClassificationReport:
     verdict.  The flags differ in strength: for each m_i True means a
     certified gap of at most 1e-9 to the global maximum, for omega only the
     local-maximum certificate of its Newton ascent, so ``omega_max`` may lie
-    below the global maximum even when its flag is True.
+    below the global maximum even when its flag is True.  ``note`` is a
+    constant, not a field.
     """
 
+    note: ClassVar[str] = CLASSIFICATION_NOTE
     m: tuple
     omega_max: float
     excluded: tuple
     margin: float
     genuine_indicated: bool
     converged: tuple
-    note: str = CLASSIFICATION_NOTE
 
 
 @dataclass(frozen=True)
@@ -123,18 +125,18 @@ def excluded_classes(m, margin: float) -> tuple:
     return tuple(label for label in CLASS_LABELS if label in out)
 
 
-def classify(rho, cfg: OptimizerConfig | None = None, margin: float = 1e-6) -> ClassificationReport:
+def classify(rho, margin: float = 1e-6) -> ClassificationReport:
     """Maximize all three |<D_i>| plus omega and report which classes are excluded.
 
     Excluding all four classes sets ``genuine_indicated``, which does not
     certify genuine tripartite entanglement (see :class:`ClassificationReport`).
 
-    ``cfg`` configures the omega ascent, which runs first and so rejects a
-    bad ``cfg`` before any search; the m_i search takes no parameters.
+    omega runs the default ascent (``OptimizerConfig()``: 32 starts, seed 0);
+    the m_i search takes no parameters.
     """
     margin = _check_real("margin", margin, 0, strict=True)
     rho = as_density(rho)
-    omega_res = maximize_omega(rho, cfg)
+    omega_res = maximize_omega(rho)
     results = [seesaw_max_abs_d(rho, i) for i in (1, 2, 3)]
     m = tuple(r.value for r in results)
     excluded = excluded_classes(m, margin)

@@ -20,6 +20,7 @@ Inputs are never auto-normalized; invariant violations are hard errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -85,6 +86,8 @@ def _read_text(source, what: str) -> str:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
                 return fh.read()
+        if hasattr(source, "buffer"):  # stdin: strict UTF-8, universal newlines, as a file is read
+            return io.StringIO(source.buffer.read().decode("utf-8"), newline=None).read()
         return source.read()
     except (OSError, UnicodeDecodeError) as exc:
         name = source if isinstance(source, str) else "-"
@@ -159,8 +162,8 @@ def load_settings(path: str) -> MeasurementSettings:
 
 
 def _settings_payload(m: MeasurementSettings) -> dict:
-    """Rows a and b; a nonzero entry below 1e-12 (the ascent's rounding noise) prints as 0.0."""
-    return {key: np.where((rows != 0) & (np.abs(rows) < 1e-12), 0.0, rows).tolist()
+    """Rows a and b; an entry below 1e-12 in magnitude (rounding noise, or -0.0) prints as 0.0."""
+    return {key: np.where(np.abs(rows) < 1e-12, 0.0, rows).tolist()
             for key, rows in (("a", m.a), ("b", m.b))}
 
 

@@ -134,13 +134,16 @@ def _as_numbers(value, name: str, dtype=float) -> np.ndarray:
     """``value`` as an ndarray of ``dtype``, uncopied where numpy allows.
 
     Refuses what numpy would parse, count or drop: strings, bools, objects,
-    ragged nests, and complex entries for a real ``dtype``.  A list or tuple
-    is also scanned for bools, which numpy would upcast; an ndarray's dtype tells.
+    ragged nests, nests deeper than numpy's dimension limit, and complex
+    entries for a real ``dtype``.  A list or tuple is also scanned for bools,
+    which numpy would upcast; an ndarray's dtype tells.
     """
     try:
         arr = np.asarray(value)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be numbers, got a ragged nest") from exc
+    except ValueError as exc:  # numpy's one error for both nest faults; its message tells which
+        deep = "maximum number of dimension" in str(exc)
+        nest = "a nest deeper than numpy's dimension limit" if deep else "a ragged nest"
+        raise ValidationError(f"{name} must be numbers, got {nest}") from exc
     if arr.dtype.kind not in "iufc":
         raise ValidationError(f"{name} must be numbers, got dtype {arr.dtype}")
     if isinstance(value, (list, tuple)) and any(

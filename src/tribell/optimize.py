@@ -20,9 +20,9 @@
   state's Pauli coefficients.  Every start draws its six initial unit
   vectors from an independent RNG stream derived from (seed, start index),
   and all starts run one batched Riemannian Newton ascent on the six unit
-  spheres with the exact gradient and Hessian of omega from C.  A start
-  that reaches a vanishing gradient with no positive curvature is certified
-  as a local maximum.
+  spheres with the exact gradient and Hessian of omega from C, for at most
+  500 iterations.  A start that reaches a vanishing gradient with no
+  positive curvature is certified as a local maximum.
 
 :func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
 search and one stacked dense recheck, which is how the Monte Carlo bound
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,8 +73,8 @@ SPHERE_TOL = 1e-9
 #: live triangles one state may keep after pruning; a state with more stops
 #: refining and keeps its bracket, whose gap then usually exceeds SPHERE_TOL
 MAX_LIVE = 1024
-#: sphere points evaluated, and children split, per block; bounds the search's
-#: scratch memory
+#: children per block of the split loop, whose VERTEX_BLOCK // 4 triangles add at
+#: most 3 * VERTEX_BLOCK // 4 midpoints; bounds the loop's scratch memory
 VERTEX_BLOCK = 4096
 # the cubic's smallest root is recomputed by eigvalsh where its arccos argument
 # is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
@@ -90,23 +91,25 @@ CERT_CURV = 1e-6
 # so it ascends and its clamped part is at most about a radian long; a step is
 # halved up to _HALVINGS times
 _HALVINGS = 3
+# base angles per slot of planar_grid_max; the grid holds the GHZ maximizer
+_GRID_ANGLES = 16
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Parameters of the omega ascent: starts, Newton iteration cap and seed.
+    """Parameters of the omega ascent: its starts and their seed.
 
-    ``max_sweeps`` caps the Newton iterations of every start; the name is
-    kept from the coordinate sweeps they replaced.  The |<D_i>| search takes
-    none of them; it runs no ascent.
+    ``max_sweeps``, a constant and not a field, caps every start's Newton
+    iterations; the name is kept from the coordinate sweeps they replaced.
+    The |<D_i>| search runs no ascent and takes none of these.
     """
 
+    max_sweeps: ClassVar[int] = 500
     n_starts: int = 32
-    max_sweeps: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n_starts", 1), ("max_sweeps", 1), ("seed", 0)):
+        for name, minimum in (("n_starts", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
 
 
@@ -121,16 +124,16 @@ class OptimizationResult:
     inf, since it has no certificate, and ``converged`` only means that the
     reported start passed the local-maximum certificate of the Newton ascent,
     which says nothing about other maxima; ``sweeps_used`` counts its Newton
-    iterations.  ``degenerate_updates`` is always 0, kept for the CLI JSON
-    and the bench tracer.
+    iterations.  ``degenerate_updates`` is a constant 0, not a field, kept
+    for the CLI JSON and the bench tracer.
     """
 
+    degenerate_updates: ClassVar[int] = 0
     value: float
     settings: MeasurementSettings
     sweeps_used: int
     converged: bool
     per_start_values: tuple
-    degenerate_updates: int = 0
     upper: float = np.inf
 
 
@@ -149,29 +152,15 @@ def _best_row(obj) -> int:
     return int(np.flatnonzero(obj >= obj.max() - TIE_TOL)[0])
 
 
-def _result_for_rows(obj, best, settings, check, sweeps_done, converged, upper=np.inf):
-    """One state's result from its rows.
-
-    The value is the best row's; settings, sweeps and convergence come from
-    row ``best`` (see :func:`_best_row`), whose ``settings`` gave ``check``
-    on the dense path.  The value must agree with ``check`` and may not
-    exceed the certified ``upper``, both within the dual-path tolerance.
-    """
-    value = float(obj.max())
+def _rechecked(value: float, check: float, upper: float = np.inf) -> float:
+    """``value`` if within ``DUAL_PATH_TOL`` of the dense ``check`` and below ``upper``, else an error."""
     if abs(check - value) > DUAL_PATH_TOL:
         raise ConsistencyError(
             f"optimizer value {value!r} disagrees with matrix-path recomputation {check!r}"
         )
     if value > upper + DUAL_PATH_TOL:
         raise ConsistencyError(f"optimizer value {value!r} exceeds its certified bound {upper!r}")
-    return OptimizationResult(
-        value=value,
-        settings=settings,
-        sweeps_used=int(sweeps_done[best]),
-        converged=bool(converged[best]),
-        per_start_values=tuple(float(x) for x in obj),
-        upper=float(upper),
-    )
+    return value
 
 
 def _pair_power(t):
@@ -206,17 +195,13 @@ def _sphere_values(alpha, q, owner, s):
     """m(s) = sqrt(f(s)) at unit directions s (points, 3) of the states ``owner``.
 
     f(s) = sigma_1^2 + sigma_2^2 of T(s) + |alpha|^2 - (alpha . s)^2, with
-    T(s) = sum_k s_k q[owner, k]; points go in blocks of ``VERTEX_BLOCK``.
+    T(s) = sum_k s_k q[owner, k].
     """
-    out = np.empty(len(s))
-    for lo in range(0, len(s), VERTEX_BLOCK):
-        blk, who = s[lo:lo + VERTEX_BLOCK], owner[lo:lo + VERTEX_BLOCK]
-        al = alpha[who]
-        t = np.matmul(blk[:, None, :], q[who].reshape(-1, 3, 9)).reshape(-1, 3, 3)
-        along = np.sum(blk * al, axis=1)
-        f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
-        out[lo:lo + VERTEX_BLOCK] = np.sqrt(np.maximum(f, 0.0))
-    return out
+    al = alpha[owner]
+    t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
+    along = np.sum(s * al, axis=1)
+    f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
+    return np.sqrt(np.maximum(f, 0.0))
 
 
 @cache
@@ -404,10 +389,10 @@ def seesaw_max_abs_d_many(states, i: int):
     settings = [MeasurementSettings(*row) for row in _sphere_settings(direction, alpha, q_i, i)]
     dense = np.abs(expectation_bell(states, settings, i)).tolist()
     return [
-        _result_for_rows(
-            lower[s:s + 1], 0, settings[s], dense[s], (0,), converged[s:s + 1], upper[s]
-        )
-        for s in range(len(states))
+        OptimizationResult(value=_rechecked(value, check, bound), settings=setting, sweeps_used=0,
+                           converged=ok, per_start_values=(value,), upper=bound)
+        for value, check, bound, ok, setting
+        in zip(lower.tolist(), dense, upper.tolist(), converged.tolist(), settings)
     ]
 
 
@@ -425,9 +410,9 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     direction becomes explicit settings in closed form
     (:func:`_sphere_settings`), and the dense path rechecks ``value`` at
     them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
-    sweeps run: ``sweeps_used`` and ``degenerate_updates`` are 0 and
-    ``per_start_values`` holds ``value`` alone.  The name is kept from the
-    see-saw ascent this search replaced.
+    sweeps run: ``sweeps_used`` is 0, ``degenerate_updates`` is the
+    result's constant 0 and ``per_start_values`` holds ``value`` alone.  The
+    name is kept from the see-saw ascent this search replaced.
     """
     return seesaw_max_abs_d_many([rho], i)[0]
 
@@ -539,7 +524,7 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     The multi-affine form of the three expectations
     (:func:`tribell.bell.multiaffine_form`) is built once, and every start
     runs the batched Riemannian Newton ascent over the six unit vectors
-    (:func:`_newton_ascent`) for at most ``cfg.max_sweeps`` iterations.
+    (:func:`_newton_ascent`), capped at ``OptimizerConfig.max_sweeps`` = 500.
     Stop rule: a start whose Riemannian gradient is at most ``CERT_GRAD``
     and whose Riemannian Hessian has no eigenvalue above ``CERT_CURV`` is
     certified as a local maximum; a start whose step is rejected stops
@@ -560,7 +545,9 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     obj, vecs, sweeps, converged = _newton_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
     best = _best_row(obj)
     settings = MeasurementSettings(*vecs[best])
-    return _result_for_rows(obj, best, settings, omega_matrix(rho, settings), sweeps, converged)
+    value = _rechecked(float(obj.max()), omega_matrix(rho, settings))
+    return OptimizationResult(value=value, settings=settings, sweeps_used=int(sweeps[best]),
+                              converged=bool(converged[best]), per_start_values=tuple(obj.tolist()))
 
 
 def _planar(angles) -> np.ndarray:
@@ -597,21 +584,20 @@ def omega_planar_oracle(theta1: float, theta2: float, theta3: float) -> float:
     return closed
 
 
-def planar_grid_max(state, i: int, n_angles: int = 16) -> float:
+def planar_grid_max(state, i: int) -> float:
     """Brute-force lower bound on max |<D_i>| from an exhaustive planar grid.
 
     All six vectors are confined to the x-y plane.  The distinguished qubit i
     uses an aligned pair a_i = b_i at angle theta_i; each remaining qubit uses
     an orthogonal pair at angles theta +/- pi/4, the geometry that contains
     the known optimum for the GHZ state.  The three base angles each range
-    over ``n_angles`` equally spaced values, and one contraction of the
-    multi-affine form (:func:`tribell.bell.multiaffine_form`) with each
-    slot's (n_angles, 7) grid of X_j = (1, a_j, b_j) evaluates them all.
+    over ``_GRID_ANGLES`` (16) equally spaced values, and one contraction of
+    the multi-affine form (:func:`tribell.bell.multiaffine_form`) with each
+    slot's (16, 7) grid of X_j = (1, a_j, b_j) evaluates them all.
     """
     i = _check_slot(i, "operator index")
-    _check_integer("n_angles", n_angles, 1)
     form = multiaffine_form(decompose(as_density(state)))[i - 1]
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    angles = 2.0 * np.pi * np.arange(_GRID_ANGLES) / _GRID_ANGLES
     shifts = [0.0 if slot == i else np.pi / 4 for slot in (1, 2, 3)]
     x = [_homogeneous(_planar(angles + s), _planar(angles - s)) for s in shifts]
     vals = np.einsum("klm,ak,bl,cm->abc", form, *x, optimize=True)

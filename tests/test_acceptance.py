@@ -252,14 +252,14 @@ def test_criterion_09_seesaw_properties():
         seesaw_max_abs_d(rho, int(rng.integers(1, 4)))
     rho_ghz = to_density(ghz())
     for i in (1, 2, 3):
-        grid = planar_grid_max(rho_ghz, i, n_angles=16)
+        grid = planar_grid_max(rho_ghz, i)
         best = seesaw_max_abs_d(rho_ghz, i).value
         assert grid <= best + 1e-6
     for partition in PARTITIONS:
         for alpha in (np.pi / 4, np.pi / 8):
             rho = to_density(canonical_biseparable(partition, alpha))
             for i in (1, 2, 3):
-                grid = planar_grid_max(rho, i, n_angles=16)
+                grid = planar_grid_max(rho, i)
                 best = seesaw_max_abs_d(rho, i).value
                 assert grid <= best + 1e-6
     print("\nACCEPTANCE 9 PASS: every result rechecked; 16^3 planar grid never beats the m_i search by more than 1e-6")

@@ -8,6 +8,7 @@ import pytest
 from tribell.bell import expectation_bell
 from tribell.classify import (
     CLASS_LABELS,
+    CLASSIFICATION_NOTE,
     SOURCE_CLASSES,
     RegionPoint,
     _draw_state,
@@ -18,7 +19,7 @@ from tribell.classify import (
     sample_region,
 )
 from tribell.core import ValidationError
-from tribell.optimize import OptimizerConfig, seesaw_max_abs_d, seesaw_max_abs_d_many
+from tribell.optimize import seesaw_max_abs_d, seesaw_max_abs_d_many
 from tribell.states import (
     PureState,
     ghz,
@@ -29,7 +30,6 @@ from tribell.states import (
 )
 
 SQ2 = np.sqrt(2.0)
-CFG = OptimizerConfig()
 
 
 def trapped_1_23():
@@ -141,33 +141,21 @@ class TestExclusionRules:
 
         monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
         with pytest.raises(ValidationError, match="margin"):
-            classify(to_density(ghz()), CFG, margin=margin)
+            classify(to_density(ghz()), margin=margin)
         with pytest.raises(ValidationError, match="margin"):
             excluded_classes((1.2, 0.5, 0.5), margin)
 
 
 class TestClassify:
-    @pytest.mark.parametrize("cfg", [{"n_starts": 4}, {}, 4, "cfg"])
-    def test_bad_config_rejected_before_any_search(self, cfg, monkeypatch):
-        """A cfg that is not an OptimizerConfig is a ValidationError, never an AttributeError."""
-        classify_mod = importlib.import_module("tribell.classify")
-
-        def unexpected(*args, **kwargs):
-            pytest.fail("classify searched before checking cfg")
-
-        monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
-        with pytest.raises(ValidationError, match="cfg must be an OptimizerConfig"):
-            classify(ghz(), cfg=cfg)
-
     def test_ghz_excludes_all_four(self):
-        report = classify(to_density(ghz()), CFG)
+        report = classify(to_density(ghz()))
         assert report.excluded == CLASS_LABELS
         assert report.genuine_indicated
         for value in report.m:
             assert value == pytest.approx(SQ2, abs=1e-6)
 
     def test_pair_state_excludes_three(self):
-        report = classify(to_density(phi_plus_otimes_zero()), CFG)
+        report = classify(to_density(phi_plus_otimes_zero()))
         assert report.m[2] == pytest.approx(SQ2, abs=1e-6)
         assert report.m[0] <= 1.0 + 1e-6
         assert report.m[1] <= 1.0 + 1e-6
@@ -175,7 +163,7 @@ class TestClassify:
         assert not report.genuine_indicated
 
     def test_trapped_state_excludes_three(self):
-        report = classify(trapped_1_23(), CFG)
+        report = classify(trapped_1_23())
         assert report.m[0] == pytest.approx(1.16262, abs=1e-5)
         assert report.excluded == ("fully-separable", "2-13", "12-3")
 
@@ -194,13 +182,21 @@ class TestClassify:
     def test_product_state_excludes_nothing(self):
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0
-        report = classify(to_density(PureState(amp)), CFG)
+        report = classify(to_density(PureState(amp)))
         assert report.excluded == ()
         assert not report.genuine_indicated
 
     def test_report_wording_never_claims_separability(self):
-        report = classify(random_in_class(None, 2, 3), CFG)
+        report = classify(random_in_class(None, 2, 3))
         assert "not certified separable" in report.note
+
+    def test_note_is_a_constant(self):
+        """The note is the module's one wording; neither ``classify`` nor the report takes another."""
+        report = classify(to_density(ghz()))
+        assert report.note == CLASSIFICATION_NOTE
+        with pytest.raises(TypeError):
+            type(report)(report.m, report.omega_max, report.excluded, report.margin,
+                         report.genuine_indicated, report.converged, note="other")
 
 
 def capture_draws(monkeypatch):

@@ -29,6 +29,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_process(argv, extra_env=None, **kwargs):
+    """``python -m tribell.cli argv`` in a child process, its output captured.
+
+    The child gets the directory this process imported tribell from, so it
+    also runs on a checkout that is not pip-installed.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tribell.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **(extra_env or {})}
+    return subprocess.run([sys.executable, "-m", "tribell.cli", *argv], capture_output=True, env=env, **kwargs)
+
+
 def write_state_pure(path, amplitudes):
     data = {"kind": "pure", "data": [[z.real, z.imag] for z in amplitudes]}
     path.write_text(json.dumps(data))
@@ -206,6 +218,12 @@ class TestOptimize:
         assert np.all((rows == 0.0) | (np.abs(rows) >= 1e-12))
         assert np.count_nonzero(rows == 0.0) >= 2
         np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0, atol=1e-8)
+
+    def test_negative_zero_prints_as_zero(self, capsys):
+        """The closed-form settings of W on axis 1 hold a -0.0, which prints as 0.0 like any noise."""
+        code, out, _ = run_cli(capsys, "optimize", "builtin:w", "1")
+        assert code == EXIT_OK
+        assert "-0.0" not in [line.strip().rstrip(",") for line in out.splitlines()]
 
     def test_index_and_omega_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "builtin:ghz", "1", "--omega")
@@ -533,18 +551,11 @@ class TestFormatting:
     def test_installed_entry_point(self, tmp_path):
         """The console script drives the same main(), and a bad file is exit status 2.
 
-        The child gets the directory this process imported tribell from, so
-        the test also runs on a checkout that is not pip-installed.  Only the
-        process's own exit status shows a crash inside main().
+        Only the process's own exit status shows a crash inside main().
         """
-        src = os.path.dirname(os.path.dirname(os.path.abspath(tribell.__file__)))
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
         def cli(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "tribell.cli", *argv], capture_output=True, text=True, env=env
-            )
+            return cli_process(argv, text=True)
 
         proc = cli("decompose", "builtin:w")
         assert proc.returncode == EXIT_OK
@@ -556,3 +567,19 @@ class TestFormatting:
             proc = cli("decompose", str(path))
             assert proc.returncode == EXIT_INPUT, proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_stdin_decoded_strictly_in_utf8_mode(self, tmp_path):
+        """Under PYTHONUTF8=1 stdin's own text layer would pass an undecodable byte through.
+
+        ``figure -`` decodes stdin's bytes itself, so the byte is refused on
+        stdin as it is in a file: exit status 2 and nothing on stdout.
+        """
+        content = b"d1,d2,d3,class\n0.1,0.2,0.3,\xff\n"
+        path = tmp_path / "points.csv"
+        path.write_bytes(content)
+        for source, stdin in (("-", content), (str(path), b"")):
+            proc = cli_process(["figure", source], input=stdin, extra_env={"PYTHONUTF8": "1"})
+            assert proc.returncode == EXIT_INPUT, proc.stderr
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(f"error: cannot read CSV file {source!r}: ".encode())
+            assert proc.stderr.count(b"\n") == 1

@@ -1,5 +1,6 @@
 """Tensor algebra: Kronecker products, slot placement, trace expectations; the intake."""
 
+import functools
 import re
 
 import numpy as np
@@ -376,6 +377,19 @@ class TestIntake:
         build(valid)  # the unspoiled input is accepted
         with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}"):
             build(spoil(valid))
+
+    @pytest.mark.parametrize(
+        "nest, fault",
+        [
+            (functools.reduce(lambda nest, _: [nest], range(70), 1.0), "a nest deeper than numpy's dimension limit"),
+            ([[1, 2], [3]], "a ragged nest"),
+        ],
+        ids=["70-deep", "ragged"],
+    )
+    def test_over_deep_nest_is_not_called_ragged(self, nest, fault):
+        """numpy refuses both nests with one ValueError; the message names the fault that is there."""
+        with pytest.raises(ValidationError, match=f"^a must be numbers, got {re.escape(fault)}$"):
+            MeasurementSettings(nest, np.eye(3))
 
     @pytest.mark.parametrize("spoil", [lambda m: m.astype(str), lambda m: m.astype(bool)],
                              ids=["string", "bool"])

@@ -1,5 +1,6 @@
 """The certified m_i search, omega maximization, planar oracles and grid cross-checks."""
 
+import dataclasses
 from itertools import combinations
 from unittest import mock
 
@@ -9,19 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
-from tribell.bell import MeasurementSettings, expectation_bell, multiaffine_form, omega, random_settings
+from tribell.bell import expectation_bell, multiaffine_form, omega, random_settings
 from tribell.classify import _draw_state, sample_region
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
 from tribell.optimize import (
     SPHERE_TOL,
+    VERTEX_BLOCK,
     OptimizerConfig,
     _best_row,
     _half_icosahedron,
     _omega_model,
     _omega_values,
     _pair_power,
-    _result_for_rows,
     _retract,
     maximize_omega,
     omega_planar_oracle,
@@ -161,11 +162,19 @@ class TestSeesaw:
             OptimizerConfig(seed=-1)
         with pytest.raises(ValidationError, match="n_starts must be an integer"):
             OptimizerConfig(n_starts=2.5)
-        with pytest.raises(ValidationError, match="max_sweeps must be an integer"):
-            OptimizerConfig(max_sweeps=float("nan"))
         with pytest.raises(ValidationError, match="seed must be an integer"):
             OptimizerConfig(seed=True)
         assert OptimizerConfig(n_starts=np.int64(3)).n_starts == 3
+
+    def test_cap_and_degenerate_count_are_constants(self):
+        """The omega ascent's cap is 500, every result has no degenerate updates, and neither is settable."""
+        assert OptimizerConfig().max_sweeps == 500
+        with pytest.raises(TypeError):
+            OptimizerConfig(max_sweeps=5)
+        res = seesaw_max_abs_d(ket000(), 1)
+        assert res.degenerate_updates == 0
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, degenerate_updates=1)
 
     def test_one_contraction_per_slot_pair(self, monkeypatch):
         """Omega builds the multi-affine form once; the m_i search never builds it.
@@ -178,9 +187,11 @@ class TestSeesaw:
         res = seesaw_max_abs_d(to_density(w_state()), 2)
         assert calls == []
         assert res.sweeps_used == 0
-        maximize_omega(to_density(w_state()), OptimizerConfig(n_starts=1, max_sweeps=1))
+        monkeypatch.setattr(OptimizerConfig, "max_sweeps", 1)
+        maximize_omega(to_density(w_state()), OptimizerConfig(n_starts=1))
         assert len(calls) == 1
-        maximize_omega(to_density(ghz()), OptimizerConfig(n_starts=3, max_sweeps=5))
+        monkeypatch.setattr(OptimizerConfig, "max_sweeps", 5)
+        maximize_omega(to_density(ghz()), OptimizerConfig(n_starts=3))
         assert len(calls) == 2
 
     def test_single_start_works(self):
@@ -372,6 +383,23 @@ class TestSphereSearch:
         )
         assert points <= 27_350
 
+    def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
+        """A first level of more than VERTEX_BLOCK points gives every state its result bit for bit.
+
+        Qubit 2 is in a product with the rest, so on axis 1 the Frobenius
+        ceiling closes each state at level 0, on its 12 points; 342 states put
+        4104 points into one evaluation.
+        """
+        n = VERTEX_BLOCK // 12 + 1
+        states = [random_in_class("2-13", 1, seed, pure_factors=True) for seed in range(n)]
+        whole, points = counted_points(lambda: seesaw_max_abs_d_many(states, 1))
+        assert points == 12 * n > VERTEX_BLOCK
+        halves = seesaw_max_abs_d_many(states[:n // 2], 1) + seesaw_max_abs_d_many(states[n // 2:], 1)
+        for one, other in zip(whole, halves, strict=True):
+            assert (one.value, one.upper, one.converged) == (other.value, other.upper, other.converged)
+            np.testing.assert_array_equal(one.settings.a, other.settings.a)
+            np.testing.assert_array_equal(one.settings.b, other.settings.b)
+
     @SEARCH
     @given(
         kind=hst.sampled_from(["pure", "mixed"]),
@@ -426,17 +454,18 @@ class TestSphereSearch:
 
 
 class TestTieRule:
-    def test_first_start_within_tolerance_gives_the_settings(self):
+    def test_first_start_within_tolerance_gives_the_settings(self, monkeypatch):
         """A start that beats an earlier one only at rounding level does not take over."""
+        rho = to_density(ghz())
         first, second = random_settings(1), random_settings(2)
         vecs = np.stack([np.stack([m.a, m.b]) for m in (first, second)])
-        obj = np.array([1.0, 1.0 + 1e-13])
-        best = _best_row(obj)
-        res = _result_for_rows(
-            obj, best, MeasurementSettings(*vecs[best]), 1.0, np.array([3, 7]), np.array([True, False]),
-        )
-        assert best == 0
+        obj = np.array([omega(rho, first), omega(rho, first) + 1e-13])
+        assert _best_row(obj) == 0
+        ascent = (obj, vecs, np.array([3, 7]), np.array([True, False]))
+        monkeypatch.setattr(opt, "_newton_ascent", lambda *args: ascent)
+        res = maximize_omega(rho)
         assert res.value == obj[1]
+        assert res.per_start_values == tuple(obj)
         np.testing.assert_array_equal(res.settings.a, first.a)
         assert (res.sweeps_used, res.converged) == (3, True)
 
@@ -619,8 +648,8 @@ class TestOmegaNewton:
             polished.append(out)
             return out
 
-        with mock.patch.object(opt, "_newton_ascent", spy):
-            res = maximize_omega(rho, OptimizerConfig(n_starts=4, max_sweeps=40))
+        with mock.patch.object(opt, "_newton_ascent", spy), mock.patch.object(OptimizerConfig, "max_sweeps", 40):
+            res = maximize_omega(rho, OptimizerConfig(n_starts=4))
         vecs = as_rows(res.settings)
         assume(any(
             np.array_equal(row, vecs[0]) for _, rows, _, certified in polished for row in rows[certified]
@@ -659,11 +688,6 @@ class TestPlanarOracle:
 
 
 class TestPlanarGrid:
-    @pytest.mark.parametrize("n_angles", [0, -3, 2.5, True])
-    def test_bad_angle_count_rejected(self, n_angles):
-        with pytest.raises(ValidationError, match="n_angles"):
-            planar_grid_max(to_density(ghz()), 1, n_angles=n_angles)
-
     def test_grid_reaches_ghz_optimum(self):
         """The 16-angle grid contains the exact GHZ maximizer."""
         value = planar_grid_max(to_density(ghz()), 1)
