@@ -73,9 +73,14 @@ DUAL_PATH_TOL = 1e-10
 _I4 = np.eye(4, dtype=complex)
 
 
-def _check_unit_rows(rows, name: str, tol: float = UNIT_TOL) -> np.ndarray:
-    rows = _frozen_array(rows, name, (3, 3))
-    norms_sq = np.sum(rows**2, axis=1)
+def _check_unit_rows(rows, name: str, tol: float = UNIT_TOL, lead: tuple = ()) -> np.ndarray:
+    """A read-only copy of ``rows`` (*lead, 3, 3) whose rows are unit vectors within ``tol``.
+
+    A stack takes one copy, one flag and one test, and its (3, 3) entries
+    are read-only views.
+    """
+    rows = _frozen_array(rows, name, lead + (3, 3))
+    norms_sq = np.sum(rows**2, axis=-1)
     if np.any(np.abs(norms_sq - 1.0) > tol):
         worst = float(np.max(np.abs(norms_sq - 1.0)))
         raise ValidationError(
@@ -96,6 +101,14 @@ class MeasurementSettings:
         _check_real("tol", self.tol, 0)
         object.__setattr__(self, "a", _check_unit_rows(self.a, "a", self.tol))
         object.__setattr__(self, "b", _check_unit_rows(self.b, "b", self.tol))
+
+    @classmethod
+    def _from_checked(cls, a, b) -> "MeasurementSettings":
+        """Settings around rows (3, 3) that :func:`_check_unit_rows` already checked and froze."""
+        settings = object.__new__(cls)
+        for name, value in (("a", a), ("b", b), ("tol", UNIT_TOL)):
+            object.__setattr__(settings, name, value)
+        return settings
 
     @classmethod
     def aligned(cls, v) -> "MeasurementSettings":

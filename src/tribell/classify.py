@@ -185,10 +185,11 @@ def sample_region(
     In ``fixed-settings`` mode all states share a single random setting drawn
     from the seed and the coordinates are the three simultaneous expectations
     at that setting.  In ``optimized`` mode coordinate i is
-    m_i = max |<D_i>| >= 0, the lower end of the certified sphere search
-    (:func:`tribell.optimize.seesaw_max_abs_d_many`), rechecked on the dense
-    path at its settings, which exposes the cube/cuboid boundaries
-    instead.
+    m_i = max |<D_i>| >= 0, the lower end of the certified sphere search,
+    rechecked on the dense path at its settings, which exposes the
+    cube/cuboid boundaries instead.  One call of
+    :func:`tribell.optimize.seesaw_max_abs_d_many` with the indices
+    (1, 2, 3) runs all three coordinates of every state as one search.
     """
     if source_class not in SOURCE_CLASSES:
         raise ValidationError(
@@ -205,7 +206,8 @@ def sample_region(
         # each D_i is built and validated once, then traced against all states
         columns = [expectation_bell(states, shared, i).tolist() for i in (1, 2, 3)]
     else:
-        columns = [[res.value for res in seesaw_max_abs_d_many(states, i)] for i in (1, 2, 3)]
+        values = [res.value for res in seesaw_max_abs_d_many(states, (1, 2, 3))]
+        columns = [values[k * n:(k + 1) * n] for k in range(3)]
     return [RegionPoint(d1, d2, d3, source_class) for d1, d2, d3 in zip(*columns)]
 
 

@@ -24,9 +24,12 @@
   500 iterations.  A start that reaches a vanishing gradient with no
   positive curvature is certified as a local maximum.
 
-:func:`seesaw_max_abs_d_many` runs a whole list of states as one batched
-search and one stacked dense recheck, which is how the Monte Carlo bound
-sweeps stay fast; each state's result is the single-state entry point's.
+:func:`seesaw_max_abs_d_many` batches the (state, axis) problems of a list
+of states and a tuple of indices: one ``decompose`` per state, one sphere
+search over the stacked problems, one unit-row intake of the stacked
+settings and one stacked dense recheck per axis.  That is how the Monte
+Carlo bound sweeps stay fast; every result is the single-state entry
+point's, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 from .bell import (
     DUAL_PATH_TOL,
     MeasurementSettings,
+    _check_unit_rows,
     _homogeneous,
     _pair_indices,
     expectation_bell,
@@ -73,8 +77,9 @@ SPHERE_TOL = 1e-9
 #: live triangles one state may keep after pruning; a state with more stops
 #: refining and keeps its bracket, whose gap then usually exceeds SPHERE_TOL
 MAX_LIVE = 1024
-#: children per block of the split loop, whose VERTEX_BLOCK // 4 triangles add at
-#: most 3 * VERTEX_BLOCK // 4 midpoints; bounds the loop's scratch memory
+#: points per level-0 evaluation, and children per block of the split loop, whose
+#: VERTEX_BLOCK // 4 triangles add at most 3 * VERTEX_BLOCK // 4 midpoints; bounds
+#: the scratch memory of each evaluation and block whatever the batch size
 VERTEX_BLOCK = 4096
 # the cubic's smallest root is recomputed by eigvalsh where its arccos argument
 # is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
@@ -247,6 +252,9 @@ def _sphere_search(alpha, q):
     normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
     point is the lower end; a triangle whose bound is within ``SPHERE_TOL``
     of it is pruned, and a state stops when its global ceiling is that close.
+    Each block's children are pruned before the next block is split, and the
+    whole level once more at its final lower ends, so that no state's result
+    depends on the other states of its batch.
     The ceiling is the smaller of two closed forms, with
     O = |alpha|^2 I - alpha alpha^T:
 
@@ -269,11 +277,11 @@ def _sphere_search(alpha, q):
 
     Level 0 evaluates each of the ten face vertices once, then the leading
     term's and the Frobenius ceiling's top eigenvectors, in that order so
-    that ties keep a vertex, and before any pruning; where either ceiling is
-    exact it closes the bracket before any split.  A state left with more
-    than ``MAX_LIVE`` triangles stops with its live bounds.  Returns the
-    best direction (n, 3), the lower end (n,), which is the value there, and
-    the certified upper end (n,).
+    that ties keep a vertex, and before any pruning, ``VERTEX_BLOCK`` points
+    at a time; where either ceiling is exact it closes the bracket before any
+    split.  A state left with more than ``MAX_LIVE`` triangles stops with its
+    live bounds.  Returns the best direction (n, 3), the lower end (n,),
+    which is the value there, and the certified upper end (n,).
     """
     n = len(alpha)
     orth = np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
@@ -300,19 +308,23 @@ def _sphere_search(alpha, q):
         best[who[up]] = at[up]
         return vals.reshape(rows, width)
 
-    def survivors(tri, vals, owner):
-        """Triangles whose bound still exceeds their state's lower end by the tolerance."""
-        bound = vals.max(axis=1) / _heights(tri)
+    def survivors(tri, vals, owner, bound):
+        """Triangles whose ``bound`` still exceeds their state's lower end by the tolerance."""
         keep = (bound > lower[owner] + SPHERE_TOL) & (ceiling[owner] > lower[owner] + SPHERE_TOL)
         return tri[keep], vals[keep], owner[keep], bound[keep]
 
-    # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex
+    # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex;
+    # whole states at a time, at most VERTEX_BLOCK points per evaluation
     vertices, faces = _half_icosahedron()
     eigen = np.stack([top_vec[:, :, -1], frob_vec[:, :, -1]], axis=1)
     points = np.concatenate([np.broadcast_to(vertices, (n,) + vertices.shape), eigen], axis=1)
-    vals = evaluate(points, np.arange(n))[:, faces].reshape(-1, 3)
+    states, step = np.arange(n), VERTEX_BLOCK // points.shape[1]
+    vals = np.concatenate([
+        evaluate(points[lo:lo + step], states[lo:lo + step]) for lo in range(0, n, step)
+    ])[:, faces].reshape(-1, 3)
     tri = np.tile(vertices[faces], (n, 1, 1))
-    tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)))
+    bound = vals.max(axis=1) / _heights(tri)
+    tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)), bound)
     while True:
         stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
         if stop.any():
@@ -328,11 +340,12 @@ def _sphere_search(alpha, q):
             mids /= np.linalg.norm(mids, axis=2, keepdims=True)
             points = np.concatenate([t, mids], axis=1)
             point_vals = np.concatenate([v, evaluate(mids, o)], axis=1)
-            kept.append(survivors(
-                points[:, _CHILDREN].reshape(-1, 3, 3), point_vals[:, _CHILDREN].reshape(-1, 3),
-                np.repeat(o, 4),
-            ))
-        tri, vals, owner, bound = (np.concatenate(x) for x in zip(*kept))
+            children = points[:, _CHILDREN].reshape(-1, 3, 3)
+            child_vals = point_vals[:, _CHILDREN].reshape(-1, 3)
+            bound = child_vals.max(axis=1) / _heights(children)
+            kept.append(survivors(children, child_vals, np.repeat(o, 4), bound))
+        # again at the final lower ends, which a state's later blocks may have raised
+        tri, vals, owner, bound = survivors(*(np.concatenate(x) for x in zip(*kept)))
     upper = np.minimum(ceiling, np.maximum(live_bound, lower + SPHERE_TOL))
     return best, lower, upper
 
@@ -369,30 +382,45 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     return vecs
 
 
-def seesaw_max_abs_d_many(states, i: int):
-    """Batched :func:`seesaw_max_abs_d` over a list of states (one result each).
+def seesaw_max_abs_d_many(states, axes):
+    """Batched :func:`seesaw_max_abs_d` over a list of states and a list or tuple of indices.
 
-    One sphere search brackets every state's m_i and one stacked dense call
-    rechecks all of their settings; each state's result is the same as the
-    single-state entry point's.
+    Returns one flat, axis-major list of ``len(axes) * len(states)``
+    results: the j-th index's result for state k sits at
+    ``j * len(states) + k``.  Each state is decomposed once, and all the
+    (state, axis) problems run one sphere search.  Their settings pass one
+    stacked unit-row intake, and one stacked dense call per axis rechecks
+    them.  Every result is bit for bit the single-state entry point's.
     """
-    i = _check_slot(i, "operator index")
+    if not isinstance(axes, (list, tuple)):
+        raise ValidationError(
+            f"axes must be a list or tuple of operator indices, got {type(axes).__name__}"
+        )
+    axes = [_check_slot(i, "operator index") for i in axes]
     states = [as_density(s) for s in states]
-    if not states:
+    n = len(states)
+    if not n or not axes:
         return []
-    grid = np.moveaxis(np.stack([decompose(rho).grid for rho in states]), i, 1)  # slot i first
-    # dense copies keep the search's row gathers fast; views of the grid slow them
-    alpha, q_i = np.copy(grid[:, 1:, 0, 0]), np.copy(grid[:, 1:, 1:, 1:])
-    direction, lower, upper = _sphere_search(alpha, q_i)
+    grid = np.stack([decompose(rho).grid for rho in states])
+    moved = [np.moveaxis(grid, i, 1) for i in axes]  # slot i first
+    # C order keeps the search's row gathers fast and gives every batch the same sums
+    alpha = np.ascontiguousarray(np.concatenate([g[:, 1:, 0, 0] for g in moved]))
+    q = np.ascontiguousarray(np.concatenate([g[:, 1:, 1:, 1:] for g in moved]))
+    direction, lower, upper = _sphere_search(alpha, q)
     # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
     converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
-    settings = [MeasurementSettings(*row) for row in _sphere_settings(direction, alpha, q_i, i)]
-    dense = np.abs(expectation_bell(states, settings, i)).tolist()
+    blocks = [(slice(k * n, (k + 1) * n), i) for k, i in enumerate(axes)]
+    rows = np.concatenate([_sphere_settings(direction[at], alpha[at], q[at], i) for at, i in blocks])
+    # one intake for the whole stack; each result's settings are read-only views of it
+    a = _check_unit_rows(rows[:, 0], "a", lead=(len(rows),))
+    b = _check_unit_rows(rows[:, 1], "b", lead=(len(rows),))
+    settings = list(map(MeasurementSettings._from_checked, a, b))
+    dense = np.concatenate([np.abs(expectation_bell(states, settings[at], i)) for at, i in blocks])
     return [
         OptimizationResult(value=_rechecked(value, check, bound), settings=setting, sweeps_used=0,
                            converged=ok, per_start_values=(value,), upper=bound)
         for value, check, bound, ok, setting
-        in zip(lower.tolist(), dense, upper.tolist(), converged.tolist(), settings)
+        in zip(lower.tolist(), dense.tolist(), upper.tolist(), converged.tolist(), settings)
     ]
 
 
@@ -412,9 +440,10 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
     sweeps run: ``sweeps_used`` is 0, ``degenerate_updates`` is the
     result's constant 0 and ``per_start_values`` holds ``value`` alone.  The
-    name is kept from the see-saw ascent this search replaced.
+    name is kept from the see-saw ascent this search replaced.  This is the
+    one-state, one-index case of :func:`seesaw_max_abs_d_many`.
     """
-    return seesaw_max_abs_d_many([rho], i)[0]
+    return seesaw_max_abs_d_many([rho], (i,))[0]
 
 
 def _omega_values(form, vecs):

@@ -76,11 +76,10 @@ def test_criterion_01_fully_separable_bound():
     ]
     violations = 0
     worst = 0.0
-    for i in (1, 2, 3):
-        for res in seesaw_max_abs_d_many(states, i):
-            worst = max(worst, res.value)
-            if res.value > 1.0 + 1e-6:
-                violations += 1
+    for res in seesaw_max_abs_d_many(states, (1, 2, 3)):
+        worst = max(worst, res.value)
+        if res.value > 1.0 + 1e-6:
+            violations += 1
     assert violations == 0, f"{violations} optimized values above 1+1e-6 (worst {worst})"
     for i in (1, 2, 3):
         saturation = seesaw_max_abs_d(ket000(), i).value
@@ -97,13 +96,14 @@ def test_criterion_02_biseparable_cuboids():
         states = [_draw_state(partition, rng) for _ in range(200)]
         violations = 0
         stretched = 0
-        for i in (1, 2, 3):
+        results = seesaw_max_abs_d_many(states, (1, 2, 3))
+        for k, res in enumerate(results):
+            i = k // len(states) + 1
             limit = SQ2 + 1e-6 if i == axis else 1.0 + 1e-6
-            for res in seesaw_max_abs_d_many(states, i):
-                if res.value > limit:
-                    violations += 1
-                if i == axis and res.value > 1.0 + 1e-6:
-                    stretched += 1
+            if res.value > limit:
+                violations += 1
+            if i == axis and res.value > 1.0 + 1e-6:
+                stretched += 1
         counts[partition] = (violations, stretched)
         assert violations == 0, f"{partition}: {violations} cuboid violations"
     saturation = seesaw_max_abs_d(to_density(phi_plus_otimes_zero()), 3).value
@@ -201,7 +201,7 @@ def test_criterion_06_local_unitary_invariance():
         assert n1[1] == pytest.approx(n2[1], abs=1e-10)
         originals.append(to_density(psi))
         rotated_all.append(to_density(rotated))
-    results = seesaw_max_abs_d_many(originals + rotated_all, 1)
+    results = seesaw_max_abs_d_many(originals + rotated_all, (1,))
     for r1, r2 in zip(results[:100], results[100:]):
         worst_opt = max(worst_opt, abs(r1.value - r2.value))
         assert r1.value == pytest.approx(r2.value, abs=1e-5)

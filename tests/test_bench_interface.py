@@ -50,3 +50,18 @@ def test_traced_cli_runs_and_restores_the_bindings(tracer_module):
         assert set(counters) >= {"sweeps_p50", "capped", "nonconverged", "degenerate", "start_hit_ratio"}
     for layer in ("classify", "pauli.decompose", "bell.dense", "states.draw", "states.validate"):
         assert tracer.calls[layer] > 0, layer
+
+
+def test_one_traced_seesaw_call_holds_every_m_i_of_a_sample(tracer_module):
+    """An optimized sample of two states is one traced m_i call with all six (state, axis) results.
+
+    These are the per-layer counts that the benchmark's traced sample run
+    reads: one m_i call per sample call, one row per (state, axis), no omega.
+    """
+    tracer = tracer_module.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sample", "--class", "1-23", "-n", "2", "--seed", "0", "--mode", "optimized"]) == 0
+    assert tracer.calls["optimize.seesaw"] == tracer.calls["classify"] == 1
+    assert len(tracer.results["optimize.seesaw"]) == 6
+    assert tracer.optimizer_counters("optimize.seesaw")["rows"] == 6
+    assert tracer.calls["optimize.omega"] == 0

@@ -242,12 +242,13 @@ class TestSampleRegion:
         rng = np.random.default_rng(10)
         rng.integers(0, 2**63)  # the shared fixed-settings draw
         states = [_draw_state("1-23", rng) for _ in range(12)]
-        for i in (1, 2, 3):
-            results = seesaw_max_abs_d_many(states, i)
-            for pt, res in zip(points, results):
-                coord = (pt.d1, pt.d2, pt.d3)[i - 1]
-                assert coord >= 0.0
-                assert coord == res.value
+        results = seesaw_max_abs_d_many(states, (1, 2, 3))
+        assert len(results) == 3 * len(points)
+        for k, res in enumerate(results):
+            pt = points[k % len(states)]
+            coord = (pt.d1, pt.d2, pt.d3)[k // len(states)]
+            assert coord >= 0.0
+            assert coord == res.value
 
     @pytest.mark.parametrize("source", SOURCE_CLASSES)
     def test_fixed_settings_coordinates_are_the_per_state_traces(self, source, monkeypatch):

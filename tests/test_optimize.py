@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
-from tribell.bell import expectation_bell, multiaffine_form, omega, random_settings
+from tribell.bell import MeasurementSettings, expectation_bell, multiaffine_form, omega, random_settings
 from tribell.classify import _draw_state, sample_region
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
@@ -143,12 +143,91 @@ class TestSeesaw:
 
     def test_batch_matches_single(self):
         states = [to_density(random_pure(s)) for s in (3, 4)] + [random_in_class("2-13", 2, 6)]
-        from tribell.optimize import seesaw_max_abs_d_many
+        batch = seesaw_max_abs_d_many(states, (1, 2, 3))
+        singles = [seesaw_max_abs_d(state, i) for i in (1, 2, 3) for state in states]
+        for res, single in zip(batch, singles, strict=True):
+            assert_same_result(res, single)
 
-        batch = seesaw_max_abs_d_many(states, 2)
-        for state, res in zip(states, batch):
-            single = seesaw_max_abs_d(state, 2)
-            assert res.value == pytest.approx(single.value, abs=1e-9)
+    @pytest.mark.parametrize("source, seed, n", [
+        ("1-23", 31, 48),
+        # a block edge splits the level of state 2's axis-2 search; pruned only
+        # block by block, that level kept triangles which its lower end, raised
+        # in the next block, rules out, and the merged value came out 2.5e-11
+        # above the per-axis call's; each level is now pruned again at its
+        # final lower ends
+        ("haar-pure", 27, 64),
+    ])
+    def test_merged_axes_match_the_per_axis_calls(self, source, seed, n):
+        """Every (state, axis) result of one (1, 2, 3) call is the per-axis call's, bit for bit.
+
+        Some levels of the merged search hold more than VERTEX_BLOCK // 4
+        triangles, so they split into blocks and some states straddle a
+        block edge; a full block has VERTEX_BLOCK children.
+        """
+        rng = np.random.default_rng(seed)
+        states = [_draw_state(source, rng) for _ in range(n)]
+        children = []
+        heights = opt._heights
+        with mock.patch.object(opt, "_heights", lambda tri: children.append(len(tri)) or heights(tri)):
+            merged = seesaw_max_abs_d_many(states, (1, 2, 3))
+        assert VERTEX_BLOCK in children
+        per_axis = [res for i in (1, 2, 3) for res in seesaw_max_abs_d_many(states, (i,))]
+        for one, other in zip(merged, per_axis, strict=True):
+            assert_same_result(one, other)
+
+    def test_settings_are_read_only_views(self):
+        for res in seesaw_max_abs_d_many([ket000(), to_density(w_state())], (1, 3)):
+            for rows in (res.settings.a, res.settings.b):
+                assert rows.shape == (3, 3)
+                assert not rows.flags.writeable
+
+    def test_one_stacked_intake_refuses_a_non_unit_row(self, monkeypatch):
+        """A row off the unit sphere by 1e-6 raises the per-state intake's error, message and all."""
+        original = opt._sphere_settings
+        stretched = []
+
+        def stretch(s, alpha, q, i):
+            rows = original(s, alpha, q, i)
+            if not stretched:
+                rows[0, 0, 1] *= 1.0 + 1e-6  # a_2 of the first state
+                stretched.append(rows[0].copy())
+            return rows
+
+        monkeypatch.setattr(opt, "_sphere_settings", stretch)
+        with pytest.raises(ValidationError, match="a rows must be unit vectors") as info:
+            seesaw_max_abs_d_many([to_density(w_state())], (1, 2, 3))
+        with pytest.raises(ValidationError) as per_state:
+            MeasurementSettings(*stretched[0])
+        assert str(info.value) == str(per_state.value)
+
+    def test_one_search_and_one_decompose_per_sample_call(self, monkeypatch):
+        """An optimized sample call runs one sphere search and decomposes each state once.
+
+        Its settings skip the intake of outside input: the one intake is the
+        shared fixed setting that every sample call draws.
+        """
+        counts = dict.fromkeys(("search", "decompose", "intake"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(opt, "_sphere_search", counted("search", opt._sphere_search))
+        monkeypatch.setattr(opt, "decompose", counted("decompose", opt.decompose))
+        intake = counted("intake", MeasurementSettings.__post_init__)
+        monkeypatch.setattr(MeasurementSettings, "__post_init__", intake)
+        assert len(sample_region("1-23", 6, 3, "optimized")) == 6
+        assert counts == {"search": 1, "decompose": 6, "intake": 1}
+
+    def test_axes_must_be_a_list_or_tuple(self):
+        for axes in (1, np.int64(2), "1"):
+            with pytest.raises(ValidationError, match="axes must be a list or tuple"):
+                seesaw_max_abs_d_many([ket000()], axes)
+        with pytest.raises(ValidationError, match="index"):
+            seesaw_max_abs_d_many([ket000()], (1, 4))
 
     def test_bad_index_rejected(self):
         for i in (5, 2.0, True):
@@ -200,30 +279,28 @@ class TestSeesaw:
         assert res.value <= SQ2 + 1e-9
 
     def test_batched_recheck_catches_one_shifted_state(self, monkeypatch):
-        """One stacked dense recheck still compares every state on its own."""
-        from tribell.optimize import seesaw_max_abs_d_many
-
+        """One stacked dense recheck per axis still compares every (state, axis) on its own."""
         states = [random_in_class("2-13", 2, seed) for seed in (6, 7, 8)]
-        honest = seesaw_max_abs_d_many(states, 2)
+        honest = seesaw_max_abs_d_many(states, (1, 2, 3))
         dense = opt.expectation_bell
         calls = []
 
         def shifted(rhos, settings, i):
             calls.append(len(rhos))
             values = dense(rhos, settings, i)
-            values[1] += 1e-6 * np.sign(values[1])
+            if i == 2:
+                values[1] += 1e-6 * np.sign(values[1])
             return values
 
         monkeypatch.setattr(opt, "expectation_bell", shifted)
         with pytest.raises(ConsistencyError, match="disagrees with matrix-path recomputation") as info:
-            seesaw_max_abs_d_many(states, 2)
-        assert calls == [3]
-        assert repr(honest[1].value) in str(info.value)
+            seesaw_max_abs_d_many(states, (1, 2, 3))
+        assert calls == [3, 3, 3]
+        assert repr(honest[len(states) + 1].value) in str(info.value)
 
     def test_empty_batch(self):
-        from tribell.optimize import seesaw_max_abs_d_many
-
-        assert seesaw_max_abs_d_many([], 1) == []
+        assert seesaw_max_abs_d_many([], (1,)) == []
+        assert seesaw_max_abs_d_many([ket000()], ()) == []
 
 
 def random_state(kind, seed):
@@ -290,6 +367,13 @@ def rank_deficient_state(family, x, seed):
         psi = canonical_biseparable(family, x)
     rng = np.random.default_rng(seed)
     return to_density(apply_local_unitaries(psi, random_local_unitaries(rng)))
+
+
+def assert_same_result(one, other):
+    """Two m_i results agree bit for bit: bracket, flag and settings."""
+    assert (one.value, one.upper, one.converged) == (other.value, other.upper, other.converged)
+    np.testing.assert_array_equal(one.settings.a, other.settings.a)
+    np.testing.assert_array_equal(one.settings.b, other.settings.b)
 
 
 def counted_points(call):
@@ -384,21 +468,23 @@ class TestSphereSearch:
         assert points <= 27_350
 
     def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
-        """A first level of more than VERTEX_BLOCK points gives every state its result bit for bit.
+        """A first level of more than VERTEX_BLOCK points is evaluated in blocks, bit for bit.
 
         Qubit 2 is in a product with the rest, so on axis 1 the Frobenius
         ceiling closes each state at level 0, on its 12 points; 342 states put
-        4104 points into one evaluation.
+        4104 points into the first level, and no evaluation takes more than
+        VERTEX_BLOCK of them.
         """
         n = VERTEX_BLOCK // 12 + 1
         states = [random_in_class("2-13", 1, seed, pure_factors=True) for seed in range(n)]
-        whole, points = counted_points(lambda: seesaw_max_abs_d_many(states, 1))
-        assert points == 12 * n > VERTEX_BLOCK
-        halves = seesaw_max_abs_d_many(states[:n // 2], 1) + seesaw_max_abs_d_many(states[n // 2:], 1)
+        sizes = []
+        values = opt._sphere_values
+        with mock.patch.object(opt, "_sphere_values", lambda *args: sizes.append(len(args[-1])) or values(*args)):
+            whole = seesaw_max_abs_d_many(states, (1,))
+        assert sum(sizes) == 12 * n > VERTEX_BLOCK >= max(sizes)
+        halves = seesaw_max_abs_d_many(states[:n // 2], (1,)) + seesaw_max_abs_d_many(states[n // 2:], (1,))
         for one, other in zip(whole, halves, strict=True):
-            assert (one.value, one.upper, one.converged) == (other.value, other.upper, other.converged)
-            np.testing.assert_array_equal(one.settings.a, other.settings.a)
-            np.testing.assert_array_equal(one.settings.b, other.settings.b)
+            assert_same_result(one, other)
 
     @SEARCH
     @given(
@@ -443,14 +529,13 @@ class TestSphereSearch:
         states = [random_pure(seed) for seed in range(12)]
         states += [canonical_biseparable(p, 0.6) for p in PARTITIONS] + [ghz(), w_state()]
         rotated = [apply_local_unitaries(psi, random_local_unitaries(rng)) for psi in states]
-        for i in (1, 2, 3):
-            pairs = zip(seesaw_max_abs_d_many(states, i), seesaw_max_abs_d_many(rotated, i))
-            for k, (one, other) in enumerate(pairs):
-                assert one.value <= other.upper + 1e-12, (i, k)
-                assert other.value <= one.upper + 1e-12, (i, k)
-                if one.converged and other.converged:
-                    assert abs(one.value - other.value) <= 2 * SPHERE_TOL, (i, k)
-                    assert abs(one.upper - other.upper) <= 2 * SPHERE_TOL, (i, k)
+        pairs = zip(seesaw_max_abs_d_many(states, (1, 2, 3)), seesaw_max_abs_d_many(rotated, (1, 2, 3)))
+        for k, (one, other) in enumerate(pairs):
+            assert one.value <= other.upper + 1e-12, k
+            assert other.value <= one.upper + 1e-12, k
+            if one.converged and other.converged:
+                assert abs(one.value - other.value) <= 2 * SPHERE_TOL, k
+                assert abs(one.upper - other.upper) <= 2 * SPHERE_TOL, k
 
 
 class TestTieRule:
