@@ -28,8 +28,10 @@
 of states and a tuple of indices: one ``decompose`` per state, one sphere
 search over the stacked problems, one unit-row intake of the stacked
 settings and one stacked dense recheck per axis.  That is how the Monte
-Carlo bound sweeps stay fast; every result is the single-state entry
-point's, bit for bit.
+Carlo bound sweeps and ``classify`` get all three m_i of a state.  The
+search runs over consecutive chunks of at most ``VERTEX_BLOCK // 12``
+problems, so its memory does not grow with the batch; every result is the
+single-state entry point's, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ SPHERE_TOL = 1e-9
 #: live triangles one state may keep after pruning; a state with more stops
 #: refining and keeps its bracket, whose gap then usually exceeds SPHERE_TOL
 MAX_LIVE = 1024
-#: points per level-0 evaluation, and children per block of the split loop, whose
-#: VERTEX_BLOCK // 4 triangles add at most 3 * VERTEX_BLOCK // 4 midpoints; bounds
-#: the scratch memory of each evaluation and block whatever the batch size
+#: points per evaluation and children per block of the split loop.  The search
+#: runs on chunks of VERTEX_BLOCK // 12 problems, whose level 0 takes 12 points
+#: each, and splits VERTEX_BLOCK // 4 triangles at a time, which add at most
+#: 3 * VERTEX_BLOCK // 4 midpoints; bounds the memory of a search whatever the batch size
 VERTEX_BLOCK = 4096
 # the cubic's smallest root is recomputed by eigvalsh where its arccos argument
 # is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
@@ -275,15 +278,23 @@ def _sphere_search(alpha, q):
       bound alone certifies such flat maxima only on triangles about 5e-5
       wide, and often stops at ``MAX_LIVE`` first.
 
-    Level 0 evaluates each of the ten face vertices once, then the leading
-    term's and the Frobenius ceiling's top eigenvectors, in that order so
-    that ties keep a vertex, and before any pruning, ``VERTEX_BLOCK`` points
-    at a time; where either ceiling is exact it closes the bracket before any
+    More than ``VERTEX_BLOCK // 12`` states run as consecutive chunks of at
+    most that many, whose results are concatenated; since no state's result
+    depends on its batch, that changes no value.  Level 0 of a chunk is one
+    evaluation of at most ``VERTEX_BLOCK`` points: each of the ten face
+    vertices once, then the leading term's and the Frobenius ceiling's top
+    eigenvectors, in that order so that ties keep a vertex, and before any
+    pruning; where either ceiling is exact it closes the bracket before any
     split.  A state left with more than ``MAX_LIVE`` triangles stops with its
     live bounds.  Returns the best direction (n, 3), the lower end (n,),
     which is the value there, and the certified upper end (n,).
     """
     n = len(alpha)
+    vertices, faces = _half_icosahedron()
+    chunk = VERTEX_BLOCK // (len(vertices) + 2)  # a level 0 of at most VERTEX_BLOCK points
+    if n > chunk:
+        parts = [_sphere_search(alpha[lo:lo + chunk], q[lo:lo + chunk]) for lo in range(0, n, chunk)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     orth = np.sum(alpha * alpha, axis=1)[:, None, None] * np.eye(3)
     orth -= alpha[:, :, None] * alpha[:, None, :]
     frob_val, frob_vec = np.linalg.eigh(np.einsum("nklm,njlm->nkj", q, q) + orth)
@@ -313,15 +324,10 @@ def _sphere_search(alpha, q):
         keep = (bound > lower[owner] + SPHERE_TOL) & (ceiling[owner] > lower[owner] + SPHERE_TOL)
         return tri[keep], vals[keep], owner[keep], bound[keep]
 
-    # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex;
-    # whole states at a time, at most VERTEX_BLOCK points per evaluation
-    vertices, faces = _half_icosahedron()
+    # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex
     eigen = np.stack([top_vec[:, :, -1], frob_vec[:, :, -1]], axis=1)
     points = np.concatenate([np.broadcast_to(vertices, (n,) + vertices.shape), eigen], axis=1)
-    states, step = np.arange(n), VERTEX_BLOCK // points.shape[1]
-    vals = np.concatenate([
-        evaluate(points[lo:lo + step], states[lo:lo + step]) for lo in range(0, n, step)
-    ])[:, faces].reshape(-1, 3)
+    vals = evaluate(points, np.arange(n))[:, faces].reshape(-1, 3)
     tri = np.tile(vertices[faces], (n, 1, 1))
     bound = vals.max(axis=1) / _heights(tri)
     tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)), bound)
@@ -388,9 +394,11 @@ def seesaw_max_abs_d_many(states, axes):
     Returns one flat, axis-major list of ``len(axes) * len(states)``
     results: the j-th index's result for state k sits at
     ``j * len(states) + k``.  Each state is decomposed once, and all the
-    (state, axis) problems run one sphere search.  Their settings pass one
-    stacked unit-row intake, and one stacked dense call per axis rechecks
-    them.  Every result is bit for bit the single-state entry point's.
+    (state, axis) problems run one sphere search, in chunks of at most
+    ``VERTEX_BLOCK // 12`` problems, so a call's memory is bounded whatever
+    the batch size.  Their settings pass one stacked unit-row intake, and one
+    stacked dense call per axis rechecks them.  Every result is bit for bit
+    the single-state entry point's.
     """
     if not isinstance(axes, (list, tuple)):
         raise ValidationError(

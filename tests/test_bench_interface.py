@@ -65,3 +65,13 @@ def test_one_traced_seesaw_call_holds_every_m_i_of_a_sample(tracer_module):
     assert len(tracer.results["optimize.seesaw"]) == 6
     assert tracer.optimizer_counters("optimize.seesaw")["rows"] == 6
     assert tracer.calls["optimize.omega"] == 0
+
+
+def test_one_traced_seesaw_call_holds_every_m_i_of_a_classify(tracer_module):
+    """A classify is one traced m_i call holding its three results, next to one omega call."""
+    tracer = tracer_module.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", "builtin:w"]) == 0
+    assert tracer.calls["optimize.seesaw"] == 1
+    assert len(tracer.results["optimize.seesaw"]) == 3
+    assert tracer.calls["optimize.omega"] == tracer.calls["classify"] == 1

@@ -27,6 +27,7 @@ from tribell.states import (
     phi_plus_otimes_zero,
     random_in_class,
     to_density,
+    w_state,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -139,7 +140,8 @@ class TestExclusionRules:
         def unexpected(*args, **kwargs):
             pytest.fail("classify optimized before checking the margin")
 
-        monkeypatch.setattr(classify_mod, "seesaw_max_abs_d", unexpected)
+        for name in ("maximize_omega", "seesaw_max_abs_d_many"):
+            monkeypatch.setattr(classify_mod, name, unexpected)
         with pytest.raises(ValidationError, match="margin"):
             classify(to_density(ghz()), margin=margin)
         with pytest.raises(ValidationError, match="margin"):
@@ -178,6 +180,20 @@ class TestClassify:
             assert res.value == pytest.approx(np.sqrt(10) / 3, abs=1e-9)
             assert res.upper == pytest.approx(np.sqrt(10) / 3, abs=1e-9)
         assert excluded_classes([res.value for res in results], 1e-6) == CLASS_LABELS
+
+    @pytest.mark.parametrize("state", [to_density(ghz()), to_density(w_state()), trapped_1_23()],
+                             ids=["ghz", "w", "trapped-1-23"])
+    def test_one_search_gives_the_per_axis_maxima(self, state, monkeypatch):
+        """One classify runs one sphere search for all three m_i, each the per-axis call's exactly."""
+        opt = importlib.import_module("tribell.optimize")
+        search, searches = opt._sphere_search, []
+        with monkeypatch.context() as patch:
+            patch.setattr(opt, "_sphere_search", lambda *args: searches.append(1) or search(*args))
+            report = classify(state)
+        assert len(searches) == 1
+        per_axis = [seesaw_max_abs_d(state, i) for i in (1, 2, 3)]
+        assert report.m == tuple(res.value for res in per_axis)
+        assert report.converged[:3] == tuple(res.converged for res in per_axis)
 
     def test_product_state_excludes_nothing(self):
         amp = np.zeros(8, dtype=complex)

@@ -468,22 +468,38 @@ class TestSphereSearch:
         assert points <= 27_350
 
     def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
-        """A first level of more than VERTEX_BLOCK points is evaluated in blocks, bit for bit.
+        """More than VERTEX_BLOCK // 12 problems run in chunks of that many, bit for bit.
 
-        Qubit 2 is in a product with the rest, so on axis 1 the Frobenius
-        ceiling closes each state at level 0, on its 12 points; 342 states put
-        4104 points into the first level, and no evaluation takes more than
-        VERTEX_BLOCK of them.
+        Qubit 2 is in a product with the rest, so on axes 1 and 3 the
+        Frobenius ceiling and on axis 2 the leading term's closes each
+        problem at level 0, on its 12 points.  342 problems make two chunks
+        and 684 make three; no evaluation sees more than one chunk's
+        problems or more than VERTEX_BLOCK points.
         """
-        n = VERTEX_BLOCK // 12 + 1
+        for n, axes in ((VERTEX_BLOCK // 12 + 1, (1,)), (228, (1, 2, 3))):
+            self._check_chunks_match_halves(n, axes)
+
+    @staticmethod
+    def _check_chunks_match_halves(n, axes):
         states = [random_in_class("2-13", 1, seed, pure_factors=True) for seed in range(n)]
-        sizes = []
+        rows, sizes = [], []
         values = opt._sphere_values
-        with mock.patch.object(opt, "_sphere_values", lambda *args: sizes.append(len(args[-1])) or values(*args)):
-            whole = seesaw_max_abs_d_many(states, (1,))
-        assert sum(sizes) == 12 * n > VERTEX_BLOCK >= max(sizes)
-        halves = seesaw_max_abs_d_many(states[:n // 2], (1,)) + seesaw_max_abs_d_many(states[n // 2:], (1,))
-        for one, other in zip(whole, halves, strict=True):
+
+        def recorded(alpha, q, owner, s):
+            rows.append(len(alpha))
+            sizes.append(len(s))
+            return values(alpha, q, owner, s)
+
+        with mock.patch.object(opt, "_sphere_values", recorded):
+            whole = seesaw_max_abs_d_many(states, axes)
+        assert sum(sizes) == 12 * n * len(axes) > VERTEX_BLOCK >= max(sizes)
+        assert max(rows) == VERTEX_BLOCK // 12
+        parts = (states[:n // 2], states[n // 2:])
+        halves = [seesaw_max_abs_d_many(part, axes) for part in parts]
+        # results are axis-major, so the halves join axis by axis
+        joined = [res for j in range(len(axes)) for half, part in zip(halves, parts)
+                  for res in half[j * len(part):(j + 1) * len(part)]]
+        for one, other in zip(whole, joined, strict=True):
             assert_same_result(one, other)
 
     @SEARCH
