@@ -171,22 +171,41 @@ def _rechecked(value: float, check: float, upper: float = np.inf) -> float:
     return value
 
 
+def _cross(u, v):
+    """The three components of u x v for component-first vectors (3, ...), in numpy's order.
+
+    Each component is u_1 v_2 - u_2 v_1 and its cyclic shifts, as numpy's
+    own cross product forms them, so the values match it bit for bit
+    without its axis moves and broadcasting.  The caller stacks the
+    components in the layout it needs.
+    """
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
 def _pair_power(t):
     """sigma_1^2 + sigma_2^2 of 3x3 matrices t (n, 3, 3): |t|_F^2 - lambda_min(t^T t).
 
     lambda_min is the smallest root of the characteristic cubic of t^T t in
     trigonometric form, whose coefficients come from t directly: squared
-    norm, squared 2x2 minors, squared determinant.  Next to a double root
+    norm, squared 2x2 minors, squared determinant.  They are summed by hand
+    from component-first rows of t's entries, in the order numpy's own sums
+    take, so they equal the ``np.sum`` forms bit for bit: the nine squares
+    pairwise, as numpy adds nine contiguous terms, and the three components
+    of the minors (cross products of t's columns, :func:`_cross`) and of the
+    determinant a . (b x c) left to right.  Next to a double root
     (arccos argument near +-1) or where the three roots nearly coincide the
     cubic loses up to 1e-5 and would undershoot, which the sphere bound
     cannot allow, so those rows take lambda_min from eigvalsh; elsewhere the
     cubic agrees with the SVD to about 1e-13 at a third of eigvalsh's cost.
     """
-    a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
-    ab, bc, ca = np.cross(a, b), np.cross(b, c), np.cross(c, a)
-    c2 = np.sum(t * t, axis=(1, 2))
-    c1 = np.sum(ab * ab + bc * bc + ca * ca, axis=1)
-    c0 = np.sum(a * bc, axis=1) ** 2
+    x = t.reshape(-1, 9).T  # entry 3k + j of each row is t_kj
+    a, b, c = x[0::3], x[1::3], x[2::3]  # t's columns, each (3, n)
+    ab, bc, ca = _cross(a, b), _cross(b, c), _cross(c, a)
+    sq = x * x
+    c2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
+    minors = [u * u + v * v + w * w for u, v, w in zip(ab, bc, ca)]
+    c1 = minors[0] + minors[1] + minors[2]
+    c0 = (a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]) ** 2
     radius = np.sqrt(np.maximum(c2 * c2 / 9.0 - c1 / 3.0, 0.0))
     cube = radius**3
     skew = c2**3 / 27.0 - c2 * c1 / 6.0 + c0 / 2.0
@@ -203,12 +222,14 @@ def _sphere_values(alpha, q, owner, s):
     """m(s) = sqrt(f(s)) at unit directions s (points, 3) of the states ``owner``.
 
     f(s) = sigma_1^2 + sigma_2^2 of T(s) + |alpha|^2 - (alpha . s)^2, with
-    T(s) = sum_k s_k q[owner, k].
+    T(s) = sum_k s_k q[owner, k].  |alpha|^2 is taken once per state and
+    alpha . s component-first, its terms summed left to right as
+    ``np.sum(axis=1)`` would.
     """
-    al = alpha[owner]
+    al, x = alpha[owner].T, s.T
     t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
-    along = np.sum(s * al, axis=1)
-    f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
+    along = x[0] * al[0] + x[1] * al[1] + x[2] * al[2]
+    f = _pair_power(t) + np.sum(alpha * alpha, axis=1)[owner] - along * along
     return np.sqrt(np.maximum(f, 0.0))
 
 
@@ -237,9 +258,49 @@ def _half_icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _heights(tri):
-    """Distance from the origin to the plane of each flat triangle (n, 3, 3)."""
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return np.abs(np.sum(normal * tri[:, 0], axis=1)) / np.linalg.norm(normal, axis=1)
+    """Distance from the origin to the plane of each flat triangle (n, 3, 3).
+
+    With corners v0, v1, v2 taken component-first, the normal n = (v1 - v0)
+    x (v2 - v0) comes from :func:`_cross` and the height is |n . v0| /
+    sqrt((n_x^2 + n_y^2) + n_z^2), both sums left to right as
+    ``np.sum(axis=1)`` and ``np.linalg.norm(axis=1)`` would.
+    """
+    v0, v1, v2 = np.ascontiguousarray(tri.transpose(1, 2, 0))
+    n0, n1, n2 = _cross(v1 - v0, v2 - v0)
+    along = n0 * v0[0] + n1 * v0[1] + n2 * v0[2]
+    return np.abs(along) / np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+
+
+def _midpoints(tri):
+    """Normalized edge midpoints (m01, m12, m20) of spherical triangles (n, 3, 3).
+
+    Each norm sums its squares left to right, as ``np.linalg.norm(axis=2)`` would.
+    """
+    mids = tri + tri[:, [1, 2, 0]]
+    square = mids * mids
+    return mids / np.sqrt(square[:, :, 0] + square[:, :, 1] + square[:, :, 2])[:, :, None]
+
+
+def _first_maxima(vals, who):
+    """Index of each owner's first largest value, for owners ``who`` in non-decreasing order.
+
+    Each owner's values form one run, so one linear pass finds every run's
+    maximum and then its first index, the one that a stable sort by (owner,
+    -value) would put first.
+    """
+    start = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+    peak = np.maximum.reduceat(vals, start)
+    hit = np.flatnonzero(vals == np.repeat(peak, np.diff(np.r_[start, len(vals)])))
+    return hit[np.r_[True, who[hit[1:]] != who[hit[:-1]]]]
+
+
+def _bound(tri, vals):
+    """The triangle bound max_k m(v_k) / h of flat triangles (n, 3, 3) with corner values (n, 3).
+
+    The largest value is taken column by column, which is far cheaper than
+    a maximum over rows of three.
+    """
+    return np.maximum(np.maximum(vals[:, 0], vals[:, 1]), vals[:, 2]) / _heights(tri)
 
 
 def _sphere_search(alpha, q):
@@ -312,8 +373,10 @@ def _sphere_search(alpha, q):
         rows, width = points.shape[:2]
         who, at = np.repeat(owner, width), points.reshape(-1, 3)
         vals = _sphere_values(alpha, q, who, at)
-        order = np.lexsort((-vals, who))  # per state, its best point first
-        first = order[np.r_[True, who[order][1:] != who[order][:-1]]]
+        # owners arrive in non-decreasing order, which the pick of each state's best
+        # point relies on: level 0 is arange, every filter keeps order, and children
+        # repeat their parent's owner in place, in blocks joined in order
+        first = _first_maxima(vals, who)
         up = first[vals[first] > lower[who[first]]]
         lower[who[up]] = vals[up]
         best[who[up]] = at[up]
@@ -329,7 +392,7 @@ def _sphere_search(alpha, q):
     points = np.concatenate([np.broadcast_to(vertices, (n,) + vertices.shape), eigen], axis=1)
     vals = evaluate(points, np.arange(n))[:, faces].reshape(-1, 3)
     tri = np.tile(vertices[faces], (n, 1, 1))
-    bound = vals.max(axis=1) / _heights(tri)
+    bound = _bound(tri, vals)
     tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)), bound)
     while True:
         stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
@@ -342,13 +405,12 @@ def _sphere_search(alpha, q):
         kept = []
         for lo in range(0, len(owner), VERTEX_BLOCK // 4):
             t, v, o = (x[lo:lo + VERTEX_BLOCK // 4] for x in (tri, vals, owner))
-            mids = t + np.roll(t, -1, axis=1)
-            mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+            mids = _midpoints(t)
             points = np.concatenate([t, mids], axis=1)
             point_vals = np.concatenate([v, evaluate(mids, o)], axis=1)
             children = points[:, _CHILDREN].reshape(-1, 3, 3)
             child_vals = point_vals[:, _CHILDREN].reshape(-1, 3)
-            bound = child_vals.max(axis=1) / _heights(children)
+            bound = _bound(children, child_vals)
             kept.append(survivors(children, child_vals, np.repeat(o, 4), bound))
         # again at the final lower ends, which a state's later blocks may have raised
         tri, vals, owner, bound = survivors(*(np.concatenate(x) for x in zip(*kept)))
@@ -358,7 +420,8 @@ def _sphere_search(alpha, q):
 
 def _perpendicular(v):
     """A unit vector orthogonal to each unit vector v (..., 3)."""
-    w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
+    axis = np.eye(3)[np.argmin(np.abs(v), axis=-1)]
+    w = np.stack(_cross(np.moveaxis(v, -1, 0), np.moveaxis(axis, -1, 0)), axis=-1)
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
@@ -493,7 +556,8 @@ def _omega_model(form, vecs):
     hess = hess.reshape(n, 6, 3, 6, 3)
     v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
     u1 = _perpendicular(v)
-    basis = np.stack([u1, np.cross(v, u1)], axis=2)
+    w = np.stack(_cross(np.moveaxis(v, -1, 0), np.moveaxis(u1, -1, 0)), axis=-1)
+    basis = np.stack([u1, w], axis=2)
     grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
     hess_r = np.einsum("nmac,nmcpd,npbd->nmapb", basis, hess, basis).reshape(n, 12, 12)
     hess_r -= np.repeat(np.sum(v * grad, axis=2), 2, axis=1)[:, :, None] * np.eye(12)

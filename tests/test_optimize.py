@@ -482,16 +482,18 @@ class TestSphereSearch:
     @staticmethod
     def _check_chunks_match_halves(n, axes):
         states = [random_in_class("2-13", 1, seed, pure_factors=True) for seed in range(n)]
-        rows, sizes = [], []
+        rows, sizes, ordered = [], [], []
         values = opt._sphere_values
 
         def recorded(alpha, q, owner, s):
             rows.append(len(alpha))
             sizes.append(len(s))
+            ordered.append(bool(np.all(owner[1:] >= owner[:-1])))
             return values(alpha, q, owner, s)
 
         with mock.patch.object(opt, "_sphere_values", recorded):
             whole = seesaw_max_abs_d_many(states, axes)
+        assert all(ordered)  # the best-point pick relies on sorted owners
         assert sum(sizes) == 12 * n * len(axes) > VERTEX_BLOCK >= max(sizes)
         assert max(rows) == VERTEX_BLOCK // 12
         parts = (states[:n // 2], states[n // 2:])
@@ -552,6 +554,163 @@ class TestSphereSearch:
             if one.converged and other.converged:
                 assert abs(one.value - other.value) <= 2 * SPHERE_TOL, k
                 assert abs(one.upper - other.upper) <= 2 * SPHERE_TOL, k
+
+
+def assert_bits_equal(one, other):
+    """Equal shapes and equal float64 bit patterns, so signed zeros count too."""
+    one, other = np.ascontiguousarray(one), np.ascontiguousarray(other)
+    assert one.shape == other.shape
+    np.testing.assert_array_equal(one.view(np.uint64), other.view(np.uint64))
+
+
+def pair_power_reference(t):
+    """``_pair_power`` as first written, with np.cross and np.sum."""
+    a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
+    ab, bc, ca = np.cross(a, b), np.cross(b, c), np.cross(c, a)
+    c2 = np.sum(t * t, axis=(1, 2))
+    c1 = np.sum(ab * ab + bc * bc + ca * ca, axis=1)
+    c0 = np.sum(a * bc, axis=1) ** 2
+    radius = np.sqrt(np.maximum(c2 * c2 / 9.0 - c1 / 3.0, 0.0))
+    cube = radius**3
+    skew = c2**3 / 27.0 - c2 * c1 / 6.0 + c0 / 2.0
+    cosine = np.clip(skew / np.where(cube > 0.0, cube, 1.0), -1.0, 1.0)
+    low = c2 / 3.0 + 2.0 * radius * np.cos(np.arccos(cosine) / 3.0 + 2.0 * np.pi / 3.0)
+    risky = (1.0 - np.abs(cosine) < opt._EDGE_COS) | (radius <= opt._COLLAPSE * c2)
+    if risky.any():
+        tr = t[risky]
+        low[risky] = np.linalg.eigvalsh(np.swapaxes(tr, 1, 2) @ tr)[:, 0]
+    return c2 - np.clip(low, 0.0, c2 / 3.0)
+
+
+def heights_reference(tri):
+    """``_heights`` as first written, with np.cross and np.linalg.norm."""
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    return np.abs(np.sum(normal * tri[:, 0], axis=1)) / np.linalg.norm(normal, axis=1)
+
+
+def split_reference(tri):
+    """The four children of each triangle, midpoints from np.roll and np.linalg.norm."""
+    mids = tri + np.roll(tri, -1, axis=1)
+    mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+    return mids, np.concatenate([tri, mids], axis=1)[:, opt._CHILDREN].reshape(-1, 3, 3)
+
+
+def first_maxima_reference(vals, who):
+    """Per owner, its first largest value's index, by a stable sort on (owner, -value)."""
+    order = np.lexsort((-vals, who))
+    return order[np.r_[True, who[order][1:] != who[order][:-1]]]
+
+
+def mixed_magnitudes(rng, shape):
+    """Normal draws scaled by 10^-8 .. 10^8, with about a tenth set to +0.0 or -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    zero = rng.random(shape) < 0.1
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
+class TestSearchArithmetic:
+    """The search's hand-written arithmetic is bit for bit the numpy expressions it replaced."""
+
+    def test_cross_matches_numpy(self):
+        rng = np.random.default_rng(11)
+        for u, v in (
+            (rng.standard_normal((500, 3)), rng.standard_normal((500, 3))),
+            (mixed_magnitudes(rng, (500, 3)), mixed_magnitudes(rng, (500, 3))),
+            (np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0]]),
+             np.array([[-0.0, 2.0, 0.0], [1.0, -1.0, 0.0]])),
+        ):
+            assert_bits_equal(np.stack(opt._cross(u.T, v.T), axis=-1), np.cross(u, v))
+
+    def test_tangent_bases_match_numpy(self):
+        """The omega ascent's tangent bases keep np.cross's values and C layout.
+
+        einsum's summation order follows the strides, so a basis in another
+        layout would change the ascent's last digits.
+        """
+        rng = np.random.default_rng(16)
+        v = rng.standard_normal((40, 6, 3))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
+        u1 = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        assert_bits_equal(opt._perpendicular(v[:, 0]), u1[:, 0])
+        form = multiaffine_form(decompose(to_density(w_state())))
+        basis = _omega_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
+        assert basis.flags.c_contiguous
+        assert_bits_equal(basis, np.stack([u1, np.cross(v, u1)], axis=2))
+
+    def test_heights_and_midpoints_match_numpy_down_three_levels(self):
+        """On the ten level-0 faces and three levels of their splits."""
+        vertices, faces = _half_icosahedron()
+        tri = vertices[faces]
+        vals = np.random.default_rng(12).random((4**3 * len(tri), 3))
+        for level in range(4):
+            assert_bits_equal(opt._heights(tri), heights_reference(tri))
+            corner = vals[:len(tri)]
+            assert_bits_equal(opt._bound(tri, corner), corner.max(axis=1) / heights_reference(tri))
+            if level < 3:
+                mids, children = split_reference(tri)
+                assert_bits_equal(opt._midpoints(tri), mids)
+                tri = children
+
+    def test_pair_power_matches_numpy(self):
+        """On rank-deficient draws, where eigvalsh takes the risky rows, and on random T."""
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal((64, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        stacks = [rng.standard_normal((500, 3, 3)), mixed_magnitudes(rng, (500, 3, 3))]
+        for family, x in (("product", 0.0), ("ghz", np.pi / 4), ("1-23", 0.3), ("12-3", np.pi / 4 + 1e-4)):
+            stacks.append(np.einsum("nk,klm->nlm", s, decompose(rank_deficient_state(family, x, 5)).Q))
+        for t in stacks:
+            assert_bits_equal(_pair_power(t), pair_power_reference(t))
+
+    def test_sphere_values_match_numpy(self):
+        rng = np.random.default_rng(14)
+        alpha, q = rng.standard_normal((20, 3)) / 3, rng.standard_normal((20, 3, 3, 3)) / 3
+        owner = np.sort(rng.integers(0, 20, 400))
+        s = rng.standard_normal((400, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        al = alpha[owner]
+        t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
+        along = np.sum(s * al, axis=1)
+        f = pair_power_reference(t) + np.sum(al * al, axis=1) - along * along
+        assert_bits_equal(opt._sphere_values(alpha, q, owner, s), np.sqrt(np.maximum(f, 0.0)))
+
+
+class TestBestPointPick:
+    def test_first_maxima_is_the_stable_sort_pick(self):
+        """Sorted owners with one-point runs and exact ties, among them +0.0 against -0.0."""
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            runs = rng.integers(1, 6, rng.integers(1, 40))
+            runs[rng.random(len(runs)) < 0.3] = 1
+            who = np.repeat(np.sort(rng.choice(1000, len(runs), replace=False)), runs)
+            vals = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5], who.size)
+            np.testing.assert_array_equal(opt._first_maxima(vals, who), first_maxima_reference(vals, who))
+
+    def test_owners_arrive_sorted_down_the_split_levels(self):
+        """Every evaluation of a 1-23 batch that splits three levels or more sees sorted owners."""
+        rng = np.random.default_rng(3)
+        states = [_draw_state("1-23", rng) for _ in range(6)]
+        vertices, faces = _half_icosahedron()
+        edge = np.linalg.norm(vertices[faces[0, 1]] - vertices[faces[0, 0]])
+        ordered, levels = [], set()
+        values, heights = opt._sphere_values, opt._heights
+
+        def spy_values(alpha, q, owner, s):
+            ordered.append(bool(np.all(owner[1:] >= owner[:-1])))
+            return values(alpha, q, owner, s)
+
+        def spy_heights(tri):
+            # each split halves the edges, so a block's edge gives its level
+            levels.add(round(float(np.log2(edge / np.linalg.norm(tri[0, 1] - tri[0, 0])))))
+            return heights(tri)
+
+        with mock.patch.object(opt, "_sphere_values", spy_values), \
+                mock.patch.object(opt, "_heights", spy_heights):
+            seesaw_max_abs_d_many(states, (1, 2, 3))
+        assert max(levels) >= 3
+        assert all(ordered)
 
 
 class TestTieRule:
