@@ -149,10 +149,8 @@ def _initial_vectors(cfg: OptimizerConfig) -> np.ndarray:
     """(n_starts, 2, 3, 3) array of unit vectors; axis 1 is a/b."""
     vecs = np.empty((cfg.n_starts, 2, 3, 3))
     for k in range(cfg.n_starts):
-        rng = np.random.default_rng([cfg.seed, k])
-        v = rng.standard_normal((2, 3, 3))
-        vecs[k] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return vecs
+        vecs[k] = np.random.default_rng([cfg.seed, k]).standard_normal((2, 3, 3))
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
 
 
 def _best_row(obj) -> int:
@@ -418,11 +416,21 @@ def _sphere_search(alpha, q):
     return best, lower, upper
 
 
-def _perpendicular(v):
-    """A unit vector orthogonal to each unit vector v (..., 3)."""
-    axis = np.eye(3)[np.argmin(np.abs(v), axis=-1)]
-    w = np.stack(_cross(np.moveaxis(v, -1, 0), np.moveaxis(axis, -1, 0)), axis=-1)
-    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+def _tangent_bases(v):
+    """Orthonormal tangent bases (..., 2, 3), C-contiguous, at unit vectors v (..., 3).
+
+    The first vector is v x e_k normalized, for the axis e_k of v's
+    smallest component, and the second is v x the first.  They are formed
+    on a contiguous component-first copy of v, one loop per component, with
+    np.cross's products and np.linalg.norm's ((x^2 + y^2) + z^2), so they
+    are bit for bit those numpy expressions.
+    """
+    c = np.ascontiguousarray(np.moveaxis(v, -1, 0))
+    w = _cross(c, np.eye(3)[:, np.argmin(np.abs(v), axis=-1)])
+    bases = np.empty((2, 3) + v.shape[:-1])
+    np.divide(w, np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]), out=bases[0])
+    bases[1] = _cross(c, bases[0])
+    return np.ascontiguousarray(np.moveaxis(bases, (0, 1), (-2, -1)))
 
 
 def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
@@ -441,7 +449,8 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     ortho = alpha - np.sum(alpha * s, axis=1, keepdims=True) * s
     size = np.linalg.norm(ortho, axis=1, keepdims=True)
     # any unit vector orthogonal to s serves where alpha has no such part
-    t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR), _perpendicular(s))
+    t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR),
+                     _tangent_bases(s)[:, 0])
     theta = np.arctan2(size, np.hypot(sigma[:, :1], sigma[:, 1:2]))
     vecs = np.empty((len(s), 2, 3, 3))
     for ab, sign in ((0, 1.0), (1, -1.0)):
@@ -524,6 +533,29 @@ def _omega_values(form, vecs):
     return np.sum(d * d, axis=1)
 
 
+def _riemannian_hessian(basis, hess, shift):
+    """E^T H E - diag(shift) (rows, 12, 12) for :func:`_omega_model`.
+
+    E (rows, 6, 2, 3) holds the tangent bases, H (rows, 6, 3, 6, 3) the
+    Euclidean Hessian and shift (rows, 6) the v_m . grad_m terms.  The nine
+    rows-last terms are summed by ``np.add.reduce`` over their leading axis,
+    which adds them in sequence, from an explicit +0.0 as einsum starts its
+    sums; that start only decides the sign of an all -0.0 sum.  So the
+    projection holds no -0.0, and subtracting the shift on the diagonal
+    alone gives the bits of subtracting diag(shift) from the whole matrix,
+    whose off-diagonal x - 0.0 * shift could only flip a -0.0.
+    """
+    n = len(basis)
+    e = np.ascontiguousarray(basis.transpose(3, 1, 2, 0))
+    h = np.ascontiguousarray(hess.transpose(2, 4, 1, 3, 0))
+    terms = e[:, None, :, :, None, None] * h[:, :, :, None, :, None] * e[None, :, None, None]
+    total = np.add.reduce(terms.reshape(9, 6, 2, 6, 2, n), axis=0, initial=0.0)
+    hess_r = np.moveaxis(total, -1, 0).reshape(n, 12, 12)
+    diagonal = np.arange(12)
+    hess_r[:, diagonal, diagonal] -= np.repeat(shift, 2, axis=1)
+    return hess_r
+
+
 def _omega_model(form, vecs):
     """Riemannian gradient (rows, 12) and Hessian (rows, 12, 12) of omega on (S^2)^6.
 
@@ -535,6 +567,14 @@ def _omega_model(form, vecs):
     On the spheres the Hessian is E^T H E - diag(v_m . grad_m omega) (Absil,
     Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
     ch. 5-6), with E the tangent bases.
+
+    E^T H E keeps the arithmetic of the einsum
+    ``"nmac,nmcpd,npbd->nmapb"`` it replaced, bit for bit: each term is
+    (E_mac H_mcpd) E_pbd, and the nine (c, d) terms are summed left to right
+    from 0, c outer and d inner, as einsum's loop sums them.  The rows go
+    last (:func:`_riemannian_hessian`), so each product and the sum run one
+    contiguous loop over the rows where einsum runs a nine-term loop per
+    entry; at 32 rows that takes about a quarter of the einsum's time.
     """
     n = len(vecs)
     x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
@@ -555,12 +595,9 @@ def _omega_model(form, vecs):
         hess[:, 6 * k:6 * k + 6, 6 * j:6 * j + 6] += np.swapaxes(cross, 1, 2)
     hess = hess.reshape(n, 6, 3, 6, 3)
     v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
-    u1 = _perpendicular(v)
-    w = np.stack(_cross(np.moveaxis(v, -1, 0), np.moveaxis(u1, -1, 0)), axis=-1)
-    basis = np.stack([u1, w], axis=2)
+    basis = _tangent_bases(v)
     grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
-    hess_r = np.einsum("nmac,nmcpd,npbd->nmapb", basis, hess, basis).reshape(n, 12, 12)
-    hess_r -= np.repeat(np.sum(v * grad, axis=2), 2, axis=1)[:, :, None] * np.eye(12)
+    hess_r = _riemannian_hessian(basis, hess, np.sum(v * grad, axis=2))
     return grad_r, hess_r, basis
 
 

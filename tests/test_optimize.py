@@ -595,6 +595,29 @@ def split_reference(tri):
     return mids, np.concatenate([tri, mids], axis=1)[:, opt._CHILDREN].reshape(-1, 3, 3)
 
 
+def tangent_bases_reference(v):
+    """``_tangent_bases`` as first written, with np.cross, np.linalg.norm and np.stack."""
+    w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
+    u1 = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.stack([u1, np.cross(v, u1)], axis=-2)
+
+
+def riemannian_hessian_reference(basis, hess, shift):
+    """``_riemannian_hessian`` as first written: one three-operand einsum, then an identity shift."""
+    hess_r = np.einsum("nmac,nmcpd,npbd->nmapb", basis, hess, basis).reshape(len(basis), 12, 12)
+    hess_r -= np.repeat(shift, 2, axis=1)[:, :, None] * np.eye(12)
+    return hess_r
+
+
+def initial_vectors_reference(cfg):
+    """``_initial_vectors`` as first written, normalizing each start on its own."""
+    vecs = np.empty((cfg.n_starts, 2, 3, 3))
+    for k in range(cfg.n_starts):
+        v = np.random.default_rng([cfg.seed, k]).standard_normal((2, 3, 3))
+        vecs[k] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return vecs
+
+
 def first_maxima_reference(vals, who):
     """Per owner, its first largest value's index, by a stable sort on (owner, -value)."""
     order = np.lexsort((-vals, who))
@@ -631,13 +654,15 @@ class TestSearchArithmetic:
         rng = np.random.default_rng(16)
         v = rng.standard_normal((40, 6, 3))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
-        w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
-        u1 = w / np.linalg.norm(w, axis=-1, keepdims=True)
-        assert_bits_equal(opt._perpendicular(v[:, 0]), u1[:, 0])
+        signed = np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.6, -0.8], [-0.6, -0.0, 0.8]])
+        for rows in (v, v[:, 0], signed):
+            bases = opt._tangent_bases(rows)
+            assert bases.flags.c_contiguous
+            assert_bits_equal(bases, tangent_bases_reference(rows))
         form = multiaffine_form(decompose(to_density(w_state())))
         basis = _omega_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
         assert basis.flags.c_contiguous
-        assert_bits_equal(basis, np.stack([u1, np.cross(v, u1)], axis=2))
+        assert_bits_equal(basis, tangent_bases_reference(v))
 
     def test_heights_and_midpoints_match_numpy_down_three_levels(self):
         """On the ten level-0 faces and three levels of their splits."""
@@ -711,6 +736,80 @@ class TestBestPointPick:
             seesaw_max_abs_d_many(states, (1, 2, 3))
         assert max(levels) >= 3
         assert all(ordered)
+
+
+OMEGA_STATES = {
+    "w": lambda: to_density(w_state()),
+    "ghz": lambda: to_density(ghz()),
+    "phi-plus-otimes-0": phi_plus_otimes_zero,
+    "mixed-identity": maximally_mixed,
+    "haar-pure": lambda: to_density(random_pure(21)),
+    "1-23-mixed": lambda: random_in_class("1-23", 2, 5),
+    "separable-mixed": lambda: random_in_class(None, 3, 8),
+}
+
+
+class TestOmegaArithmetic:
+    """The omega ascent's rows-last arithmetic is bit for bit the numpy expressions it replaced."""
+
+    @pytest.mark.parametrize("name", OMEGA_STATES)
+    def test_riemannian_hessian_matches_einsum_on_states(self, name):
+        """At the default starts' first points, for 1, 2, 7 and 32 rows."""
+        form = multiaffine_form(decompose(OMEGA_STATES[name]()))
+        seen, original = [], opt._riemannian_hessian
+
+        def recorded(basis, hess, shift):
+            out = original(basis, hess, shift)
+            seen.append((basis, hess, shift, out))
+            return out
+
+        with mock.patch.object(opt, "_riemannian_hessian", recorded):
+            for rows in (1, 2, 7, 32):
+                _omega_model(form, opt._initial_vectors(OptimizerConfig(n_starts=rows, seed=rows)))
+        assert [len(basis) for basis, *_ in seen] == [1, 2, 7, 32]
+        for basis, hess, shift, out in seen:
+            assert_bits_equal(out, riemannian_hessian_reference(basis, hess, shift))
+
+    def test_riemannian_hessian_matches_einsum_on_signed_zeros(self):
+        """Mixed magnitudes with +0.0 and -0.0 in E, H and the shift, and all -0.0 sums.
+
+        Where a row's shift is negative, the identity shift subtracts -0.0
+        off the diagonal, so zeros there must come out of the projection as
+        +0.0; where an E row is -0.0 and the rest positive, all nine terms
+        are -0.0 and only einsum's starting 0 makes the sum +0.0.
+        """
+        rng = np.random.default_rng(17)
+        for rows in (1, 2, 7, 32):
+            mixed = [mixed_magnitudes(rng, shape) for shape in ((rows, 6, 2, 3), (rows, 6, 3, 6, 3), (rows, 6))]
+            basis, hess = rng.random((rows, 6, 2, 3)), rng.random((rows, 6, 3, 6, 3))
+            basis[:, 1, 0] = -0.0
+            basis[:, 4, 1] = 0.0
+            signed = [basis, hess, rng.choice([-1.5, -0.0, 0.0, 2.0], (rows, 6))]
+            for case in (mixed, signed):
+                assert_bits_equal(opt._riemannian_hessian(*case), riemannian_hessian_reference(*case))
+        # the 32-row signed case has zeros off the diagonal of rows with a negative shift
+        off_diagonal = np.signbit(np.repeat(signed[2], 2, axis=1))[:, :, None] & ~np.eye(12, dtype=bool)
+        assert np.any(off_diagonal & (riemannian_hessian_reference(*signed) == 0.0))
+
+    @pytest.mark.parametrize("name", ["w", "haar-pure", "1-23-mixed"])
+    def test_ascent_matches_the_reference_model(self, name):
+        """The whole Newton ascent, run on the reference arithmetic, gives the same bits."""
+        form = multiaffine_form(decompose(OMEGA_STATES[name]()))
+        start = opt._initial_vectors(FAST_CFG)
+        obj, vecs, used, certified = opt._newton_ascent(form, start, CFG.max_sweeps)
+        with mock.patch.object(opt, "_riemannian_hessian", riemannian_hessian_reference), \
+                mock.patch.object(opt, "_tangent_bases", tangent_bases_reference):
+            reference = opt._newton_ascent(form, start, CFG.max_sweeps)
+        assert_bits_equal(obj, reference[0])
+        assert_bits_equal(vecs, reference[1])
+        np.testing.assert_array_equal(used, reference[2])
+        np.testing.assert_array_equal(certified, reference[3])
+
+    @pytest.mark.parametrize("n_starts", [1, 5, 32])
+    def test_start_vectors_match_per_start_normalization(self, n_starts):
+        for seed in (0, 7, 31, 2**40):
+            cfg = OptimizerConfig(n_starts=n_starts, seed=seed)
+            assert_bits_equal(opt._initial_vectors(cfg), initial_vectors_reference(cfg))
 
 
 class TestTieRule:
@@ -788,6 +887,19 @@ class TestMaximizeOmega:
         res = maximize_omega(rho, FAST_CFG)
         assert omega(rho, res.settings) == pytest.approx(res.value, abs=1e-10)
         assert res.value == max(res.per_start_values)
+
+    @pytest.mark.parametrize("make_state", [
+        pytest.param(lambda: to_density(w_state()), id="w"),
+        pytest.param(lambda: to_density(ghz()), id="ghz"),
+        pytest.param(lambda: to_density(random_pure(22)), id="haar-pure"),
+        pytest.param(lambda: drawn_1_23(3), id="1-23-draw-3"),
+    ])
+    def test_each_start_is_independent_of_the_batch(self, make_state):
+        """Running k starts gives the first k starts of a 32-start run, bit for bit."""
+        rho = make_state()
+        full = maximize_omega(rho, CFG).per_start_values
+        for k in (1, 5, 8):
+            assert maximize_omega(rho, OptimizerConfig(n_starts=k)).per_start_values == full[:k]
 
     def test_reproducible(self):
         rho = random_in_class("1-23", 2, 5)
