@@ -5,8 +5,11 @@
   brackets m_i through the reduction
   m_i^2 = max over unit s of sigma_1^2 + sigma_2^2 of T(s) + |alpha_i x s|^2
   (Horodecki et al., Phys. Lett. A 200, 340 (1995)), with T(s) the
-  three-body tensor contracted along slot i.  Two closed-form global
-  ceilings can end the search early: a Frobenius bound, exact when another
+  three-body tensor contracted along slot i.  Each triangle of the search
+  is bounded by the smaller of its corner bound and its chord bound, the
+  norm of the linear function through its three corner values
+  (:func:`_bound`).  Two closed-form global ceilings can end the search
+  early: a Frobenius bound, exact when another
   qubit is in a product with the rest, and one from the leading singular
   term of the 3x9 unfolding Q_(i), exact on states that are products across
   cut i.  Both ceilings' top eigenvectors are points of the first level, so
@@ -88,6 +91,9 @@ VERTEX_BLOCK = 4096
 # is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
 _EDGE_COS = 1e-3
 _COLLAPSE = 0.1
+# relative error of a sphere-search value against the SVD's, as _pair_power's docstring
+# puts its cubic's; _bound widens its chord bound by what that error can move it
+_VALUE_ERROR = 1e-13
 # children of a triangle split at its edge midpoints, as indices into
 # (v0, v1, v2, m01, m12, m20)
 _CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
@@ -255,20 +261,6 @@ def _half_icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return vertices, faces
 
 
-def _heights(tri):
-    """Distance from the origin to the plane of each flat triangle (n, 3, 3).
-
-    With corners v0, v1, v2 taken component-first, the normal n = (v1 - v0)
-    x (v2 - v0) comes from :func:`_cross` and the height is |n . v0| /
-    sqrt((n_x^2 + n_y^2) + n_z^2), both sums left to right as
-    ``np.sum(axis=1)`` and ``np.linalg.norm(axis=1)`` would.
-    """
-    v0, v1, v2 = np.ascontiguousarray(tri.transpose(1, 2, 0))
-    n0, n1, n2 = _cross(v1 - v0, v2 - v0)
-    along = n0 * v0[0] + n1 * v0[1] + n2 * v0[2]
-    return np.abs(along) / np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-
-
 def _midpoints(tri):
     """Normalized edge midpoints (m01, m12, m20) of spherical triangles (n, 3, 3).
 
@@ -293,12 +285,52 @@ def _first_maxima(vals, who):
 
 
 def _bound(tri, vals):
-    """The triangle bound max_k m(v_k) / h of flat triangles (n, 3, 3) with corner values (n, 3).
+    """A certified bound on m over spherical triangles (n, 3, 3) with corner values m_k (n, 3).
 
-    The largest value is taken column by column, which is far cheaper than
-    a maximum over rows of three.
+    It is the smaller of two bounds, both from the convexity of m on the
+    flat triangle with corners v_k.  Take e1 = v1 - v0, e2 = v2 - v0, the
+    normal n = e1 x e2, det = n . v0 and h = |det| / |n|, the distance from
+    the origin to the triangle's plane:
+
+    * the corner bound max_k m_k / h, as if every corner held the largest
+      value;
+    * the chord bound |w| / |det|, with w = m0 n + (m1 - m0)(e2 x v0)
+      + (m2 - m0)(v0 x e1) = m0 n + v0 x g, g = (m2 - m0) e1 - (m1 - m0) e2,
+      the vector with w . v_k = det m_k.  A unit s in the triangle is x / |x|
+      for some x = sum_k l_k v_k on the flat triangle, l_k >= 0 summing to 1,
+      and convexity gives m(x) <= sum_k l_k m_k = (w / det) . x, so by
+      homogeneity m(s) <= (w / det) . s <= |w| / |det|.  It equals the
+      corner bound when the three values agree.  Near a maximum, where m's
+      slope across the triangle is small against m times the edge, it is
+      the smaller one, and there the search spends most of its points; far
+      from one, w leans out of the triangle and the corner bound wins.
+
+    The slack.  The corner values carry :func:`_pair_power`'s error, about
+    1e-13 relative, so |m_k - m(v_k)| <= d = ``_VALUE_ERROR`` max_k m_k.
+    The chord bound's difference form magnifies that error: w moves by
+    d0 n + v0 x ((d2 - d0) e1 - (d1 - d0) e2), at most d (|n| + 2 |e1|
+    + 2 |e2|) for unit v0, and |e1| + |e2| <= sqrt(2 (|e1|^2 + |e2|^2)).
+    So |w| is raised by d (|n| + sqrt(8 (|e1|^2 + |e2|^2))) before the
+    division by |det| ~ |n|.  That slack grows like 1 / edge, to a few
+    times 1e-8 of m on edges of 1e-5 rad, where the corner bound is the
+    smaller one.  The rounding of w, det and the norms is a few ulps of
+    the same terms, about a hundredth of the slack.  The corner bound has
+    no such magnification and takes none.  Its sums run left to right, so
+    it is ``max_k m_k / h`` bit for bit as ``np.cross``, ``np.sum`` and
+    ``np.linalg.norm`` would give it.
     """
-    return np.maximum(np.maximum(vals[:, 0], vals[:, 1]), vals[:, 2]) / _heights(tri)
+    v0, v1, v2 = np.ascontiguousarray(tri.transpose(1, 2, 0))
+    m0, m1, m2 = np.ascontiguousarray(vals.T)
+    e1, e2 = v1 - v0, v2 - v0
+    n0, n1, n2 = _cross(e1, e2)
+    c0, c1, c2 = _cross(v0, (m2 - m0) * e1 - (m1 - m0) * e2)
+    w0, w1, w2 = m0 * n0 + c0, m0 * n1 + c1, m0 * n2 + c2
+    det = np.abs(n0 * v0[0] + n1 * v0[1] + n2 * v0[2])
+    top = np.maximum(np.maximum(m0, m1), m2)
+    n_len = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    sq = e1 * e1 + e2 * e2
+    slack = _VALUE_ERROR * top * (n_len + np.sqrt(8.0 * (sq[0] + sq[1] + sq[2])))
+    return np.minimum(top / (det / n_len), (np.sqrt(w0 * w0 + w1 * w1 + w2 * w2) + slack) / det)
 
 
 def _sphere_search(alpha, q):
@@ -306,10 +338,17 @@ def _sphere_search(alpha, q):
 
     ``alpha`` (n, 3) and ``q`` (n, 3, 3, 3) hold alpha_i and Q with slot i
     first.  Extended to R^3, m(x) is a maximum of norms of linear maps of x,
-    so it is convex and 1-homogeneous; on a spherical triangle with unit
-    vertices v_k, m <= max_k m(v_k) / h, with h the distance from the origin
-    to the flat triangle's plane (a convex function on a polytope peaks at a
-    vertex: Rockafellar, Convex Analysis, Cor. 32.3.2).  The search starts
+    so it is convex and 1-homogeneous.  On a spherical triangle with unit
+    vertices v_k it is bounded by :func:`_bound`, the smaller of the corner
+    bound max_k m(v_k) / h, with h the distance from the origin to the flat
+    triangle's plane (a convex function on a polytope peaks at a vertex:
+    Rockafellar, Convex Analysis, Cor. 32.3.2), and the chord bound |w| /
+    |det|: convexity puts m on the flat triangle below the linear function
+    w . x / det that takes the corner values m(v_k), and a unit s in the
+    triangle gives w . s / det <= |w| / |det|.  The chord bound's difference
+    form magnifies the corner values' rounding by a factor that grows like
+    1 / edge, so it carries a slack derived from :func:`_pair_power`'s
+    error (see :func:`_bound`).  The search starts
     from ten icosahedron faces and splits each live triangle 1 -> 4 at its
     normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
     point is the lower end; a triangle whose bound is within ``SPHERE_TOL``

@@ -149,7 +149,8 @@ class TestSeesaw:
             assert_same_result(res, single)
 
     @pytest.mark.parametrize("source, seed, n", [
-        ("1-23", 31, 48),
+        # 64 draws: with fewer, the tighter triangle bound leaves no level a full block
+        ("1-23", 31, 64),
         # a block edge splits the level of state 2's axis-2 search; pruned only
         # block by block, that level kept triangles which its lower end, raised
         # in the next block, rules out, and the merged value came out 2.5e-11
@@ -167,8 +168,13 @@ class TestSeesaw:
         rng = np.random.default_rng(seed)
         states = [_draw_state(source, rng) for _ in range(n)]
         children = []
-        heights = opt._heights
-        with mock.patch.object(opt, "_heights", lambda tri: children.append(len(tri)) or heights(tri)):
+        bound = opt._bound
+
+        def spy(tri, vals):
+            children.append(len(tri))
+            return bound(tri, vals)
+
+        with mock.patch.object(opt, "_bound", spy):
             merged = seesaw_max_abs_d_many(states, (1, 2, 3))
         assert VERTEX_BLOCK in children
         per_axis = [res for i in (1, 2, 3) for res in seesaw_max_abs_d_many(states, (i,))]
@@ -459,13 +465,13 @@ class TestSphereSearch:
         """Work guard: sample_region's optimized draws at seed 0, 8 per class, stay under a fixed count.
 
         Both closed-form ceilings close most of these states at level 0, and
-        the batch takes 24,867 sphere points; a search that loses that
-        closure takes about 32,000.  The ceiling is about 10 % above 24,867.
+        the batch takes 16,482 sphere points; a search that loses that
+        closure takes about 37,000.  The ceiling is about 10 % above 16,482.
         """
         _, points = counted_points(
             lambda: [sample_region(c, 8, 0, "optimized") for c in ("1-23", "2-13", "fully-separable")]
         )
-        assert points <= 27_350
+        assert points <= 18_150
 
     def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
         """More than VERTEX_BLOCK // 12 problems run in chunks of that many, bit for bit.
@@ -556,6 +562,94 @@ class TestSphereSearch:
                 assert abs(one.upper - other.upper) <= 2 * SPHERE_TOL, k
 
 
+def search_problems(states):
+    """alpha_i (n, 3) and Q with slot i first (n, 3, 3, 3) of every (state, axis), axis-major."""
+    grid = np.stack([decompose(rho).grid for rho in states])
+    moved = [np.moveaxis(grid, i, 1) for i in (1, 2, 3)]
+    alpha = np.concatenate([g[:, 1:, 0, 0] for g in moved])
+    q = np.concatenate([g[:, 1:, 1:, 1:] for g in moved])
+    return np.ascontiguousarray(alpha), np.ascontiguousarray(q)
+
+
+def sphere_values_reference(alpha, q, owner, s):
+    """m(s) from numpy's SVD of T(s), the cubic-free form of ``_sphere_values``."""
+    sigma = np.linalg.svd(np.einsum("nk,nklm->nlm", s, q[owner]), compute_uv=False)
+    al = alpha[owner]
+    f = sigma[:, 0] ** 2 + sigma[:, 1] ** 2 + np.sum(al * al, axis=1) - np.sum(al * s, axis=1) ** 2
+    return np.sqrt(np.maximum(f, 0.0))
+
+
+def triangles_around(centers, edges, rng):
+    """Near-equilateral spherical triangles (n, 3, 3) with the given edge lengths about unit centers."""
+    tangents = opt._tangent_bases(centers)
+    turn = rng.uniform(0.0, 2.0 * np.pi, len(centers))[:, None] + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    arms = np.cos(turn)[..., None] * tangents[:, None, 0] + np.sin(turn)[..., None] * tangents[:, None, 1]
+    tri = centers[:, None, :] + edges[:, None, None] / np.sqrt(3.0) * arms
+    return tri / np.linalg.norm(tri, axis=2, keepdims=True)
+
+
+class TestTriangleBound:
+    """The search's one triangle bound is certified and never looser than the corner bound."""
+
+    # barycentric weights (i, j, 8 - i - j) / 8, the three corners among them
+    GRID = np.array([(i, j, 8 - i - j) for i in range(9) for j in range(9 - i)]) / 8.0
+
+    def test_no_point_of_a_triangle_exceeds_its_bound(self):
+        """Haar, 1-23 mixtures, fully separable draws and |000>, all axes, edges 1 to 1e-5 rad.
+
+        Each problem gets triangles about its search's best direction, off
+        centre so that the maximum need not sit at a symmetric point, and
+        at random directions.  Every grid value stays at or below the bound,
+        the bound at or below max_k m_k / h, and the values agree with the
+        SVD's to the relative error the bound's slack assumes.  Far from a
+        maximum, where m's slope is large against the edge, w leans out of
+        the triangle and the corner bound is the smaller one.
+        """
+        rng = np.random.default_rng(26)
+        states = [to_density(random_pure(seed)) for seed in (1, 2, 3)]
+        states += [random_in_class("1-23", 3, seed) for seed in (4, 5, 6)]
+        states += [random_in_class(None, 3, seed) for seed in (7, 8, 9)] + [ket000()]
+        alpha, q = search_problems(states)
+        best = opt._sphere_search(alpha, q)[0]
+        edges = np.tile(10.0 ** -np.arange(6), 2 * len(alpha))
+        owner = np.repeat(np.arange(len(alpha)), 12)
+        wander = rng.standard_normal((len(owner), 3))
+        centers = np.where(np.arange(len(owner))[:, None] % 12 < 6,
+                           best[owner] + 0.3 * edges[:, None] * wander, wander)
+        tri = triangles_around(centers / np.linalg.norm(centers, axis=1, keepdims=True), edges, rng)
+        corners = opt._sphere_values(alpha, q, np.repeat(owner, 3), tri.reshape(-1, 3)).reshape(-1, 3)
+        bound = opt._bound(tri, corners)
+        points = np.einsum("gk,nkc->ngc", self.GRID, tri)
+        points /= np.linalg.norm(points, axis=2, keepdims=True)
+        at = (np.repeat(owner, len(self.GRID)), points.reshape(-1, 3))
+        values = opt._sphere_values(alpha, q, *at).reshape(len(tri), -1)
+        reference = sphere_values_reference(alpha, q, *at).reshape(len(tri), -1)
+        assert np.all(values.max(axis=1) <= bound)
+        assert np.all(bound <= corner_bound_reference(tri, corners))
+        assert np.all(np.abs(values - reference) <= opt._VALUE_ERROR * reference.max(axis=1, keepdims=True))
+        # near a maximum, on edges down to 1e-3 rad, the chord bound is the tighter one
+        tighter = (bound < corner_bound_reference(tri, corners)).reshape(len(alpha), 2, 6)
+        assert tighter[:, 0, :4].mean() >= 0.8
+
+    def test_brackets_overlap_the_corner_bound_search(self):
+        """16 Haar, 16 1-23 and 16 fully separable draws, all axes: the chord bound moves no bracket off.
+
+        A test-local corner bound max_k m_k / h stands in for the search's
+        bound in the second run.  Both brackets are certified, so they
+        overlap, their values agree to the tolerance, and no problem that
+        converged under the corner bound stays open under the tighter one.
+        """
+        rng = np.random.default_rng(26)
+        states = [_draw_state(c, rng) for c in ("haar-pure", "1-23", "fully-separable") for _ in range(16)]
+        chord = seesaw_max_abs_d_many(states, (1, 2, 3))
+        with mock.patch.object(opt, "_bound", corner_bound_reference):
+            corner = seesaw_max_abs_d_many(states, (1, 2, 3))
+        for k, (one, other) in enumerate(zip(chord, corner, strict=True)):
+            assert max(one.value, other.value) <= min(one.upper, other.upper) + 1e-12, k
+            assert abs(one.value - other.value) <= SPHERE_TOL, k
+            assert one.converged or not other.converged, k
+
+
 def assert_bits_equal(one, other):
     """Equal shapes and equal float64 bit patterns, so signed zeros count too."""
     one, other = np.ascontiguousarray(one), np.ascontiguousarray(other)
@@ -582,10 +676,27 @@ def pair_power_reference(t):
     return c2 - np.clip(low, 0.0, c2 / 3.0)
 
 
-def heights_reference(tri):
-    """``_heights`` as first written, with np.cross and np.linalg.norm."""
+def corner_bound_reference(tri, vals):
+    """The search's triangle bound before the chord bound: max_k m(v_k) / h.
+
+    h, the distance from the origin to the triangle's plane, comes from
+    np.cross and np.linalg.norm.
+    """
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return np.abs(np.sum(normal * tri[:, 0], axis=1)) / np.linalg.norm(normal, axis=1)
+    heights = np.abs(np.sum(normal * tri[:, 0], axis=1)) / np.linalg.norm(normal, axis=1)
+    return vals.max(axis=1) / heights
+
+
+def bound_reference(tri, vals):
+    """``_bound`` on (n, 3) rows, with np.cross, np.sum and np.linalg.norm."""
+    v0, e1, e2 = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    m0, m1, m2 = (vals[:, k, None] for k in range(3))
+    normal = np.cross(e1, e2)
+    w = m0 * normal + np.cross(v0, (m2 - m0) * e1 - (m1 - m0) * e2)
+    det = np.abs(np.sum(normal * v0, axis=1))
+    size = np.linalg.norm(normal, axis=1)
+    slack = opt._VALUE_ERROR * vals.max(axis=1) * (size + np.sqrt(8.0 * np.sum(e1 * e1 + e2 * e2, axis=1)))
+    return np.minimum(vals.max(axis=1) / (det / size), (np.linalg.norm(w, axis=1) + slack) / det)
 
 
 def split_reference(tri):
@@ -665,14 +776,20 @@ class TestSearchArithmetic:
         assert_bits_equal(basis, tangent_bases_reference(v))
 
     def test_heights_and_midpoints_match_numpy_down_three_levels(self):
-        """On the ten level-0 faces and three levels of their splits."""
+        """On the ten level-0 faces and three levels of their splits.
+
+        The heights h are pinned through the bound: where the three corner
+        values agree, the chord bound exceeds the corner bound by its slack,
+        so the bound is max_k m_k / h bit for bit.
+        """
         vertices, faces = _half_icosahedron()
         tri = vertices[faces]
         vals = np.random.default_rng(12).random((4**3 * len(tri), 3))
         for level in range(4):
-            assert_bits_equal(opt._heights(tri), heights_reference(tri))
             corner = vals[:len(tri)]
-            assert_bits_equal(opt._bound(tri, corner), corner.max(axis=1) / heights_reference(tri))
+            assert_bits_equal(opt._bound(tri, corner), bound_reference(tri, corner))
+            flat = np.repeat(corner[:, :1], 3, axis=1)
+            assert_bits_equal(opt._bound(tri, flat), corner_bound_reference(tri, flat))
             if level < 3:
                 mids, children = split_reference(tri)
                 assert_bits_equal(opt._midpoints(tri), mids)
@@ -720,19 +837,19 @@ class TestBestPointPick:
         vertices, faces = _half_icosahedron()
         edge = np.linalg.norm(vertices[faces[0, 1]] - vertices[faces[0, 0]])
         ordered, levels = [], set()
-        values, heights = opt._sphere_values, opt._heights
+        values, bound = opt._sphere_values, opt._bound
 
         def spy_values(alpha, q, owner, s):
             ordered.append(bool(np.all(owner[1:] >= owner[:-1])))
             return values(alpha, q, owner, s)
 
-        def spy_heights(tri):
+        def spy_bound(tri, vals):
             # each split halves the edges, so a block's edge gives its level
             levels.add(round(float(np.log2(edge / np.linalg.norm(tri[0, 1] - tri[0, 0])))))
-            return heights(tri)
+            return bound(tri, vals)
 
         with mock.patch.object(opt, "_sphere_values", spy_values), \
-                mock.patch.object(opt, "_heights", spy_heights):
+                mock.patch.object(opt, "_bound", spy_bound):
             seesaw_max_abs_d_many(states, (1, 2, 3))
         assert max(levels) >= 3
         assert all(ordered)
