@@ -25,7 +25,10 @@
   and all starts run one batched Riemannian Newton ascent on the six unit
   spheres with the exact gradient and Hessian of omega from C, for at most
   500 iterations.  A start that reaches a vanishing gradient with no
-  positive curvature is certified as a local maximum.
+  positive curvature is certified as a local maximum.  The ascent takes any
+  sum of squared multi-affine forms, and its gradient, Hessian and step all
+  go through one block-diagonal (18, 12) tangent map per row, built from
+  the six spheres' tangent bases (:func:`_sum_of_squares_model`).
 
 :func:`seesaw_max_abs_d_many` batches the (state, axis) problems of a list
 of states and a tuple of indices: one ``decompose`` per state, one sphere
@@ -456,7 +459,7 @@ def _sphere_search(alpha, q):
 
 
 def _tangent_bases(v):
-    """Orthonormal tangent bases (..., 2, 3), C-contiguous, at unit vectors v (..., 3).
+    """Orthonormal tangent bases (..., 2, 3) at unit vectors v (..., 3).
 
     The first vector is v x e_k normalized, for the axis e_k of v's
     smallest component, and the second is v x the first.  They are formed
@@ -469,7 +472,7 @@ def _tangent_bases(v):
     bases = np.empty((2, 3) + v.shape[:-1])
     np.divide(w, np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]), out=bases[0])
     bases[1] = _cross(c, bases[0])
-    return np.ascontiguousarray(np.moveaxis(bases, (0, 1), (-2, -1)))
+    return np.moveaxis(bases, (0, 1), (-2, -1))
 
 
 def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
@@ -565,55 +568,31 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     return seesaw_max_abs_d_many([rho], (i,))[0]
 
 
-def _omega_values(form, vecs):
-    """omega per row from the multi-affine form."""
+def _sum_of_squares(form, vecs):
+    """sum_i F_i[X_1, X_2, X_3]^2 per row, for a multi-affine form F (k, 7, 7, 7).
+
+    The rows (rows, 2, 3, 3) hold a/b unit vectors per slot, and X_j = (1, a_j, b_j).
+    """
     x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
     d = np.einsum("iklm,nk,nl,nm->ni", form, x1, x2, x3)
     return np.sum(d * d, axis=1)
 
 
-def _riemannian_hessian(basis, hess, shift):
-    """E^T H E - diag(shift) (rows, 12, 12) for :func:`_omega_model`.
+def _sum_of_squares_model(form, vecs):
+    """Riemannian gradient (rows, 12), Hessian (rows, 12, 12) and tangent map (rows, 18, 12).
 
-    E (rows, 6, 2, 3) holds the tangent bases, H (rows, 6, 3, 6, 3) the
-    Euclidean Hessian and shift (rows, 6) the v_m . grad_m terms.  The nine
-    rows-last terms are summed by ``np.add.reduce`` over their leading axis,
-    which adds them in sequence, from an explicit +0.0 as einsum starts its
-    sums; that start only decides the sign of an all -0.0 sum.  So the
-    projection holds no -0.0, and subtracting the shift on the diagonal
-    alone gives the bits of subtracting diag(shift) from the whole matrix,
-    whose off-diagonal x - 0.0 * shift could only flip a -0.0.
-    """
-    n = len(basis)
-    e = np.ascontiguousarray(basis.transpose(3, 1, 2, 0))
-    h = np.ascontiguousarray(hess.transpose(2, 4, 1, 3, 0))
-    terms = e[:, None, :, :, None, None] * h[:, :, :, None, :, None] * e[None, :, None, None]
-    total = np.add.reduce(terms.reshape(9, 6, 2, 6, 2, n), axis=0, initial=0.0)
-    hess_r = np.moveaxis(total, -1, 0).reshape(n, 12, 12)
-    diagonal = np.arange(12)
-    hess_r[:, diagonal, diagonal] -= np.repeat(shift, 2, axis=1)
-    return hess_r
-
-
-def _omega_model(form, vecs):
-    """Riemannian gradient (rows, 12) and Hessian (rows, 12, 12) of omega on (S^2)^6.
-
-    The six vectors run a_1, b_1, a_2, b_2, a_3, b_3, each with the tangent
-    basis (rows, 6, 2, 3) that is also returned.  Within a slot every d_i
-    is affine, so its Euclidean Hessian has only cross-slot blocks, the form
-    contracted with the third X; omega = sum_i d_i^2 then has gradient
-    2 sum_i d_i grad d_i and Hessian 2 sum_i (grad d_i grad d_i^T + d_i hess d_i).
-    On the spheres the Hessian is E^T H E - diag(v_m . grad_m omega) (Absil,
-    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-    ch. 5-6), with E the tangent bases.
-
-    E^T H E keeps the arithmetic of the einsum
-    ``"nmac,nmcpd,npbd->nmapb"`` it replaced, bit for bit: each term is
-    (E_mac H_mcpd) E_pbd, and the nine (c, d) terms are summed left to right
-    from 0, c outer and d inner, as einsum's loop sums them.  The rows go
-    last (:func:`_riemannian_hessian`), so each product and the sum run one
-    contiguous loop over the rows where einsum runs a nine-term loop per
-    entry; at 32 rows that takes about a quarter of the einsum's time.
+    They are those of s = sum_i d_i^2, d_i = F_i[X_1, X_2, X_3] for a
+    multi-affine form F (k, 7, 7, 7), on (S^2)^6.  The six vectors v_m run
+    a_1, b_1, a_2, b_2, a_3, b_3, three ambient coordinates each.  The
+    tangent map P is block diagonal with blocks E_m^T, E_m the tangent basis
+    at v_m (:func:`_tangent_bases`), each entry one product with 1.0 or 0.0,
+    so a tangent step xi (12,) moves the vectors by P xi.  With J (k, 18)
+    the Euclidean Jacobian of d and J_r = J P, the gradient is 2 J_r^T d and
+    the Hessian 2 (J_r^T J_r + P^T C P) - diag(v_m . grad_m) (Absil, Mahony
+    & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch.
+    5-6), with grad = 2 J^T d.  C = sum_i d_i hess d_i has only cross-slot
+    blocks, the form contracted with the third X, as each d_i is affine
+    within a slot.
     """
     n = len(vecs)
     x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
@@ -626,50 +605,53 @@ def _omega_model(form, vecs):
         np.einsum("nikl,nk->nil", p12, x1),
         np.einsum("nikm,nk->nim", p13, x1),
     ], axis=2)[..., 1:].reshape(n, -1, 18)
-    grad = 2.0 * np.einsum("ni,nik->nk", d, jac).reshape(n, 6, 3)
-    hess = 2.0 * np.einsum("nik,nil->nkl", jac, jac)
+    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
+    # P[n, 3m + c, 2p + a] = E[n, m, a, c] delta_mp
+    tangent = np.swapaxes(_tangent_bases(v), 2, 3)[:, :, :, None] * np.eye(6)[:, None, :, None]
+    tangent = tangent.reshape(n, 18, 12)
+    jac_r = jac @ tangent
+    curve = np.zeros((n, 18, 18))
     for (j, k), p in (((0, 1), p12), ((0, 2), p13), ((1, 2), p23)):
-        cross = 2.0 * np.einsum("ni,nikl->nkl", d, p[..., 1:, 1:])
-        hess[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] += cross
-        hess[:, 6 * k:6 * k + 6, 6 * j:6 * j + 6] += np.swapaxes(cross, 1, 2)
-    hess = hess.reshape(n, 6, 3, 6, 3)
-    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
-    basis = _tangent_bases(v)
-    grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
-    hess_r = _riemannian_hessian(basis, hess, np.sum(v * grad, axis=2))
-    return grad_r, hess_r, basis
+        curve[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] = np.einsum("ni,nikl->nkl", d, p[..., 1:, 1:])
+    curve = curve + np.swapaxes(curve, 1, 2)
+    grad_r = 2.0 * np.einsum("ni,nik->nk", d, jac_r)
+    hess_r = 2.0 * (np.swapaxes(jac_r, 1, 2) @ jac_r + np.swapaxes(tangent, 1, 2) @ curve @ tangent)
+    grad = 2.0 * np.einsum("ni,nik->nk", d, jac).reshape(n, 6, 3)
+    diagonal = np.arange(12)
+    hess_r[:, diagonal, diagonal] -= np.repeat(np.sum(v * grad, axis=2), 2, axis=1)
+    return grad_r, hess_r, tangent
 
 
-def _retract(vecs, basis, step):
-    """Move each vector along its tangent step (rows, 12) and renormalize."""
+def _retract(vecs, tangent, step):
+    """Move each row's vectors by its tangent map times its step (rows, 12), then renormalize."""
     n = len(vecs)
-    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
-    v = v + np.einsum("nma,nmac->nmc", step.reshape(n, 6, 2), basis)
+    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3) + (tangent @ step[:, :, None]).reshape(n, 6, 3)
     v /= np.linalg.norm(v, axis=2, keepdims=True)
     return np.swapaxes(v.reshape(n, 3, 2, 3), 1, 2)
 
 
-def _newton_ascent(form, vecs, iters: int):
-    """Batched Riemannian Newton ascent of omega from rows ``vecs`` (rows, 2, 3, 3).
+def _sum_of_squares_ascent(form, vecs, iters: int):
+    """Batched Riemannian Newton ascent of s = sum_i F_i[X_1, X_2, X_3]^2 from ``vecs`` (rows, 2, 3, 3).
 
-    Each iteration evaluates the exact gradient and Hessian
-    (:func:`_omega_model`).  A row with |grad_R| <= ``CERT_GRAD`` and
-    lambda_max(H_R) <= ``CERT_CURV`` is certified and stops.  The others
-    take a Newton step with the Hessian's eigenvalues clamped at
-    -max(|grad_R|, ``CERT_CURV``), so the step ascends.  It is halved up to
-    ``_HALVINGS`` times until omega does not fall by more than the rounding
-    slack ``_MONOTONE_SLACK``; a row whose step still lowers omega stops
-    uncertified.  Returns per-row (omega, vectors, iterations used,
+    F (k, 7, 7, 7) is any multi-affine form; omega is the case of the three
+    Bell operators' form.  Each iteration evaluates the exact gradient and
+    Hessian (:func:`_sum_of_squares_model`).  A row with |grad_R| <=
+    ``CERT_GRAD`` and lambda_max(H_R) <= ``CERT_CURV`` is certified and
+    stops.  The others take a Newton step with the Hessian's eigenvalues
+    clamped at -max(|grad_R|, ``CERT_CURV``), so the step ascends.  It is halved up to
+    ``_HALVINGS`` times until s does not fall by more than the rounding
+    slack ``_MONOTONE_SLACK``; a row whose step still lowers s stops
+    uncertified.  Returns per-row (s, vectors, iterations used,
     certified); rows neither certified nor stopped use all ``iters``.
     """
     vecs = np.array(vecs, dtype=float)
     n = len(vecs)
-    obj = _omega_values(form, vecs)
+    obj = _sum_of_squares(form, vecs)
     used = np.full(n, iters)
     certified = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for it in range(1, iters + 1):
-        grad_r, hess_r, basis = _omega_model(form, vecs[active])
+        grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs[active])
         lam, eig = np.linalg.eigh(hess_r)
         size = np.linalg.norm(grad_r, axis=1)
         ok = (size <= CERT_GRAD) & (lam[:, -1] <= CERT_CURV)
@@ -682,8 +664,8 @@ def _newton_ascent(form, vecs, iters: int):
             todo = np.flatnonzero(~moved)
             if not todo.size:
                 break
-            trial = _retract(vecs[active[todo]], basis[todo], step[todo] * 0.5**halving)
-            trial_obj = _omega_values(form, trial)
+            trial = _retract(vecs[active[todo]], tangent[todo], step[todo] * 0.5**halving)
+            trial_obj = _sum_of_squares(form, trial)
             up = trial_obj >= obj[active[todo]] - _MONOTONE_SLACK
             vecs[active[todo[up]]] = trial[up]
             obj[active[todo[up]]] = trial_obj[up]
@@ -701,7 +683,7 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     The multi-affine form of the three expectations
     (:func:`tribell.bell.multiaffine_form`) is built once, and every start
     runs the batched Riemannian Newton ascent over the six unit vectors
-    (:func:`_newton_ascent`), capped at ``OptimizerConfig.max_sweeps`` = 500.
+    (:func:`_sum_of_squares_ascent`), capped at ``OptimizerConfig.max_sweeps`` = 500.
     Stop rule: a start whose Riemannian gradient is at most ``CERT_GRAD``
     and whose Riemannian Hessian has no eigenvalue above ``CERT_CURV`` is
     certified as a local maximum; a start whose step is rejected stops
@@ -719,7 +701,7 @@ def maximize_omega(rho, cfg: OptimizerConfig | None = None) -> OptimizationResul
     cfg = cfg or OptimizerConfig()
     rho = as_density(rho)
     form = multiaffine_form(decompose(rho))
-    obj, vecs, sweeps, converged = _newton_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
+    obj, vecs, sweeps, converged = _sum_of_squares_ascent(form, _initial_vectors(cfg), cfg.max_sweeps)
     best = _best_row(obj)
     settings = MeasurementSettings(*vecs[best])
     value = _rechecked(float(obj.max()), omega_matrix(rho, settings))

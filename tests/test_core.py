@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 from test_states import identity_grid
 
 from tribell.core import (
@@ -50,10 +51,14 @@ _PARTS = hst.one_of(hst.sampled_from([0.0, -0.0]), hst.floats(-1e6, 1e6))
 
 
 def _complex_matrix(dim):
-    entries = hst.builds(complex, _PARTS, _PARTS)
-    return hst.lists(entries, min_size=dim * dim, max_size=dim * dim).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(dim, dim)
-    )
+    """dim x dim complex matrices whose real and imaginary parts are drawn as one (2, dim, dim) array."""
+
+    def joined(parts):
+        z = np.empty((dim, dim), dtype=complex)
+        z.real, z.imag = parts
+        return z
+
+    return hnp.arrays(float, (2, dim, dim), elements=_PARTS).map(joined)
 
 
 class TestKron:

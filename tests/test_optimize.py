@@ -10,7 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from test_classify import trapped_1_23
 
-from tribell.bell import MeasurementSettings, expectation_bell, multiaffine_form, omega, random_settings
+from tribell.bell import (
+    MeasurementSettings,
+    _homogeneous,
+    expectation_bell,
+    multiaffine_form,
+    omega,
+    random_settings,
+)
 from tribell.classify import _draw_state, sample_region
 from tribell.core import PAULIS, ConsistencyError, ValidationError, _kron, _place
 import tribell.optimize as opt
@@ -20,10 +27,10 @@ from tribell.optimize import (
     OptimizerConfig,
     _best_row,
     _half_icosahedron,
-    _omega_model,
-    _omega_values,
     _pair_power,
     _retract,
+    _sum_of_squares,
+    _sum_of_squares_model,
     maximize_omega,
     omega_planar_oracle,
     planar_case_settings,
@@ -714,10 +721,48 @@ def tangent_bases_reference(v):
 
 
 def riemannian_hessian_reference(basis, hess, shift):
-    """``_riemannian_hessian`` as first written: one three-operand einsum, then an identity shift."""
+    """E^T H E - diag(shift) as first written: one three-operand einsum, then an identity shift.
+
+    E (rows, 6, 2, 3) holds the tangent bases, H (rows, 6, 3, 6, 3) the
+    Euclidean Hessian and shift (rows, 6) the v_m . grad_m terms.
+    """
     hess_r = np.einsum("nmac,nmcpd,npbd->nmapb", basis, hess, basis).reshape(len(basis), 12, 12)
     hess_r -= np.repeat(shift, 2, axis=1)[:, :, None] * np.eye(12)
     return hess_r
+
+
+def model_reference(form, vecs):
+    """``_sum_of_squares_model`` as first written, from the full 18 x 18 Euclidean Hessian.
+
+    Gradient and Hessian are projected by per-vector einsums over the tangent
+    bases of :func:`tangent_bases_reference`; the tangent map is assembled
+    from the same bases.
+    """
+    n = len(vecs)
+    x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
+    p12 = np.einsum("iklm,nm->nikl", form, x3)
+    p13 = np.einsum("iklm,nl->nikm", form, x2)
+    p23 = np.einsum("iklm,nk->nilm", form, x1)
+    d = np.einsum("nikl,nk,nl->ni", p12, x1, x2)
+    jac = np.stack([
+        np.einsum("nikl,nl->nik", p12, x2),
+        np.einsum("nikl,nk->nil", p12, x1),
+        np.einsum("nikm,nk->nim", p13, x1),
+    ], axis=2)[..., 1:].reshape(n, -1, 18)
+    grad = 2.0 * np.einsum("ni,nik->nk", d, jac).reshape(n, 6, 3)
+    hess = 2.0 * np.einsum("nik,nil->nkl", jac, jac)
+    for (j, k), p in (((0, 1), p12), ((0, 2), p13), ((1, 2), p23)):
+        cross = 2.0 * np.einsum("ni,nikl->nkl", d, p[..., 1:, 1:])
+        hess[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] += cross
+        hess[:, 6 * k:6 * k + 6, 6 * j:6 * j + 6] += np.swapaxes(cross, 1, 2)
+    v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
+    basis = tangent_bases_reference(v)
+    grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
+    hess_r = riemannian_hessian_reference(basis, hess.reshape(n, 6, 3, 6, 3), np.sum(v * grad, axis=2))
+    tangent = np.zeros((n, 6, 3, 6, 2))
+    for m in range(6):
+        tangent[:, m, :, m, :] = np.swapaxes(basis[:, m], 1, 2)
+    return grad_r, hess_r, tangent.reshape(n, 18, 12)
 
 
 def initial_vectors_reference(cfg):
@@ -757,23 +802,25 @@ class TestSearchArithmetic:
             assert_bits_equal(np.stack(opt._cross(u.T, v.T), axis=-1), np.cross(u, v))
 
     def test_tangent_bases_match_numpy(self):
-        """The omega ascent's tangent bases keep np.cross's values and C layout.
+        """The tangent bases keep np.cross's values, and the tangent map holds them bit for bit.
 
-        einsum's summation order follows the strides, so a basis in another
-        layout would change the ascent's last digits.
+        The map's diagonal (3, 2) blocks are the transposed bases, and every
+        other entry is zero.
         """
         rng = np.random.default_rng(16)
         v = rng.standard_normal((40, 6, 3))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         signed = np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.6, -0.8], [-0.6, -0.0, 0.8]])
         for rows in (v, v[:, 0], signed):
-            bases = opt._tangent_bases(rows)
-            assert bases.flags.c_contiguous
-            assert_bits_equal(bases, tangent_bases_reference(rows))
+            assert_bits_equal(opt._tangent_bases(rows), tangent_bases_reference(rows))
         form = multiaffine_form(decompose(to_density(w_state())))
-        basis = _omega_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
-        assert basis.flags.c_contiguous
-        assert_bits_equal(basis, tangent_bases_reference(v))
+        tangent = _sum_of_squares_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
+        assert tangent.shape == (40, 18, 12)
+        blocks = tangent.reshape(40, 6, 3, 6, 2)
+        bases = tangent_bases_reference(v)
+        for m in range(6):
+            assert_bits_equal(np.swapaxes(blocks[:, m, :, m], 1, 2), bases[:, m])
+            assert not np.delete(blocks[:, m], m, axis=2).any()
 
     def test_heights_and_midpoints_match_numpy_down_three_levels(self):
         """On the ten level-0 faces and three levels of their splits.
@@ -867,60 +914,40 @@ OMEGA_STATES = {
 
 
 class TestOmegaArithmetic:
-    """The omega ascent's rows-last arithmetic is bit for bit the numpy expressions it replaced."""
+    """The omega ascent's tangent-map model agrees with the full-Hessian model it replaced."""
 
     @pytest.mark.parametrize("name", OMEGA_STATES)
     def test_riemannian_hessian_matches_einsum_on_states(self, name):
-        """At the default starts' first points, for 1, 2, 7 and 32 rows."""
-        form = multiaffine_form(decompose(OMEGA_STATES[name]()))
-        seen, original = [], opt._riemannian_hessian
+        """At the default starts' first points, for 1, 2, 7 and 32 rows, to 1e-12 of the largest entry.
 
-        def recorded(basis, hess, shift):
-            out = original(basis, hess, shift)
-            seen.append((basis, hess, shift, out))
-            return out
-
-        with mock.patch.object(opt, "_riemannian_hessian", recorded):
-            for rows in (1, 2, 7, 32):
-                _omega_model(form, opt._initial_vectors(OptimizerConfig(n_starts=rows, seed=rows)))
-        assert [len(basis) for basis, *_ in seen] == [1, 2, 7, 32]
-        for basis, hess, shift, out in seen:
-            assert_bits_equal(out, riemannian_hessian_reference(basis, hess, shift))
-
-    def test_riemannian_hessian_matches_einsum_on_signed_zeros(self):
-        """Mixed magnitudes with +0.0 and -0.0 in E, H and the shift, and all -0.0 sums.
-
-        Where a row's shift is negative, the identity shift subtracts -0.0
-        off the diagonal, so zeros there must come out of the projection as
-        +0.0; where an E row is -0.0 and the rest positive, all nine terms
-        are -0.0 and only einsum's starting 0 makes the sum +0.0.
+        The reference projects the full 18 x 18 Euclidean Hessian onto the
+        tangent bases with one einsum.
         """
-        rng = np.random.default_rng(17)
+        form = multiaffine_form(decompose(OMEGA_STATES[name]()))
         for rows in (1, 2, 7, 32):
-            mixed = [mixed_magnitudes(rng, shape) for shape in ((rows, 6, 2, 3), (rows, 6, 3, 6, 3), (rows, 6))]
-            basis, hess = rng.random((rows, 6, 2, 3)), rng.random((rows, 6, 3, 6, 3))
-            basis[:, 1, 0] = -0.0
-            basis[:, 4, 1] = 0.0
-            signed = [basis, hess, rng.choice([-1.5, -0.0, 0.0, 2.0], (rows, 6))]
-            for case in (mixed, signed):
-                assert_bits_equal(opt._riemannian_hessian(*case), riemannian_hessian_reference(*case))
-        # the 32-row signed case has zeros off the diagonal of rows with a negative shift
-        off_diagonal = np.signbit(np.repeat(signed[2], 2, axis=1))[:, :, None] & ~np.eye(12, dtype=bool)
-        assert np.any(off_diagonal & (riemannian_hessian_reference(*signed) == 0.0))
+            vecs = opt._initial_vectors(OptimizerConfig(n_starts=rows, seed=rows))
+            grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs)
+            ref_grad, ref_hess, ref_tangent = model_reference(form, vecs)
+            np.testing.assert_array_equal(tangent, ref_tangent)
+            for got, ref in ((hess_r, ref_hess), (grad_r, ref_grad)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(initial=0.0))
 
     @pytest.mark.parametrize("name", ["w", "haar-pure", "1-23-mixed"])
     def test_ascent_matches_the_reference_model(self, name):
-        """The whole Newton ascent, run on the reference arithmetic, gives the same bits."""
+        """The whole Newton ascent, run on the reference model, takes the same course.
+
+        Every start uses the same iterations and gets the same certificate,
+        the best start is the same, and omega agrees to 1e-12.
+        """
         form = multiaffine_form(decompose(OMEGA_STATES[name]()))
         start = opt._initial_vectors(FAST_CFG)
-        obj, vecs, used, certified = opt._newton_ascent(form, start, CFG.max_sweeps)
-        with mock.patch.object(opt, "_riemannian_hessian", riemannian_hessian_reference), \
-                mock.patch.object(opt, "_tangent_bases", tangent_bases_reference):
-            reference = opt._newton_ascent(form, start, CFG.max_sweeps)
-        assert_bits_equal(obj, reference[0])
-        assert_bits_equal(vecs, reference[1])
+        obj, _, used, certified = opt._sum_of_squares_ascent(form, start, CFG.max_sweeps)
+        with mock.patch.object(opt, "_sum_of_squares_model", model_reference):
+            reference = opt._sum_of_squares_ascent(form, start, CFG.max_sweeps)
         np.testing.assert_array_equal(used, reference[2])
         np.testing.assert_array_equal(certified, reference[3])
+        assert _best_row(obj) == _best_row(reference[0])
+        np.testing.assert_allclose(obj, reference[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_starts", [1, 5, 32])
     def test_start_vectors_match_per_start_normalization(self, n_starts):
@@ -938,7 +965,7 @@ class TestTieRule:
         obj = np.array([omega(rho, first), omega(rho, first) + 1e-13])
         assert _best_row(obj) == 0
         ascent = (obj, vecs, np.array([3, 7]), np.array([True, False]))
-        monkeypatch.setattr(opt, "_newton_ascent", lambda *args: ascent)
+        monkeypatch.setattr(opt, "_sum_of_squares_ascent", lambda *args: ascent)
         res = maximize_omega(rho)
         assert res.value == obj[1]
         assert res.per_start_values == tuple(obj)
@@ -1047,14 +1074,14 @@ class TestMaximizeOmega:
         at the iteration cap.
         """
         ascents = []
-        original = opt._newton_ascent
+        original = opt._sum_of_squares_ascent
 
         def spy(*args):
             out = original(*args)
             ascents.append(out)
             return out
 
-        with mock.patch.object(opt, "_newton_ascent", spy):
+        with mock.patch.object(opt, "_sum_of_squares_ascent", spy):
             maximize_omega(drawn_1_23(6), CFG)
         (_, _, used, certified), = ascents
         assert len(certified) == CFG.n_starts
@@ -1077,20 +1104,20 @@ def multiaffine(rho):
     return multiaffine_form(decompose(rho))
 
 
-def pullback_gradient(form, vecs, basis, step):
-    """Gradient in ``step`` (12,) of omega at the retraction of ``vecs`` along it.
+def pullback_gradient(form, vecs, tangent, step):
+    """Gradient in ``step`` (12,) of the sum of squares at the retraction of ``vecs`` along it.
 
-    Each vector moves to y = (v + E xi)/|v + E xi|, whose derivative is
-    (I - y y^T) E / |v + E xi|, and (I - y y^T) grad omega is the Riemannian
-    gradient at y.  The retraction is second order, so the Hessian of this
-    pullback at 0 is the Riemannian Hessian.
+    With P the tangent map (18, 12), each vector moves to y = (v + P xi)/|v + P xi|,
+    whose derivative is (I - y y^T) P / |v + P xi|, and (I - y y^T) grad is the
+    Riemannian gradient at y, P' grad_R in the tangent map P' there.  The
+    retraction is second order, so the Hessian of this pullback at 0 is the
+    Riemannian Hessian.
     """
-    moved = _retract(vecs, basis, step[None])
-    grad_r, _, moved_basis = _omega_model(form, moved)
-    ambient = np.einsum("ma,mac->mc", grad_r[0].reshape(6, 2), moved_basis[0])
-    v = np.swapaxes(vecs[0], 0, 1).reshape(6, 3)
-    size = np.linalg.norm(v + np.einsum("ma,mac->mc", step.reshape(6, 2), basis[0]), axis=1)
-    return np.einsum("mac,mc->ma", basis[0], ambient / size[:, None]).reshape(12)
+    moved = _retract(vecs, tangent, step[None])
+    grad_r, _, moved_tangent = _sum_of_squares_model(form, moved)
+    shifted = np.swapaxes(vecs[0], 0, 1).reshape(18) + tangent[0] @ step
+    size = np.linalg.norm(shifted.reshape(6, 3), axis=1)
+    return tangent[0].T @ (moved_tangent[0] @ grad_r[0] / np.repeat(size, 3))
 
 
 class TestOmegaNewton:
@@ -1101,9 +1128,9 @@ class TestOmegaNewton:
             form = multiaffine(rho)
             for k in range(4):
                 m = random_settings(10 * seed + k)
-                assert _omega_values(form, as_rows(m))[0] == pytest.approx(omega(rho, m), abs=1e-12)
+                assert _sum_of_squares(form, as_rows(m))[0] == pytest.approx(omega(rho, m), abs=1e-12)
                 for i in (1, 2, 3):
-                    square = _omega_values(form[i - 1:i], as_rows(m))[0]
+                    square = _sum_of_squares(form[i - 1:i], as_rows(m))[0]
                     assert square == pytest.approx(expectation_bell(rho, m, i) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
@@ -1112,17 +1139,34 @@ class TestOmegaNewton:
         """The exact Riemannian Hessian of <D_i>^2 against central differences of its gradient."""
         form = multiaffine(random_state(kind, 7 + i))[i - 1:i]
         vecs = as_rows(random_settings(i))
-        grad_r, hess_r, basis = _omega_model(form, vecs)
+        grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs)
         np.testing.assert_allclose(
-            pullback_gradient(form, vecs, basis, np.zeros(12)), grad_r[0], atol=1e-12
+            pullback_gradient(form, vecs, tangent, np.zeros(12)), grad_r[0], atol=1e-12
         )
         h = 1e-5
         diffs = np.stack([
-            (pullback_gradient(form, vecs, basis, h * e) - pullback_gradient(form, vecs, basis, -h * e))
+            (pullback_gradient(form, vecs, tangent, h * e) - pullback_gradient(form, vecs, tangent, -h * e))
             / (2.0 * h)
             for e in np.eye(12)
         ], axis=1)
         np.testing.assert_allclose(hess_r[0], diffs, atol=1e-6)
+
+    def test_one_squared_form_stays_in_the_certified_bracket(self):
+        """The ascent on <D_i>^2 alone ends inside the sphere search's certified bracket on m_i.
+
+        GHZ, W and one draw of each of six classes, on every axis, from
+        eight starts: no start exceeds the upper end, and the best one
+        reaches the lower end.
+        """
+        rng = np.random.default_rng(0)
+        classes = ("haar-pure", "1-23", "2-13", "12-3", "fully-separable", "ghz-family")
+        states = [to_density(ghz()), to_density(w_state())] + [_draw_state(c, rng) for c in classes]
+        brackets = seesaw_max_abs_d_many(states, (1, 2, 3))
+        forms = [multiaffine(rho) for rho in states]
+        starts = opt._initial_vectors(OptimizerConfig(n_starts=8))
+        for k, (i, form) in enumerate((i, form) for i in (1, 2, 3) for form in forms):
+            best = np.sqrt(opt._sum_of_squares_ascent(form[i - 1:i], starts, CFG.max_sweeps)[0].max())
+            assert brackets[k].value - 1e-9 <= best <= brackets[k].upper + 1e-12, k
 
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(kind=hst.sampled_from(["pure", "mixed"]), seed=hst.integers(0, 2**32))
@@ -1130,20 +1174,21 @@ class TestOmegaNewton:
         """Where the Newton ascent certified the reported start, its settings are a local maximum."""
         rho = random_state(kind, seed)
         polished = []
-        original = opt._newton_ascent
+        original = opt._sum_of_squares_ascent
 
         def spy(*args):
             out = original(*args)
             polished.append(out)
             return out
 
-        with mock.patch.object(opt, "_newton_ascent", spy), mock.patch.object(OptimizerConfig, "max_sweeps", 40):
+        with mock.patch.object(opt, "_sum_of_squares_ascent", spy), \
+                mock.patch.object(OptimizerConfig, "max_sweeps", 40):
             res = maximize_omega(rho, OptimizerConfig(n_starts=4))
         vecs = as_rows(res.settings)
         assume(any(
             np.array_equal(row, vecs[0]) for _, rows, _, certified in polished for row in rows[certified]
         ))
-        grad_r, hess_r, _ = _omega_model(multiaffine(rho), vecs)
+        grad_r, hess_r, _ = _sum_of_squares_model(multiaffine(rho), vecs)
         assert np.linalg.norm(grad_r) <= 1e-8
         assert np.linalg.eigvalsh(hess_r[0])[-1] <= 1e-6
 
