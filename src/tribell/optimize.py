@@ -26,9 +26,11 @@
   spheres with the exact gradient and Hessian of omega from C, for at most
   500 iterations.  A start that reaches a vanishing gradient with no
   positive curvature is certified as a local maximum.  The ascent takes any
-  sum of squared multi-affine forms, and its gradient, Hessian and step all
-  go through one block-diagonal (18, 12) tangent map per row, built from
-  the six spheres' tangent bases (:func:`_sum_of_squares_model`).
+  sum of squared multi-affine forms F.  Its gradient, Hessian and step go
+  through one block-diagonal (18, 12) tangent map per row
+  (:func:`_sum_of_squares_model`), and F meets each X_j through one of its
+  three (7, 49k) slot matrices in a product per row, so a start's bits do
+  not depend on how many starts run beside it.
 
 :func:`seesaw_max_abs_d_many` batches the (state, axis) problems of a list
 of states and a tuple of indices: one ``decompose`` per state, one sphere
@@ -568,13 +570,21 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     return seesaw_max_abs_d_many([rho], (i,))[0]
 
 
-def _sum_of_squares(form, vecs):
-    """sum_i F_i[X_1, X_2, X_3]^2 per row, for a multi-affine form F (k, 7, 7, 7).
+def _slot_pair(form, x, slot: int):
+    """X (rows, 7) into slot ``slot`` of F: (rows, k, 7, 7), per row one product with F's slot matrix."""
+    return (x[:, None, :] @ np.moveaxis(form, slot, 0).reshape(7, -1)).reshape(len(x), len(form), 7, 7)
 
-    The rows (rows, 2, 3, 3) hold a/b unit vectors per slot, and X_j = (1, a_j, b_j).
-    """
-    x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
-    d = np.einsum("iklm,nk,nl,nm->ni", form, x1, x2, x3)
+
+def _first_slot(form, x1, x2, x3):
+    """p12 = X_3.F (rows, k, 7, 7), dd/dX_1 = p12.X_2 (rows, k, 7) and d = (dd/dX_1).X_1 (rows, k)."""
+    p12 = _slot_pair(form, x3, 3)
+    g1 = (p12 @ x2[:, None, :, None])[..., 0]
+    return p12, g1, (g1 @ x1[:, :, None])[..., 0]
+
+
+def _sum_of_squares(form, vecs):
+    """sum_i F_i[X_1, X_2, X_3]^2 per row (rows, 2, 3, 3) of a/b unit vectors, X_j = (1, a_j, b_j)."""
+    d = _first_slot(form, *np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0))[2]
     return np.sum(d * d, axis=1)
 
 
@@ -592,19 +602,17 @@ def _sum_of_squares_model(form, vecs):
     & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch.
     5-6), with grad = 2 J^T d.  C = sum_i d_i hess d_i has only cross-slot
     blocks, the form contracted with the third X, as each d_i is affine
-    within a slot.
+    within a slot.  Every contraction with an X_j is a per-row matmul with
+    a slot matrix of F (:func:`_slot_pair`), and d = ((X_3.F).X_2).X_1 as in
+    the objective.  One 2-D product over all rows is faster, but there a
+    row's bits can depend on how many rows run beside it.
     """
     n = len(vecs)
     x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
-    p12 = np.einsum("iklm,nm->nikl", form, x3)
-    p13 = np.einsum("iklm,nl->nikm", form, x2)
-    p23 = np.einsum("iklm,nk->nilm", form, x1)
-    d = np.einsum("nikl,nk,nl->ni", p12, x1, x2)
-    jac = np.stack([
-        np.einsum("nikl,nl->nik", p12, x2),
-        np.einsum("nikl,nk->nil", p12, x1),
-        np.einsum("nikm,nk->nim", p13, x1),
-    ], axis=2)[..., 1:].reshape(n, -1, 18)
+    p12, g1, d = _first_slot(form, x1, x2, x3)
+    p13, p23 = _slot_pair(form, x2, 2), _slot_pair(form, x1, 1)
+    g2, g3 = (p23 @ x3[:, None, :, None])[..., 0], (x1[:, None, None, :] @ p13)[..., 0, :]
+    jac = np.concatenate([g1[..., 1:], g2[..., 1:], g3[..., 1:]], axis=2)
     v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
     # P[n, 3m + c, 2p + a] = E[n, m, a, c] delta_mp
     tangent = np.swapaxes(_tangent_bases(v), 2, 3)[:, :, :, None] * np.eye(6)[:, None, :, None]
@@ -612,11 +620,12 @@ def _sum_of_squares_model(form, vecs):
     jac_r = jac @ tangent
     curve = np.zeros((n, 18, 18))
     for (j, k), p in (((0, 1), p12), ((0, 2), p13), ((1, 2), p23)):
-        curve[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] = np.einsum("ni,nikl->nkl", d, p[..., 1:, 1:])
+        block = (d[:, None] @ p.reshape(n, -1, 49)).reshape(n, 7, 7)
+        curve[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] = block[:, 1:, 1:]
     curve = curve + np.swapaxes(curve, 1, 2)
-    grad_r = 2.0 * np.einsum("ni,nik->nk", d, jac_r)
+    grad_r = 2.0 * (d[:, None] @ jac_r)[:, 0]
     hess_r = 2.0 * (np.swapaxes(jac_r, 1, 2) @ jac_r + np.swapaxes(tangent, 1, 2) @ curve @ tangent)
-    grad = 2.0 * np.einsum("ni,nik->nk", d, jac).reshape(n, 6, 3)
+    grad = 2.0 * (d[:, None] @ jac).reshape(n, 6, 3)
     diagonal = np.arange(12)
     hess_r[:, diagonal, diagonal] -= np.repeat(np.sum(v * grad, axis=2), 2, axis=1)
     return grad_r, hess_r, tangent

@@ -23,6 +23,7 @@ from tribell.optimize import seesaw_max_abs_d, seesaw_max_abs_d_many
 from tribell.states import (
     PureState,
     ghz,
+    maximally_mixed,
     mix,
     phi_plus_otimes_zero,
     random_in_class,
@@ -194,6 +195,23 @@ class TestClassify:
         per_axis = [seesaw_max_abs_d(state, i) for i in (1, 2, 3)]
         assert report.m == tuple(res.value for res in per_axis)
         assert report.converged[:3] == tuple(res.converged for res in per_axis)
+
+    def test_ghz_noise_excludes_only_where_no_class_holds_it(self):
+        """rho_p = p GHZ + (1 - p) I/8 lies in all four classes for p <= 1/5 and in none for p > 1/sqrt(2).
+
+        For GHZ-diagonal states a positive partial transpose across a cut is
+        separability across it (Dur, Cirac & Tarrach, PRL 83, 3562 (1999)), so
+        at p = 1/5 nothing may be excluded; at p = 3/4 every m_i = p sqrt(2) > 1.
+        """
+        def noisy_ghz(p):
+            return mix([to_density(ghz()), maximally_mixed()], [p, 1.0 - p])
+
+        rho = noisy_ghz(0.2).matrix.reshape((2,) * 6)
+        for k in range(3):
+            transposed = np.swapaxes(rho, k, k + 3).reshape(8, 8)
+            assert np.linalg.eigvalsh(transposed).min() >= -1e-12
+        assert classify(noisy_ghz(0.2)).excluded == ()
+        assert classify(noisy_ghz(0.75)).excluded == CLASS_LABELS
 
     def test_product_state_excludes_nothing(self):
         amp = np.zeros(8, dtype=complex)

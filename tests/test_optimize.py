@@ -765,6 +765,13 @@ def model_reference(form, vecs):
     return grad_r, hess_r, tangent.reshape(n, 18, 12)
 
 
+def sum_of_squares_reference(form, vecs):
+    """``_sum_of_squares`` as first written: one four-operand einsum for d."""
+    x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
+    d = np.einsum("iklm,nk,nl,nm->ni", form, x1, x2, x3)
+    return np.sum(d * d, axis=1)
+
+
 def initial_vectors_reference(cfg):
     """``_initial_vectors`` as first written, normalizing each start on its own."""
     vecs = np.empty((cfg.n_starts, 2, 3, 3))
@@ -914,23 +921,51 @@ OMEGA_STATES = {
 
 
 class TestOmegaArithmetic:
-    """The omega ascent's tangent-map model agrees with the full-Hessian model it replaced."""
+    """The omega ascent's per-row matmul arithmetic agrees with the einsum definitions it replaced."""
 
     @pytest.mark.parametrize("name", OMEGA_STATES)
     def test_riemannian_hessian_matches_einsum_on_states(self, name):
         """At the default starts' first points, for 1, 2, 7 and 32 rows, to 1e-12 of the largest entry.
 
         The reference projects the full 18 x 18 Euclidean Hessian onto the
-        tangent bases with one einsum.
+        tangent bases with one einsum.  Both omega's form (k = 3) and one
+        squared <D_2> (k = 1) are checked.
         """
+        full = multiaffine_form(decompose(OMEGA_STATES[name]()))
+        for form in (full, full[1:2]):
+            for rows in (1, 2, 7, 32):
+                vecs = opt._initial_vectors(OptimizerConfig(n_starts=rows, seed=rows))
+                grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs)
+                ref_grad, ref_hess, ref_tangent = model_reference(form, vecs)
+                np.testing.assert_array_equal(tangent, ref_tangent)
+                for got, ref in ((hess_r, ref_hess), (grad_r, ref_grad)):
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("name", OMEGA_STATES)
+    def test_sum_of_squares_matches_einsum_on_states(self, name):
+        """The per-row matmul objective agrees with the four-operand einsum to 1e-12 of its largest value."""
         form = multiaffine_form(decompose(OMEGA_STATES[name]()))
         for rows in (1, 2, 7, 32):
             vecs = opt._initial_vectors(OptimizerConfig(n_starts=rows, seed=rows))
-            grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs)
-            ref_grad, ref_hess, ref_tangent = model_reference(form, vecs)
-            np.testing.assert_array_equal(tangent, ref_tangent)
-            for got, ref in ((hess_r, ref_hess), (grad_r, ref_grad)):
-                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(initial=0.0))
+            ref = sum_of_squares_reference(form, vecs)
+            np.testing.assert_allclose(_sum_of_squares(form, vecs), ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("k", [3, 1], ids=["omega", "one-square"])
+    def test_each_row_is_independent_of_the_batch(self, k):
+        """For every batch size 1..64, each row of the objective and the model is that row of 64, bit for bit.
+
+        Each row's contractions run as their own (1 x 7)(7 x 49k) products;
+        one 2-D product over all rows lets a row's bits depend on the rows
+        beside it.  On W's form (k = 3) and on its <D_1> form alone (k = 1).
+        """
+        form = multiaffine_form(decompose(to_density(w_state())))[:k]
+        vecs = opt._initial_vectors(OptimizerConfig(n_starts=64, seed=3))
+        full_obj, full_model = _sum_of_squares(form, vecs), _sum_of_squares_model(form, vecs)
+        for rows in range(1, 65):
+            assert_bits_equal(_sum_of_squares(form, vecs[:rows]), full_obj[:rows])
+            for got, full in zip(_sum_of_squares_model(form, vecs[:rows]), full_model):
+                assert_bits_equal(got, full[:rows])
 
     @pytest.mark.parametrize("name", ["w", "haar-pure", "1-23-mixed"])
     def test_ascent_matches_the_reference_model(self, name):
