@@ -104,19 +104,13 @@ def _load_json(path: str, what: str) -> dict:
     return data
 
 
+_BUILTINS = {"ghz": ghz, "w": w_state, "000": lambda: generalized_ghz(0.0),
+             "mixed-identity": maximally_mixed, "phi-plus-otimes-0": phi_plus_otimes_zero}
+
+
 def _parse_builtin(name: str):
-    if name == "ghz":
-        return ghz()
-    if name == "w":
-        return w_state()
-    if name == "000":
-        amp = np.zeros(8, dtype=complex)
-        amp[0] = 1.0
-        return PureState(amp)
-    if name == "mixed-identity":
-        return maximally_mixed()
-    if name == "phi-plus-otimes-0":
-        return phi_plus_otimes_zero()
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     if name.startswith("generalized-ghz:"):
         try:
             alpha = float(name.split(":", 1)[1])

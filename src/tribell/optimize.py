@@ -28,9 +28,10 @@
   positive curvature is certified as a local maximum.  The ascent takes any
   sum of squared multi-affine forms F.  Its gradient, Hessian and step go
   through one block-diagonal (18, 12) tangent map per row
-  (:func:`_sum_of_squares_model`), and F meets each X_j through one of its
-  three (7, 49k) slot matrices in a product per row, so a start's bits do
-  not depend on how many starts run beside it.
+  (:func:`_sum_of_squares_model`) of closed-form orthonormal frames (Duff et
+  al., JCGT 6(1), 2017), and F meets each X_j through one of its three (7, 49k)
+  slot matrices in a product per row, so a start's bits do not depend on how
+  many starts run beside it.
 
 :func:`seesaw_max_abs_d_many` batches the (state, axis) problems of a list
 of states and a tuple of indices: one ``decompose`` per state, one sphere
@@ -461,20 +462,20 @@ def _sphere_search(alpha, q):
 
 
 def _tangent_bases(v):
-    """Orthonormal tangent bases (..., 2, 3) at unit vectors v (..., 3).
+    """Orthonormal tangent frames (..., 3, 2) at unit vectors v (..., 3), as columns e_1, e_2.
 
-    The first vector is v x e_k normalized, for the axis e_k of v's
-    smallest component, and the second is v x the first.  They are formed
-    on a contiguous component-first copy of v, one loop per component, with
-    np.cross's products and np.linalg.norm's ((x^2 + y^2) + z^2), so they
-    are bit for bit those numpy expressions.
+    Duff, Burgess, Christensen, Hery, Kensler, Liani & Villemin, "Building an
+    Orthonormal Basis, Revisited", JCGT 6(1), 2017: with (x, y, z) = v,
+    sign = copysign(1, z), a = -1 / (sign + z) and b = x y a, e_1 = (1 +
+    sign x^2 a, sign b, -sign x) and e_2 = (b, sign + y^2 a, -y).  |sign + z|
+    >= 1, so no division needs a branch; (e_1, e_2, v) is right-handed.
     """
-    c = np.ascontiguousarray(np.moveaxis(v, -1, 0))
-    w = _cross(c, np.eye(3)[:, np.argmin(np.abs(v), axis=-1)])
-    bases = np.empty((2, 3) + v.shape[:-1])
-    np.divide(w, np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]), out=bases[0])
-    bases[1] = _cross(c, bases[0])
-    return np.moveaxis(bases, (0, 1), (-2, -1))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    columns = [1.0 + sign * x * x * a, b, sign * b, sign + y * y * a, -sign * x, -y]
+    return np.stack(columns, axis=-1).reshape(v.shape + (2,))
 
 
 def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
@@ -494,7 +495,7 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     size = np.linalg.norm(ortho, axis=1, keepdims=True)
     # any unit vector orthogonal to s serves where alpha has no such part
     t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR),
-                     _tangent_bases(s)[:, 0])
+                     _tangent_bases(s)[:, :, 0])
     theta = np.arctan2(size, np.hypot(sigma[:, :1], sigma[:, 1:2]))
     vecs = np.empty((len(s), 2, 3, 3))
     for ab, sign in ((0, 1.0), (1, -1.0)):
@@ -594,9 +595,9 @@ def _sum_of_squares_model(form, vecs):
     They are those of s = sum_i d_i^2, d_i = F_i[X_1, X_2, X_3] for a
     multi-affine form F (k, 7, 7, 7), on (S^2)^6.  The six vectors v_m run
     a_1, b_1, a_2, b_2, a_3, b_3, three ambient coordinates each.  The
-    tangent map P is block diagonal with blocks E_m^T, E_m the tangent basis
-    at v_m (:func:`_tangent_bases`), each entry one product with 1.0 or 0.0,
-    so a tangent step xi (12,) moves the vectors by P xi.  With J (k, 18)
+    tangent map P is block diagonal with blocks E_m, the (3, 2) closed-form
+    orthonormal frame at v_m (Duff et al. 2017, :func:`_tangent_bases`), so
+    a tangent step xi (12,) moves the vectors by P xi.  With J (k, 18)
     the Euclidean Jacobian of d and J_r = J P, the gradient is 2 J_r^T d and
     the Hessian 2 (J_r^T J_r + P^T C P) - diag(v_m . grad_m) (Absil, Mahony
     & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch.
@@ -614,9 +615,10 @@ def _sum_of_squares_model(form, vecs):
     g2, g3 = (p23 @ x3[:, None, :, None])[..., 0], (x1[:, None, None, :] @ p13)[..., 0, :]
     jac = np.concatenate([g1[..., 1:], g2[..., 1:], g3[..., 1:]], axis=2)
     v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
-    # P[n, 3m + c, 2p + a] = E[n, m, a, c] delta_mp
-    tangent = np.swapaxes(_tangent_bases(v), 2, 3)[:, :, :, None] * np.eye(6)[:, None, :, None]
-    tangent = tangent.reshape(n, 18, 12)
+    # P[n, 3m + c, 2p + a] = E[n, m, c, a] delta_mp
+    frames, tangent = _tangent_bases(v), np.zeros((n, 18, 12))
+    for m in range(6):
+        tangent[:, 3 * m:3 * m + 3, 2 * m:2 * m + 2] = frames[:, m]
     jac_r = jac @ tangent
     curve = np.zeros((n, 18, 18))
     for (j, k), p in (((0, 1), p12), ((0, 2), p13), ((1, 2), p23)):

@@ -588,9 +588,9 @@ def sphere_values_reference(alpha, q, owner, s):
 
 def triangles_around(centers, edges, rng):
     """Near-equilateral spherical triangles (n, 3, 3) with the given edge lengths about unit centers."""
-    tangents = opt._tangent_bases(centers)
+    frames = opt._tangent_bases(centers)[:, None]
     turn = rng.uniform(0.0, 2.0 * np.pi, len(centers))[:, None] + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
-    arms = np.cos(turn)[..., None] * tangents[:, None, 0] + np.sin(turn)[..., None] * tangents[:, None, 1]
+    arms = np.cos(turn)[..., None] * frames[..., 0] + np.sin(turn)[..., None] * frames[..., 1]
     tri = centers[:, None, :] + edges[:, None, None] / np.sqrt(3.0) * arms
     return tri / np.linalg.norm(tri, axis=2, keepdims=True)
 
@@ -713,13 +713,6 @@ def split_reference(tri):
     return mids, np.concatenate([tri, mids], axis=1)[:, opt._CHILDREN].reshape(-1, 3, 3)
 
 
-def tangent_bases_reference(v):
-    """``_tangent_bases`` as first written, with np.cross, np.linalg.norm and np.stack."""
-    w = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
-    u1 = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    return np.stack([u1, np.cross(v, u1)], axis=-2)
-
-
 def riemannian_hessian_reference(basis, hess, shift):
     """E^T H E - diag(shift) as first written: one three-operand einsum, then an identity shift.
 
@@ -734,9 +727,10 @@ def riemannian_hessian_reference(basis, hess, shift):
 def model_reference(form, vecs):
     """``_sum_of_squares_model`` as first written, from the full 18 x 18 Euclidean Hessian.
 
-    Gradient and Hessian are projected by per-vector einsums over the tangent
-    bases of :func:`tangent_bases_reference`; the tangent map is assembled
-    from the same bases.
+    Gradient and Hessian are projected by per-vector einsums over the
+    model's own tangent frames (``_tangent_bases``), so it checks the
+    model's assembly and not the frames; the tangent map is assembled from
+    the same frames.
     """
     n = len(vecs)
     x1, x2, x3 = np.moveaxis(_homogeneous(vecs[:, 0], vecs[:, 1]), 1, 0)
@@ -756,7 +750,7 @@ def model_reference(form, vecs):
         hess[:, 6 * j:6 * j + 6, 6 * k:6 * k + 6] += cross
         hess[:, 6 * k:6 * k + 6, 6 * j:6 * j + 6] += np.swapaxes(cross, 1, 2)
     v = np.swapaxes(vecs, 1, 2).reshape(n, 6, 3)
-    basis = tangent_bases_reference(v)
+    basis = np.swapaxes(opt._tangent_bases(v), 2, 3)
     grad_r = np.einsum("nmac,nmc->nma", basis, grad).reshape(n, 12)
     hess_r = riemannian_hessian_reference(basis, hess.reshape(n, 6, 3, 6, 3), np.sum(v * grad, axis=2))
     tangent = np.zeros((n, 6, 3, 6, 2))
@@ -807,27 +801,6 @@ class TestSearchArithmetic:
              np.array([[-0.0, 2.0, 0.0], [1.0, -1.0, 0.0]])),
         ):
             assert_bits_equal(np.stack(opt._cross(u.T, v.T), axis=-1), np.cross(u, v))
-
-    def test_tangent_bases_match_numpy(self):
-        """The tangent bases keep np.cross's values, and the tangent map holds them bit for bit.
-
-        The map's diagonal (3, 2) blocks are the transposed bases, and every
-        other entry is zero.
-        """
-        rng = np.random.default_rng(16)
-        v = rng.standard_normal((40, 6, 3))
-        v /= np.linalg.norm(v, axis=2, keepdims=True)
-        signed = np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.6, -0.8], [-0.6, -0.0, 0.8]])
-        for rows in (v, v[:, 0], signed):
-            assert_bits_equal(opt._tangent_bases(rows), tangent_bases_reference(rows))
-        form = multiaffine_form(decompose(to_density(w_state())))
-        tangent = _sum_of_squares_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
-        assert tangent.shape == (40, 18, 12)
-        blocks = tangent.reshape(40, 6, 3, 6, 2)
-        bases = tangent_bases_reference(v)
-        for m in range(6):
-            assert_bits_equal(np.swapaxes(blocks[:, m, :, m], 1, 2), bases[:, m])
-            assert not np.delete(blocks[:, m], m, axis=2).any()
 
     def test_heights_and_midpoints_match_numpy_down_three_levels(self):
         """On the ten level-0 faces and three levels of their splits.
@@ -1155,7 +1128,79 @@ def pullback_gradient(form, vecs, tangent, step):
     return tangent[0].T @ (moved_tangent[0] @ grad_r[0] / np.repeat(size, 3))
 
 
+def rotated_frames(v, frames=opt._tangent_bases):
+    """The tangent frames at v turned in their planes by a random angle per vector."""
+    angle = np.random.default_rng(29).uniform(0.0, 2.0 * np.pi, v.shape[:-1])
+    turn = np.stack([np.cos(angle), np.sin(angle), -np.sin(angle), np.cos(angle)], axis=-1)
+    return frames(v) @ turn.reshape(v.shape[:-1] + (2, 2))
+
+
+def clamped_step(grad_r, hess_r):
+    """The ascent's Newton step: H_R's eigenvalues clamped at -max(|grad_R|, CERT_CURV)."""
+    lam, eig = np.linalg.eigh(hess_r)
+    floor = np.maximum(np.linalg.norm(grad_r, axis=1), opt.CERT_CURV)[:, None]
+    coef = np.einsum("nkl,nk->nl", eig, grad_r) / np.maximum(-lam, floor)
+    return np.einsum("nkl,nl->nk", eig, coef), lam
+
+
 class TestOmegaNewton:
+    def test_tangent_frames_are_orthonormal_and_right_handed(self):
+        """Random unit vectors, signed-zero axes and vectors within 1e-9 of either pole.
+
+        Both columns are unit, orthogonal to each other and to v, and
+        (e_1, e_2, v) is right-handed, each to 1e-15; a vector's frame alone
+        is its frame in the batch, bit for bit.  The tangent map's diagonal
+        (3, 2) blocks are the frames bit for bit, and every other entry is zero.
+        """
+        rng = np.random.default_rng(16)
+        v = rng.standard_normal((40, 6, 3))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        signed = np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.6, -0.8], [-0.6, -0.0, 0.8],
+                           [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]])
+        poles = np.array([[1e-9, 0.0, -1.0], [0.0, -1e-9, 1.0], [-1e-9, 1e-9, -1.0], [1e-9, -0.0, 1.0]])
+        poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+        for rows in (v, v[:, 0], signed, poles):
+            e = opt._tangent_bases(rows)
+            assert e.shape == rows.shape + (2,)
+            e1, e2 = e[..., 0], e[..., 1]
+            for err in (np.sum(e1 * e1, axis=-1) - 1.0, np.sum(e2 * e2, axis=-1) - 1.0,
+                        np.sum(e1 * e2, axis=-1), np.sum(e1 * rows, axis=-1), np.sum(e2 * rows, axis=-1),
+                        np.cross(e1, e2) - rows):
+                assert np.abs(err).max() <= 1e-15
+            for at in np.ndindex(rows.shape[:-1]):
+                assert_bits_equal(opt._tangent_bases(rows[at]), e[at])
+        form = multiaffine_form(decompose(to_density(w_state())))
+        tangent = _sum_of_squares_model(form, np.swapaxes(v.reshape(40, 3, 2, 3), 1, 2))[2]
+        assert tangent.shape == (40, 18, 12)
+        blocks = tangent.reshape(40, 6, 3, 6, 2)
+        e = opt._tangent_bases(v)
+        for m in range(6):
+            assert_bits_equal(blocks[:, m, :, m], e[:, m])
+            assert not np.delete(blocks[:, m], m, axis=2).any()
+
+    @pytest.mark.parametrize("name", ["w", "ghz", "haar-pure"])
+    def test_newton_step_does_not_depend_on_the_frames(self, name, monkeypatch):
+        """Frames turned by a random angle per vector leave the ascent's move, |grad_R| and H_R's spectrum.
+
+        At 8 default starts the clamped step moves the vectors by the same
+        P xi, and |grad_R| and the eigenvalues of H_R are the same, to 1e-12
+        of their largest entries: the step is a function of H_R applied to
+        grad_R, and a turn of each frame conjugates both by one orthogonal
+        block-diagonal map.
+        """
+        form = multiaffine_form(decompose(OMEGA_STATES[name]()))
+        vecs = opt._initial_vectors(OptimizerConfig(n_starts=8))
+        runs, maps = [], []
+        for frame in (opt._tangent_bases, rotated_frames):
+            monkeypatch.setattr(opt, "_tangent_bases", frame)
+            grad_r, hess_r, tangent = _sum_of_squares_model(form, vecs)
+            step, lam = clamped_step(grad_r, hess_r)
+            runs.append(((tangent @ step[:, :, None])[..., 0], np.linalg.norm(grad_r, axis=1), lam))
+            maps.append(tangent)
+        assert np.abs(maps[1] - maps[0]).max() > 0.1
+        for got, ref in zip(runs[1], runs[0]):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_form_reproduces_the_dense_path(self, kind):
         for seed in range(3):

@@ -1,0 +1,117 @@
+"""Fingerprint of tribell's numerical output, to check that a refactor changes nothing.
+
+    python3 tools/fingerprint.py > fingerprint.json
+
+It takes no options, imports the package from the ``src`` directory of the
+checkout it sits in and prints one JSON object with three entries:
+
+* ``m_i``: one sha256 over the value, upper end, converged flag and settings
+  bytes of the 366 m_i problems of GHZ, W and 20 draws of each of the six
+  source classes from ``default_rng(5)``, on all three axes;
+* ``omega``: for each of 63 states (GHZ, W, phi+ (x) 0, I/8 and 59 draws
+  from ``default_rng(5)`` cycling haar-pure, 1-23, fully-separable and
+  ghz-family), the sha256 of every start's iteration count and certificate
+  and of the best row of the Newton ascent from the 32 default starts at
+  seeds 0 and 31, and the best omega at each seed;
+* ``stdout``: the sha256 of the stdout of every ``classify``,
+  ``optimize <i>`` and ``optimize --omega --seed s`` call (s in 0, 1, 2, 5,
+  31, 32) on the eight built-in states below.
+
+Run it on two checkouts and diff the two outputs: equal ``m_i`` and
+``stdout`` entries mean bit-identical m_i and byte-identical CLI output,
+and the ``omega`` entries show which states' ascents took another course.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import numpy as np
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+BUILTINS = ("ghz", "w", "000", "mixed-identity", "phi-plus-otimes-0", "generalized-ghz:0.3",
+            "generalized-ghz:0.7", "acin:0.5,0.5,0.5,0.5,0.0,0.0")
+OMEGA_SEEDS = (0, 1, 2, 5, 31, 32)
+ASCENT_CYCLE = ("haar-pure", "1-23", "fully-separable", "ghz-family")
+# draw 37 (a 1-23 state) sits on a flat omega maximum where starts creep to the
+# 500-iteration cap, so its iteration counts follow the last bit of any change
+FLAT_DRAW = 37
+
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for x in arrays:
+        digest.update(np.ascontiguousarray(x).tobytes())
+    return digest.hexdigest()
+
+
+def m_i_digest() -> str:
+    from tribell.classify import SOURCE_CLASSES, _draw_state
+    from tribell.optimize import seesaw_max_abs_d_many
+    from tribell.states import ghz, to_density, w_state
+
+    rng = np.random.default_rng(5)
+    states = [to_density(ghz()), to_density(w_state())]
+    states += [_draw_state(c, rng) for c in SOURCE_CLASSES for _ in range(20)]
+    results = seesaw_max_abs_d_many(states, (1, 2, 3))
+    return _sha(*(x for r in results for x in (np.float64(r.value), np.float64(r.upper),
+                                               np.bool_(r.converged), r.settings.a, r.settings.b)))
+
+
+def omega_ascents() -> dict:
+    from tribell import optimize as opt
+    from tribell.bell import multiaffine_form
+    from tribell.classify import _draw_state
+    from tribell.pauli import decompose
+    from tribell.states import ghz, maximally_mixed, phi_plus_otimes_zero, to_density, w_state
+
+    rng = np.random.default_rng(5)
+    draws = [_draw_state(ASCENT_CYCLE[k % 4], rng) for k in range(60)]
+    states = {"ghz": to_density(ghz()), "w": to_density(w_state()),
+              "phi-plus-otimes-0": phi_plus_otimes_zero(), "mixed-identity": maximally_mixed()}
+    states.update((f"draw-{k:02d}", rho) for k, rho in enumerate(draws) if k != FLAT_DRAW)
+    out = {}
+    for name, rho in states.items():
+        form = multiaffine_form(decompose(rho))
+        runs, best = [], []
+        for seed in (0, 31):
+            cfg = opt.OptimizerConfig(seed=seed)
+            obj, _, used, certified = opt._sum_of_squares_ascent(form, opt._initial_vectors(cfg),
+                                                                 cfg.max_sweeps)
+            runs += [used.astype(np.int64), certified, np.int64(opt._best_row(obj))]
+            best.append(float(obj.max()))
+        out[name] = {"courses": _sha(*runs), "best_omega": best}
+    return out
+
+
+def stdout_digests() -> dict:
+    from tribell.cli import main
+
+    calls = [["classify", f"builtin:{name}"] for name in BUILTINS]
+    calls += [["optimize", f"builtin:{name}", str(i)] for name in BUILTINS for i in (1, 2, 3)]
+    calls += [["optimize", f"builtin:{name}", "--omega", "--seed", str(seed)]
+              for name in BUILTINS for seed in OMEGA_SEEDS]
+    out = {}
+    for argv in calls:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(argv)
+        out[" ".join(argv)] = f"exit {code} " + hashlib.sha256(text.getvalue().encode()).hexdigest()
+    return out
+
+
+def main() -> int:
+    sys.path.insert(0, SRC)
+    print(json.dumps({"m_i": m_i_digest(), "omega": omega_ascents(), "stdout": stdout_digests()},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
