@@ -93,12 +93,12 @@ MAX_LIVE = 1024
 #: each, and splits VERTEX_BLOCK // 4 triangles at a time, which add at most
 #: 3 * VERTEX_BLOCK // 4 midpoints; bounds the memory of a search whatever the batch size
 VERTEX_BLOCK = 4096
-# the cubic's smallest root is recomputed by eigvalsh where its arccos argument
-# is within _EDGE_COS of +-1 or its roots lie within _COLLAPSE * trace of each other
+# _pair_power takes lambda_min from eigvalsh where the shifted cubic's arccos
+# argument is within _EDGE_COS of +1, next to a double smallest root
 _EDGE_COS = 1e-3
-_COLLAPSE = 0.1
-# relative error of a sphere-search value against the SVD's, as _pair_power's docstring
-# puts its cubic's; _bound widens its chord bound by what that error can move it
+# assumed relative error of a sphere-search value against the SVD's, about 20
+# times the worst error that _pair_power's docstring reports; _bound widens its
+# chord bound by what that error can move it
 _VALUE_ERROR = 1e-13
 # children of a triangle split at its edge midpoints, as indices into
 # (v0, v1, v2, m01, m12, m20)
@@ -195,37 +195,47 @@ def _cross(u, v):
 def _pair_power(t):
     """sigma_1^2 + sigma_2^2 of 3x3 matrices t (n, 3, 3): |t|_F^2 - lambda_min(t^T t).
 
-    lambda_min is the smallest root of the characteristic cubic of t^T t in
-    trigonometric form, whose coefficients come from t directly: squared
-    norm, squared 2x2 minors, squared determinant.  They are summed by hand
-    from component-first rows of t's entries, in the order numpy's own sums
-    take, so they equal the ``np.sum`` forms bit for bit: the nine squares
-    pairwise, as numpy adds nine contiguous terms, and the three components
-    of the minors (cross products of t's columns, :func:`_cross`) and of the
-    determinant a . (b x c) left to right.  Next to a double root
-    (arccos argument near +-1) or where the three roots nearly coincide the
-    cubic loses up to 1e-5 and would undershoot, which the sphere bound
-    cannot allow, so those rows take lambda_min from eigvalsh; elsewhere the
-    cubic agrees with the SVD to about 1e-13 at a third of eigvalsh's cost.
+    lambda_min is the smallest root of G = t^T t in Smith's shifted
+    trigonometric form (O. K. Smith, Commun. ACM 4(4), 168 (1961)).  With
+    g_kl the Gram entries of t's columns, each a written-out three-term sum
+    per row, c2 = tr G and B = G - (c2 / 3) I:
+    p = (b_00^2 + b_11^2 + b_22^2) / 6 + (g_01^2 + g_02^2 + g_12^2) / 3,
+    q = det B / 2, r = sqrt(p), cos theta = q / r^3 (clipped to [-1, 1]) and
+    lambda_min = c2 / 3 + 2 r cos(theta / 3 + 2 pi / 3).  The shift keeps
+    the digits the unshifted cubic in G's invariants cancels away where the
+    three roots cluster: B's entries are as small as the roots' spread, so
+    the error of lambda_min scales with that spread and not with c2.  Next
+    to a double smallest root (cos theta within ``_EDGE_COS`` of +1) the
+    arccos magnifies q's rounding to its square root and the root would
+    undershoot, which the sphere bound cannot allow, so those rows take
+    lambda_min from eigvalsh; a double root above it (cos theta near -1)
+    leaves lambda_min well conditioned.  Against the SVD the result's worst
+    relative error was 1.5e-15 over every point of a 64-state Haar sample's
+    search and 5.4e-15 over 800 1-23, 2-13 and fully separable states'.
     """
     x = t.reshape(-1, 9).T  # entry 3k + j of each row is t_kj
     a, b, c = x[0::3], x[1::3], x[2::3]  # t's columns, each (3, n)
-    ab, bc, ca = _cross(a, b), _cross(b, c), _cross(c, a)
-    sq = x * x
-    c2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7])) + sq[8]
-    minors = [u * u + v * v + w * w for u, v, w in zip(ab, bc, ca)]
-    c1 = minors[0] + minors[1] + minors[2]
-    c0 = (a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]) ** 2
-    radius = np.sqrt(np.maximum(c2 * c2 / 9.0 - c1 / 3.0, 0.0))
-    cube = radius**3
-    skew = c2**3 / 27.0 - c2 * c1 / 6.0 + c0 / 2.0
-    cosine = np.clip(skew / np.where(cube > 0.0, cube, 1.0), -1.0, 1.0)
-    low = c2 / 3.0 + 2.0 * radius * np.cos(np.arccos(cosine) / 3.0 + 2.0 * np.pi / 3.0)
-    risky = (1.0 - np.abs(cosine) < _EDGE_COS) | (radius <= _COLLAPSE * c2)
+    g00 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    g11 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+    g22 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+    g01 = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    g02 = a[0] * c[0] + a[1] * c[1] + a[2] * c[2]
+    g12 = b[0] * c[0] + b[1] * c[1] + b[2] * c[2]
+    c2 = g00 + g11 + g22
+    mean = c2 / 3.0
+    b00, b11, b22 = g00 - mean, g11 - mean, g22 - mean
+    p = (b00 * b00 + b11 * b11 + b22 * b22) / 6.0 + (g01 * g01 + g02 * g02 + g12 * g12) / 3.0
+    q = (b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02)
+         + g02 * (g01 * g12 - b11 * g02)) / 2.0
+    radius = np.sqrt(p)
+    cube = p * radius
+    cosine = np.clip(q / np.where(cube > 0.0, cube, 1.0), -1.0, 1.0)
+    low = mean + 2.0 * radius * np.cos(np.arccos(cosine) / 3.0 + 2.0 * np.pi / 3.0)
+    risky = cosine > 1.0 - _EDGE_COS
     if risky.any():
         tr = t[risky]
         low[risky] = np.linalg.eigvalsh(np.swapaxes(tr, 1, 2) @ tr)[:, 0]
-    return c2 - np.clip(low, 0.0, c2 / 3.0)
+    return c2 - np.clip(low, 0.0, mean)
 
 
 def _sphere_values(alpha, q, owner, s):
@@ -311,8 +321,9 @@ def _bound(tri, vals):
       the smaller one, and there the search spends most of its points; far
       from one, w leans out of the triangle and the corner bound wins.
 
-    The slack.  The corner values carry :func:`_pair_power`'s error, about
-    1e-13 relative, so |m_k - m(v_k)| <= d = ``_VALUE_ERROR`` max_k m_k.
+    The slack.  The corner values carry :func:`_pair_power`'s error, which
+    ``_VALUE_ERROR`` (1e-13 relative) covers with room to spare, so
+    |m_k - m(v_k)| <= d = ``_VALUE_ERROR`` max_k m_k.
     The chord bound's difference form magnifies that error: w moves by
     d0 n + v0 x ((d2 - d0) e1 - (d1 - d0) e2), at most d (|n| + 2 |e1|
     + 2 |e2|) for unit v0, and |e1| + |e2| <= sqrt(2 (|e1|^2 + |e2|^2)).
@@ -353,8 +364,9 @@ def _sphere_search(alpha, q):
     w . x / det that takes the corner values m(v_k), and a unit s in the
     triangle gives w . s / det <= |w| / |det|.  The chord bound's difference
     form magnifies the corner values' rounding by a factor that grows like
-    1 / edge, so it carries a slack derived from :func:`_pair_power`'s
-    error (see :func:`_bound`).  The search starts
+    1 / edge, so it carries a slack derived from the error of
+    :func:`_pair_power`'s shifted closed form, which evaluates every point
+    (see :func:`_bound`).  The search starts
     from ten icosahedron faces and splits each live triangle 1 -> 4 at its
     normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
     point is the lower end; a triangle whose bound is within ``SPHERE_TOL``

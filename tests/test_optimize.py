@@ -535,7 +535,7 @@ class TestSphereSearch:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(
         family=hst.sampled_from(("product", "ghz") + PARTITIONS),
-        # angles next to pi/4 give T^T T three nearly equal eigenvalues
+        # angles next to pi/4 give T^T T a double root above a nearly vanishing one
         x=hst.floats(0.0, np.pi / 2) | hst.floats(-1e-3, 1e-3).map(lambda d: np.pi / 4 + d),
         seed=hst.integers(0, 2**32),
         i=hst.integers(1, 3),
@@ -664,25 +664,6 @@ def assert_bits_equal(one, other):
     np.testing.assert_array_equal(one.view(np.uint64), other.view(np.uint64))
 
 
-def pair_power_reference(t):
-    """``_pair_power`` as first written, with np.cross and np.sum."""
-    a, b, c = t[:, :, 0], t[:, :, 1], t[:, :, 2]
-    ab, bc, ca = np.cross(a, b), np.cross(b, c), np.cross(c, a)
-    c2 = np.sum(t * t, axis=(1, 2))
-    c1 = np.sum(ab * ab + bc * bc + ca * ca, axis=1)
-    c0 = np.sum(a * bc, axis=1) ** 2
-    radius = np.sqrt(np.maximum(c2 * c2 / 9.0 - c1 / 3.0, 0.0))
-    cube = radius**3
-    skew = c2**3 / 27.0 - c2 * c1 / 6.0 + c0 / 2.0
-    cosine = np.clip(skew / np.where(cube > 0.0, cube, 1.0), -1.0, 1.0)
-    low = c2 / 3.0 + 2.0 * radius * np.cos(np.arccos(cosine) / 3.0 + 2.0 * np.pi / 3.0)
-    risky = (1.0 - np.abs(cosine) < opt._EDGE_COS) | (radius <= opt._COLLAPSE * c2)
-    if risky.any():
-        tr = t[risky]
-        low[risky] = np.linalg.eigvalsh(np.swapaxes(tr, 1, 2) @ tr)[:, 0]
-    return c2 - np.clip(low, 0.0, c2 / 3.0)
-
-
 def corner_bound_reference(tri, vals):
     """The search's triangle bound before the chord bound: max_k m(v_k) / h.
 
@@ -789,8 +770,17 @@ def mixed_magnitudes(rng, shape):
     return x
 
 
+def pair_power_svd(t):
+    """sigma_1^2 + sigma_2^2 of each t (n, 3, 3) from np.linalg.svd."""
+    sigma = np.linalg.svd(t, compute_uv=False)
+    return sigma[:, 0] ** 2 + sigma[:, 1] ** 2
+
+
 class TestSearchArithmetic:
-    """The search's hand-written arithmetic is bit for bit the numpy expressions it replaced."""
+    """The search's hand-written arithmetic is bit for bit the numpy expressions it replaced.
+
+    ``_pair_power``, a closed form of its own, is checked against the SVD instead.
+    """
 
     def test_cross_matches_numpy(self):
         rng = np.random.default_rng(11)
@@ -823,7 +813,11 @@ class TestSearchArithmetic:
                 tri = children
 
     def test_pair_power_matches_numpy(self):
-        """On rank-deficient draws, where eigvalsh takes the risky rows, and on random T."""
+        """On rank-deficient draws, where eigvalsh takes the rows next to a double root, and on random T.
+
+        Within ``_VALUE_ERROR`` relative of np.linalg.svd's sigma_1^2 + sigma_2^2,
+        so no row undershoots by more either.
+        """
         rng = np.random.default_rng(13)
         s = rng.standard_normal((64, 3))
         s /= np.linalg.norm(s, axis=1, keepdims=True)
@@ -831,7 +825,39 @@ class TestSearchArithmetic:
         for family, x in (("product", 0.0), ("ghz", np.pi / 4), ("1-23", 0.3), ("12-3", np.pi / 4 + 1e-4)):
             stacks.append(np.einsum("nk,klm->nlm", s, decompose(rank_deficient_state(family, x, 5)).Q))
         for t in stacks:
-            assert_bits_equal(_pair_power(t), pair_power_reference(t))
+            reference = pair_power_svd(t)
+            assert np.all(np.abs(_pair_power(t) - reference) <= opt._VALUE_ERROR * reference)
+
+    def test_clustered_roots_take_the_closed_form(self):
+        """T = c U diag(1 + eps xi) V^T for eps = 1e-1 .. 1e-10 and 0, and GHZ-family T near pi/4.
+
+        The three roots of T^T T cluster as eps falls, and a generalized GHZ
+        state's T(s) has a double root above its smallest.  None of them goes
+        to eigvalsh, and all stay within ``_VALUE_ERROR`` of the SVD; a rank-1
+        T, whose double root is its smallest, still does.
+        """
+        rng = np.random.default_rng(30)
+        eps = np.r_[10.0 ** -np.arange(1, 11), 0.0]
+        stacks = []
+        for _ in range(8):
+            u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+            xi, c = rng.standard_normal(3), rng.uniform(0.1, 2.0)
+            stacks.append(c * np.einsum("ij,nj,kj->nik", u, 1.0 + eps[:, None] * xi, v))
+        s = rng.standard_normal((32, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        for d in (0.0, 1e-8, -1e-6, 1e-4, -1e-3, 1e-2):
+            q = decompose(rank_deficient_state("ghz", np.pi / 4 + d, 7)).Q
+            stacks += [np.einsum("nk,klm->nlm", s, np.moveaxis(q, i, 0)) for i in range(3)]
+        t = np.concatenate(stacks)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
+            values = _pair_power(t)
+        reference = pair_power_svd(t)
+        assert np.all(np.abs(values - reference) <= opt._VALUE_ERROR * reference)
+        rank_one = np.einsum("ni,nk->nik", rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            values = _pair_power(rank_one)
+        assert sum(len(call.args[0]) for call in spy.call_args_list) == len(rank_one)
+        np.testing.assert_allclose(values, pair_power_svd(rank_one), rtol=opt._VALUE_ERROR)
 
     def test_sphere_values_match_numpy(self):
         rng = np.random.default_rng(14)
@@ -842,7 +868,7 @@ class TestSearchArithmetic:
         al = alpha[owner]
         t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
         along = np.sum(s * al, axis=1)
-        f = pair_power_reference(t) + np.sum(al * al, axis=1) - along * along
+        f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
         assert_bits_equal(opt._sphere_values(alpha, q, owner, s), np.sqrt(np.maximum(f, 0.0)))
 
 

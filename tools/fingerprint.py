@@ -3,11 +3,14 @@
     python3 tools/fingerprint.py > fingerprint.json
 
 It takes no options, imports the package from the ``src`` directory of the
-checkout it sits in and prints one JSON object with three entries:
+checkout it sits in and prints one JSON object with four entries:
 
 * ``m_i``: one sha256 over the value, upper end, converged flag and settings
   bytes of the 366 m_i problems of GHZ, W and 20 draws of each of the six
   source classes from ``default_rng(5)``, on all three axes;
+* ``m_i_printed``: one sha256 over the same problems' value and upper end
+  as the CLI prints them (its own ``_fmt``, 9 significant digits) and their
+  converged flags;
 * ``omega``: for each of 63 states (GHZ, W, phi+ (x) 0, I/8 and 59 draws
   from ``default_rng(5)`` cycling haar-pure, 1-23, fully-separable and
   ghz-family), the sha256 of every start's iteration count and certificate
@@ -19,7 +22,9 @@ checkout it sits in and prints one JSON object with three entries:
 
 Run it on two checkouts and diff the two outputs: equal ``m_i`` and
 ``stdout`` entries mean bit-identical m_i and byte-identical CLI output,
-and the ``omega`` entries show which states' ascents took another course.
+the ``omega`` entries show which states' ascents took another course, and
+an equal ``m_i_printed`` under a changed ``m_i`` means that m_i moved only
+below the printed digits.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ def _sha(*arrays) -> str:
     return digest.hexdigest()
 
 
-def m_i_digest() -> str:
+def m_i_digests() -> dict:
     from tribell.classify import SOURCE_CLASSES, _draw_state
+    from tribell.cli import _fmt
     from tribell.optimize import seesaw_max_abs_d_many
     from tribell.states import ghz, to_density, w_state
 
@@ -60,8 +66,12 @@ def m_i_digest() -> str:
     states = [to_density(ghz()), to_density(w_state())]
     states += [_draw_state(c, rng) for c in SOURCE_CLASSES for _ in range(20)]
     results = seesaw_max_abs_d_many(states, (1, 2, 3))
-    return _sha(*(x for r in results for x in (np.float64(r.value), np.float64(r.upper),
-                                               np.bool_(r.converged), r.settings.a, r.settings.b)))
+    printed = " ".join(f"{_fmt(r.value)},{_fmt(r.upper)},{r.converged}" for r in results)
+    return {
+        "m_i": _sha(*(x for r in results for x in (np.float64(r.value), np.float64(r.upper),
+                                                   np.bool_(r.converged), r.settings.a, r.settings.b))),
+        "m_i_printed": hashlib.sha256(printed.encode()).hexdigest(),
+    }
 
 
 def omega_ascents() -> dict:
@@ -108,7 +118,7 @@ def stdout_digests() -> dict:
 
 def main() -> int:
     sys.path.insert(0, SRC)
-    print(json.dumps({"m_i": m_i_digest(), "omega": omega_ascents(), "stdout": stdout_digests()},
+    print(json.dumps({**m_i_digests(), "omega": omega_ascents(), "stdout": stdout_digests()},
                      indent=1))
     return 0
 
