@@ -6,7 +6,8 @@ across the cut i-(rest) live in a cuboid stretched to sqrt(2) along axis i
 only.  At one shared setting the simultaneous expectations of separable
 states stay inside the ball of radius sqrt(3) circumscribing the cube;
 strongly entangled states can leave that ball at finely tuned settings, so
-the quadratic maximum is reported as a diagnostic, not used for exclusion.
+the quadratic maximum decides no class and :func:`classify` does not compute
+it; :func:`tribell.optimize.maximize_omega` does.
 
 The verdicts here are necessary conditions only: exceeding a bound *excludes*
 classes, but staying inside every bound certifies nothing.  Each bi-separable
@@ -24,7 +25,8 @@ import numpy as np
 
 from .bell import expectation_bell, random_settings
 from .core import ValidationError, _check_integer, _check_real
-# seesaw_max_abs_d is unused here; the benchmark's tracer rebinds it by this module's name
+# maximize_omega and seesaw_max_abs_d are unused here; the benchmark's tracer rebinds them by
+# this module's name
 from .optimize import maximize_omega, seesaw_max_abs_d, seesaw_max_abs_d_many
 from .states import (
     FULLY_SEPARABLE,
@@ -76,7 +78,7 @@ _EXCLUDED_BY_AXIS = {
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Optimized maxima, exclusion verdicts and the quadratic-bound maximum.
+    """Optimized maxima and the exclusion verdicts they give.
 
     ``genuine_indicated`` is True when all four classes are excluded, which
     means only that no single-cut class contains the state.  It does not
@@ -84,18 +86,14 @@ class ClassificationReport:
     |0><0|_k (x) |Phi+><Phi+|_rest over the three cuts has every m_i =
     sqrt(10)/3 > 1 and sets it.
 
-    ``converged`` holds the convergence flags of the four optimizations
-    (m1, m2, m3, omega) so non-convergence is visible without blocking the
-    verdict.  The flags differ in strength: for each m_i True means a
-    certified gap of at most 1e-9 to the global maximum, for omega only the
-    local-maximum certificate of its Newton ascent, so ``omega_max`` may lie
-    below the global maximum even when its flag is True.  ``note`` is a
+    ``converged`` holds the flags of the three searches (m1, m2, m3), so
+    non-convergence is visible without blocking the verdict; True means a
+    certified gap of at most 1e-9 to the global maximum.  ``note`` is a
     constant, not a field.
     """
 
     note: ClassVar[str] = CLASSIFICATION_NOTE
     m: tuple
-    omega_max: float
     excluded: tuple
     margin: float
     genuine_indicated: bool
@@ -127,29 +125,27 @@ def excluded_classes(m, margin: float) -> tuple:
 
 
 def classify(rho, margin: float = 1e-6) -> ClassificationReport:
-    """Maximize all three |<D_i>| plus omega and report which classes are excluded.
+    """Maximize all three |<D_i>| and report which classes are excluded.
 
     Excluding all four classes sets ``genuine_indicated``, which does not
     certify genuine tripartite entanglement (see :class:`ClassificationReport`).
 
-    omega runs the default ascent (``OptimizerConfig()``: 32 starts, seed 0).
-    The m_i search takes no parameters: one call of
+    The search takes no parameters: one call of
     :func:`tribell.optimize.seesaw_max_abs_d_many` with the indices (1, 2, 3)
     runs all three as one search, each bit for bit the per-axis call's.
+    omega is not computed here; :func:`tribell.optimize.maximize_omega` is
+    its one entry point.
     """
     margin = _check_real("margin", margin, 0, strict=True)
-    rho = as_density(rho)
-    omega_res = maximize_omega(rho)
-    results = seesaw_max_abs_d_many([rho], (1, 2, 3))
+    results = seesaw_max_abs_d_many([as_density(rho)], (1, 2, 3))
     m = tuple(r.value for r in results)
     excluded = excluded_classes(m, margin)
     return ClassificationReport(
         m=m,
-        omega_max=omega_res.value,
         excluded=excluded,
         margin=margin,
         genuine_indicated=len(excluded) == len(CLASS_LABELS),
-        converged=tuple(r.converged for r in results) + (omega_res.converged,),
+        converged=tuple(r.converged for r in results),
     )
 
 

@@ -226,7 +226,6 @@ def _cmd_classify(args, out) -> int:
     _emit_json(
         {
             "m": list(report.m),
-            "omega_max": report.omega_max,
             "excluded": list(report.excluded),
             "margin": report.margin,
             "genuine_tripartite_indicated": report.genuine_indicated,

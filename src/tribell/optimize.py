@@ -294,10 +294,10 @@ def _first_maxima(vals, who):
     maximum and then its first index, the one that a stable sort by (owner,
     -value) would put first.
     """
-    start = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+    start = np.flatnonzero(np.concatenate(([True], who[1:] != who[:-1])))
     peak = np.maximum.reduceat(vals, start)
-    hit = np.flatnonzero(vals == np.repeat(peak, np.diff(np.r_[start, len(vals)])))
-    return hit[np.r_[True, who[hit[1:]] != who[hit[:-1]]]]
+    hit = np.flatnonzero(vals == np.repeat(peak, np.diff(start, append=len(vals))))
+    return hit[np.concatenate(([True], who[hit[1:]] != who[hit[:-1]]))]
 
 
 def _bound(tri, vals):

@@ -42,6 +42,7 @@ def test_traced_cli_runs_and_restores_the_bindings(tracer_module):
     tracer = tracer_module.Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["classify", "builtin:000"]) == 0
+        assert cli.main(["optimize", "builtin:000", "--omega", "--starts", "2"]) == 0
         assert cli.main(["sample", "--class", "1-23", "-n", "2", "--seed", "0", "--mode", "optimized"]) == 0
     assert [getattr(owner, attr) for owner, attr in targets] == before
     for layer in ("optimize.seesaw", "optimize.omega"):
@@ -68,10 +69,10 @@ def test_one_traced_seesaw_call_holds_every_m_i_of_a_sample(tracer_module):
 
 
 def test_one_traced_seesaw_call_holds_every_m_i_of_a_classify(tracer_module):
-    """A classify is one traced m_i call holding its three results, next to one omega call."""
+    """A classify is one traced m_i call holding its three results, and no omega call."""
     tracer = tracer_module.Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["classify", "builtin:w"]) == 0
-    assert tracer.calls["optimize.seesaw"] == 1
+    assert tracer.calls["optimize.seesaw"] == tracer.calls["classify"] == 1
     assert len(tracer.results["optimize.seesaw"]) == 3
-    assert tracer.calls["optimize.omega"] == tracer.calls["classify"] == 1
+    assert tracer.calls["optimize.omega"] == 0

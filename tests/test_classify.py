@@ -185,16 +185,24 @@ class TestClassify:
     @pytest.mark.parametrize("state", [to_density(ghz()), to_density(w_state()), trapped_1_23()],
                              ids=["ghz", "w", "trapped-1-23"])
     def test_one_search_gives_the_per_axis_maxima(self, state, monkeypatch):
-        """One classify runs one sphere search for all three m_i, each the per-axis call's exactly."""
+        """One classify runs one sphere search for all three m_i, each the per-axis call's exactly.
+
+        It runs no omega ascent, so its flags are the three certified m_i flags.
+        """
         opt = importlib.import_module("tribell.optimize")
         search, searches = opt._sphere_search, []
+
+        def no_ascent(*args):
+            pytest.fail("classify ran the omega ascent")
+
         with monkeypatch.context() as patch:
             patch.setattr(opt, "_sphere_search", lambda *args: searches.append(1) or search(*args))
+            patch.setattr(opt, "_sum_of_squares_ascent", no_ascent)
             report = classify(state)
         assert len(searches) == 1
         per_axis = [seesaw_max_abs_d(state, i) for i in (1, 2, 3)]
         assert report.m == tuple(res.value for res in per_axis)
-        assert report.converged[:3] == tuple(res.converged for res in per_axis)
+        assert report.converged == tuple(res.converged for res in per_axis)
 
     def test_ghz_noise_excludes_only_where_no_class_holds_it(self):
         """rho_p = p GHZ + (1 - p) I/8 lies in all four classes for p <= 1/5 and in none for p > 1/sqrt(2).
@@ -229,8 +237,8 @@ class TestClassify:
         report = classify(to_density(ghz()))
         assert report.note == CLASSIFICATION_NOTE
         with pytest.raises(TypeError):
-            type(report)(report.m, report.omega_max, report.excluded, report.margin,
-                         report.genuine_indicated, report.converged, note="other")
+            type(report)(report.m, report.excluded, report.margin, report.genuine_indicated,
+                         report.converged, note="other")
 
 
 def capture_draws(monkeypatch):

@@ -202,10 +202,6 @@ class TestOptimize:
             "degenerate_updates",
         ]
 
-    def test_omega_product_state(self, capsys):
-        code, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega")
-        assert json.loads(out)["value"] == pytest.approx(3.0, abs=1e-6)
-
     @pytest.mark.parametrize("seed", ["2", "5"])
     def test_settings_rounding_noise_prints_as_zero(self, capsys, seed):
         """The ascent ends a few ulp off exact zeros (-3.7e-18, 2.8e-26, ...); those print as 0.0."""
@@ -224,6 +220,23 @@ class TestOptimize:
         code, out, _ = run_cli(capsys, "optimize", "builtin:w", "1")
         assert code == EXIT_OK
         assert "-0.0" not in [line.strip().rstrip(",") for line in out.splitlines()]
+
+    # omega of the parameter-free built-ins under the default ascent, as printed
+    OMEGA_PINNED = {
+        "ghz": 3.94669546,
+        "w": 3.3904604,
+        "000": 3.0,
+        "mixed-identity": 0.0,
+        "phi-plus-otimes-0": 3.22251709,
+    }
+
+    @pytest.mark.parametrize("name", sorted(OMEGA_PINNED))
+    def test_builtin_omega_is_pinned(self, capsys, name):
+        code, out, _ = run_cli(capsys, "optimize", f"builtin:{name}", "--omega")
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["value"] == self.OMEGA_PINNED[name]
+        assert payload["converged"] is True
 
     def test_index_and_omega_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "builtin:ghz", "1", "--omega")
@@ -260,29 +273,27 @@ class TestClassify:
         assert payload["excluded"] == []
         assert payload["genuine_tripartite_indicated"] is False
 
-    # (m, omega_max, excluded) of the parameter-free built-ins, as printed
+    # (m, excluded) of the parameter-free built-ins, as printed; their omega is
+    # pinned on ``optimize --omega``, its one entry point
     PINNED = {
-        "ghz": ([1.41421356] * 3, 3.94669546, ["fully-separable", "1-23", "2-13", "12-3"]),
-        "w": ([1.20185043] * 3, 3.3904604, ["fully-separable", "1-23", "2-13", "12-3"]),
-        "000": ([1.0, 1.0, 1.0], 3.0, []),
-        "mixed-identity": ([0.0, 0.0, 0.0], 0.0, []),
-        "phi-plus-otimes-0": (
-            [1.0, 1.0, 1.41421356], 3.22251709, ["fully-separable", "1-23", "2-13"]
-        ),
+        "ghz": ([1.41421356] * 3, ["fully-separable", "1-23", "2-13", "12-3"]),
+        "w": ([1.20185043] * 3, ["fully-separable", "1-23", "2-13", "12-3"]),
+        "000": ([1.0, 1.0, 1.0], []),
+        "mixed-identity": ([0.0, 0.0, 0.0], []),
+        "phi-plus-otimes-0": ([1.0, 1.0, 1.41421356], ["fully-separable", "1-23", "2-13"]),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_builtin_output_is_pinned(self, capsys, name):
-        m, omega_max, excluded = self.PINNED[name]
+        m, excluded = self.PINNED[name]
         genuine = len(excluded) == 4
         expected = {
             "m": m,
-            "omega_max": omega_max,
             "excluded": excluded,
             "margin": 1e-06,
             "genuine_tripartite_indicated": genuine,
             "flags": [GENUINE_FLAG] if genuine else [],
-            "converged": [True] * 4,
+            "converged": [True] * 3,
             "note": CLASSIFICATION_NOTE,
         }
         code, out, _ = run_cli(capsys, "classify", f"builtin:{name}")
