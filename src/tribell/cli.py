@@ -23,6 +23,7 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -279,7 +280,15 @@ def _cmd_figure(args, out) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first :func:`main` call and reused by every later one.
+
+    Parsing reads the parser and writes only the namespace it returns, so
+    one parser serves every call in a process.  Each subcommand's ``func``
+    is a ``_cmd_*`` function, which looks up its library calls by name when
+    it runs, so rebinding those names in this module still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="tribell",
         description="Tripartite Bell operators: evaluate, optimize and classify 3-qubit states.",

@@ -35,12 +35,13 @@
 
 :func:`seesaw_max_abs_d_many` batches the (state, axis) problems of a list
 of states and a tuple of indices: one ``decompose`` per state, one sphere
-search over the stacked problems, one unit-row intake of the stacked
-settings and one stacked dense recheck per axis.  That is how the Monte
-Carlo bound sweeps and ``classify`` get all three m_i of a state.  The
-search runs over consecutive chunks of at most ``VERTEX_BLOCK // 12``
-problems, so its memory does not grow with the batch; every result is the
-single-state entry point's, bit for bit.
+search over the stacked problems, one settings pass over the stacked
+problems, one unit-row intake of the stacked settings and one stacked dense
+recheck per axis.  That is how the Monte Carlo bound sweeps and
+``classify`` get all three m_i of a state.  The search runs over
+consecutive chunks of at most ``VERTEX_BLOCK // 12`` problems, so its
+memory does not grow with the batch; every result is the single-state
+entry point's, bit for bit.
 """
 
 from __future__ import annotations
@@ -490,17 +491,18 @@ def _tangent_bases(v):
     return np.stack(columns, axis=-1).reshape(v.shape + (2,))
 
 
-def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
+def _sphere_settings(s, alpha, q, slots) -> np.ndarray:
     """Settings (n, 2, 3, 3) with |<D_i>| = sqrt(f(s)) at unit directions s (n, 3).
 
-    With T(s) = U diag(sigma) V^T, slot p (the lower other slot) takes
-    a_p = u1, b_p = u2 and slot r takes s_r = cos phi v1, t_r = sin phi v2,
+    Row k's problem is on axis i = ``slots[k, 0]`` with the other two slots
+    p < r in ``slots[k, 1:]``, all 0-based, so one call serves problems on
+    any mix of axes.  With T(s) = U diag(sigma) V^T, slot p takes a_p = u1,
+    b_p = u2 and slot r takes s_r = cos phi v1, t_r = sin phi v2,
     tan phi = sigma_2 / sigma_1, which gives s . M_i = sqrt(sigma_1^2 +
     sigma_2^2).  Slot i takes s_i = cos theta s and t_i = sin theta t along
     alpha's part orthogonal to s, tan theta = |alpha x s| / sqrt(sigma_1^2 +
     sigma_2^2).  Then a = s + t and b = s - t in each slot.
     """
-    p, r = _pair_indices(i)
     u, sigma, vt = np.linalg.svd(np.einsum("nk,nklm->nlm", s, q))
     phi = np.arctan2(sigma[:, 1], sigma[:, 0])[:, None]
     ortho = alpha - np.sum(alpha * s, axis=1, keepdims=True) * s
@@ -509,11 +511,12 @@ def _sphere_settings(s, alpha, q, i: int) -> np.ndarray:
     t_dir = np.where(size > GRAD_FLOOR, ortho / np.maximum(size, GRAD_FLOOR),
                      _tangent_bases(s)[:, :, 0])
     theta = np.arctan2(size, np.hypot(sigma[:, :1], sigma[:, 1:2]))
+    rows, (i, p, r) = np.arange(len(s)), slots.T
     vecs = np.empty((len(s), 2, 3, 3))
     for ab, sign in ((0, 1.0), (1, -1.0)):
-        vecs[:, ab, i - 1] = np.cos(theta) * s + sign * np.sin(theta) * t_dir
-        vecs[:, ab, p - 1] = u[:, :, ab]
-        vecs[:, ab, r - 1] = np.cos(phi) * vt[:, 0] + sign * np.sin(phi) * vt[:, 1]
+        vecs[rows, ab, i] = np.cos(theta) * s + sign * np.sin(theta) * t_dir
+        vecs[rows, ab, p] = u[:, :, ab]
+        vecs[rows, ab, r] = np.cos(phi) * vt[:, 0] + sign * np.sin(phi) * vt[:, 1]
     return vecs
 
 
@@ -525,9 +528,10 @@ def seesaw_max_abs_d_many(states, axes):
     ``j * len(states) + k``.  Each state is decomposed once, and all the
     (state, axis) problems run one sphere search, in chunks of at most
     ``VERTEX_BLOCK // 12`` problems, so a call's memory is bounded whatever
-    the batch size.  Their settings pass one stacked unit-row intake, and one
-    stacked dense call per axis rechecks them.  Every result is bit for bit
-    the single-state entry point's.
+    the batch size.  One settings pass over the stacked problems gives their
+    settings, which pass one stacked unit-row intake, and one stacked dense
+    call per axis rechecks them.  Every result is bit for bit the
+    single-state entry point's.
     """
     if not isinstance(axes, (list, tuple)):
         raise ValidationError(
@@ -546,12 +550,14 @@ def seesaw_max_abs_d_many(states, axes):
     direction, lower, upper = _sphere_search(alpha, q)
     # certified to within the tolerance, up to the rounding of lower + SPHERE_TOL
     converged = upper - lower <= SPHERE_TOL + _MONOTONE_SLACK
-    blocks = [(slice(k * n, (k + 1) * n), i) for k, i in enumerate(axes)]
-    rows = np.concatenate([_sphere_settings(direction[at], alpha[at], q[at], i) for at, i in blocks])
+    # each problem's axis and its pair, 0-based, for one settings pass over the stack
+    slots = np.repeat([(i - 1, *(j - 1 for j in _pair_indices(i))) for i in axes], n, axis=0)
+    rows = _sphere_settings(direction, alpha, q, slots)
     # one intake for the whole stack; each result's settings are read-only views of it
     a = _check_unit_rows(rows[:, 0], "a", lead=(len(rows),))
     b = _check_unit_rows(rows[:, 1], "b", lead=(len(rows),))
     settings = list(map(MeasurementSettings._from_checked, a, b))
+    blocks = [(slice(k * n, (k + 1) * n), i) for k, i in enumerate(axes)]
     dense = np.concatenate([np.abs(expectation_bell(states, settings[at], i)) for at, i in blocks])
     return [
         OptimizationResult(value=_rechecked(value, check, bound), settings=setting, sweeps_used=0,

@@ -89,24 +89,44 @@ class DensityMatrix:
     tol: float = field(default=DM_TRACE_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_real("tol", self.tol, 0)
-        m = _frozen_array(self.matrix, "density matrix", (8, 8), complex)
-        herm_tol = max(DM_HERMITIAN_TOL, self.tol)
-        if not is_hermitian(m, herm_tol):
-            raise ValidationError(
-                f"density matrix Hermiticity invariant violated (tolerance {herm_tol:g})"
-            )
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > max(DM_TRACE_TOL, self.tol):
-            raise ValidationError(
-                f"density matrix trace invariant violated: trace = {tr!r}"
-            )
+        m = self._checked(self.matrix, self.tol)
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
         if min_eig < -max(DM_EIG_TOL, self.tol):
             raise ValidationError(
                 f"density matrix is not positive semidefinite: min eigenvalue {min_eig:.3g}"
             )
         object.__setattr__(self, "matrix", m)
+
+    @staticmethod
+    def _checked(matrix, tol) -> np.ndarray:
+        """``matrix`` frozen, checked finite, 8x8, Hermitian and of unit trace, but not PSD."""
+        _check_real("tol", tol, 0)
+        m = _frozen_array(matrix, "density matrix", (8, 8), complex)
+        herm_tol = max(DM_HERMITIAN_TOL, tol)
+        if not is_hermitian(m, herm_tol):
+            raise ValidationError(
+                f"density matrix Hermiticity invariant violated (tolerance {herm_tol:g})"
+            )
+        tr = float(m.trace().real)
+        if abs(tr - 1.0) > max(DM_TRACE_TOL, tol):
+            raise ValidationError(
+                f"density matrix trace invariant violated: trace = {tr!r}"
+            )
+        return m
+
+    @classmethod
+    def _from_psd(cls, matrix, tol: float = DM_TRACE_TOL) -> "DensityMatrix":
+        """A density matrix around ``matrix``, which the program built PSD.
+
+        Every check of the public constructor runs but the eigvalsh PSD
+        test.  Only for a rank-1 outer product of a checked ket or a convex
+        mixture of products of PSD factors; a matrix from outside the program
+        takes the public constructor.
+        """
+        rho = object.__new__(cls)
+        for name, value in (("matrix", cls._checked(matrix, tol)), ("tol", tol)):
+            object.__setattr__(rho, name, value)
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +272,8 @@ def random_in_class(
             pair = _random_factor(4, rng, pure_factors)
             prod = _place(_kron(single, pair), _SEPARATED[partition])
         total += w * prod
-    return DensityMatrix(total)
+    # each product of PSD factors is PSD, and so is their convex mixture
+    return DensityMatrix._from_psd(total)
 
 
 def to_density(psi: PureState) -> DensityMatrix:
@@ -261,7 +282,7 @@ def to_density(psi: PureState) -> DensityMatrix:
     A norm deviation of eps in the pure state shows up as a trace deviation
     of eps here, so the state's validation tolerance carries over.
     """
-    return DensityMatrix(
+    return DensityMatrix._from_psd(
         np.outer(psi.amplitudes, psi.amplitudes.conj()),
         tol=max(DM_TRACE_TOL, psi.tol),
     )

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -594,3 +595,60 @@ class TestFormatting:
             assert proc.stdout == b""
             assert proc.stderr.startswith(f"error: cannot read CSV file {source!r}: ".encode())
             assert proc.stderr.count(b"\n") == 1
+
+
+def run_cli_exit(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, an argparse exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_parser_per_call():
+    """Within this context every ``main`` call builds its own parser."""
+    return mock.patch.object(tribell.cli, "_build_parser", tribell.cli._build_parser.__wrapped__)
+
+
+SUBCOMMANDS = ("decompose", "evaluate", "optimize", "classify", "sample", "figure")
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; every call behaves as with a fresh parser."""
+
+    SEQUENCE = (
+        ("sample", "--class", "nonsense"),
+        ("optimize", "builtin:ghz", "--omega", "--seed", "5"),
+        ("optimize", "builtin:ghz", "1"),  # must not inherit --omega
+        ("classify", "builtin:w"),
+        ("classify", "builtin:w"),
+    )
+    HELP = (("--help",),) + tuple((name, "--help") for name in SUBCOMMANDS)
+
+    def test_one_parser_per_process(self):
+        assert tribell.cli._build_parser() is tribell.cli._build_parser()
+
+    def test_calls_in_one_process_match_a_fresh_parser(self, capsys):
+        reused = [run_cli_exit(capsys, argv) for argv in self.SEQUENCE]
+        with fresh_parser_per_call():
+            fresh = [run_cli_exit(capsys, argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        code, out, err = reused[0]
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("usage: tribell sample")
+        assert "invalid choice: 'nonsense'" in err
+        assert [code for code, _, _ in reused[1:]] == [EXIT_OK] * 4
+        assert "upper" not in json.loads(reused[1][1])
+        assert "upper" in json.loads(reused[2][1])
+        assert reused[3] == reused[4]
+
+    def test_help_texts_match_a_fresh_parser(self, capsys):
+        reused = [run_cli_exit(capsys, argv) for argv in self.HELP]
+        with fresh_parser_per_call():
+            fresh = [run_cli_exit(capsys, argv) for argv in self.HELP]
+        assert reused == fresh
+        for (code, out, err), argv in zip(reused, self.HELP):
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out.startswith(f"usage: {' '.join(('tribell',) + argv[:-1])}"), argv

@@ -143,17 +143,40 @@ class TestSeesaw:
             v2 = seesaw_max_abs_d(to_density(rotated), 1).value
             assert v1 == pytest.approx(v2, abs=1e-5)
 
+    def test_single_cut_closed_form(self):
+        """cos a|01> - sin a|10> on a pair, the other qubit apart: sqrt(1 + sin^2 2a) on its axis.
+
+        The separated qubit's axis takes the value, where sin 2a is the pair's
+        concurrence, and the other two axes take 1, as is and under seeded
+        local rotations, every bracket closed.
+        """
+        rng = np.random.default_rng(41)
+        alphas = (0.3, 0.1, 0.03, 0.01, np.pi / 4)
+        for k, partition in enumerate(PARTITIONS, start=1):
+            pure = [canonical_biseparable(partition, a) for a in alphas]
+            rotated = [apply_local_unitaries(psi, random_local_unitaries(rng)) for psi in pure]
+            states = [to_density(psi) for psi in pure + rotated]
+            results = seesaw_max_abs_d_many(states, (1, 2, 3))
+            for i in (1, 2, 3):
+                for j, alpha in enumerate(alphas * 2):
+                    res = results[(i - 1) * len(states) + j]
+                    expected = np.sqrt(1.0 + np.sin(2.0 * alpha) ** 2) if i == k else 1.0
+                    assert abs(res.value - expected) <= 1e-12, (partition, alpha, i, res.value)
+                    assert res.converged
+
     def test_schmidt_form_product_respects_stretched_axis(self):
         """A pure single-pair product: the distinguished axis caps at sqrt(2)."""
         rho = random_in_class("12-3", 1, 77, pure_factors=True)
         assert seesaw_max_abs_d(rho, 3).value <= SQ2 + 1e-6
 
     def test_batch_matches_single(self):
+        """Every result of one call, on any order or repeat of axes, is the per-axis call's."""
         states = [to_density(random_pure(s)) for s in (3, 4)] + [random_in_class("2-13", 2, 6)]
-        batch = seesaw_max_abs_d_many(states, (1, 2, 3))
-        singles = [seesaw_max_abs_d(state, i) for i in (1, 2, 3) for state in states]
-        for res, single in zip(batch, singles, strict=True):
-            assert_same_result(res, single)
+        for axes in ((1, 2, 3), (3, 1), (2, 2, 1)):
+            batch = seesaw_max_abs_d_many(states, axes)
+            singles = [seesaw_max_abs_d(state, i) for i in axes for state in states]
+            for res, single in zip(batch, singles, strict=True):
+                assert_same_result(res, single)
 
     @pytest.mark.parametrize("source, seed, n", [
         # 64 draws: with fewer, the tighter triangle bound leaves no level a full block
@@ -199,16 +222,17 @@ class TestSeesaw:
         original = opt._sphere_settings
         stretched = []
 
-        def stretch(s, alpha, q, i):
-            rows = original(s, alpha, q, i)
-            if not stretched:
-                rows[0, 0, 1] *= 1.0 + 1e-6  # a_2 of the first state
-                stretched.append(rows[0].copy())
+        def stretch(s, alpha, q, slots):
+            rows = original(s, alpha, q, slots)
+            # one settings pass holds every (state, axis) row; row 0 is the first state's axis 1
+            rows[0, 0, 1] *= 1.0 + 1e-6  # a_2 of the first state
+            stretched.append(rows[0].copy())
             return rows
 
         monkeypatch.setattr(opt, "_sphere_settings", stretch)
         with pytest.raises(ValidationError, match="a rows must be unit vectors") as info:
             seesaw_max_abs_d_many([to_density(w_state())], (1, 2, 3))
+        assert len(stretched) == 1
         with pytest.raises(ValidationError) as per_state:
             MeasurementSettings(*stretched[0])
         assert str(info.value) == str(per_state.value)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tribell.bell import MeasurementSettings
+from tribell.classify import SOURCE_CLASSES, _draw_state
 from tribell.core import ValidationError
 from tribell.pauli import PauliDecomposition
 from tribell.states import (
@@ -296,6 +297,23 @@ class TestValidation:
         m = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
         with pytest.raises(ValidationError, match="positive semidefinite"):
             DensityMatrix(m)
+
+    def test_draws_skipping_the_psd_test_are_psd(self):
+        """Draws built PSD skip the eigvalsh check; 300 of them, all six classes, are PSD."""
+        rng = np.random.default_rng(23)
+        for k in range(300):
+            source = SOURCE_CLASSES[k % len(SOURCE_CLASSES)]
+            rho = _draw_state(source, rng)
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12, (k, source)
+
+    def test_psd_by_construction_keeps_the_other_checks(self):
+        """The constructor for draws built PSD still refuses a bad trace, shape or symmetry."""
+        herm = np.eye(8, dtype=complex) / 8
+        herm[0, 1] = 0.5
+        for m, match in ((np.eye(8, dtype=complex), "trace"), (herm, "Hermiticity"),
+                         (np.full((8, 8), np.nan), "non-finite"), (np.eye(4) / 4, "shape")):
+            with pytest.raises(ValidationError, match=match):
+                DensityMatrix._from_psd(m)
 
     def test_density_hermitian_invariant(self):
         m = np.eye(8, dtype=complex) / 8

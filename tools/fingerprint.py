@@ -16,9 +16,16 @@ checkout it sits in and prints one JSON object with four entries:
   ghz-family), the sha256 of every start's iteration count and certificate
   and of the best row of the Newton ascent from the 32 default starts at
   seeds 0 and 31, and the best omega at each seed;
-* ``stdout``: the sha256 of the stdout of every ``classify``,
-  ``optimize <i>`` and ``optimize --omega --seed s`` call (s in 0, 1, 2, 5,
-  31, 32) on the eight built-in states below.
+* ``stdout``: the exit code and the sha256 of the stdout of every
+  ``classify``, ``optimize <i>`` and ``optimize --omega --seed s`` call (s in
+  0, 1, 2, 5, 31, 32) on the eight built-in states below, then of the
+  front end's own calls: the top-level ``--help``, each subcommand's
+  ``--help``, and two rejected calls, one that argparse refuses and one
+  that the library's input checks refuse (``classify builtin:nope``).  All
+  run in this one process, so every call after the first reuses the CLI's
+  parser.  An argparse exit is caught as its exit code, and a call that
+  writes to stderr also gets the sha256 of its stderr.  Help text is
+  formatted at 80 columns whatever the terminal.
 
 Run it on two checkouts and diff the two outputs: equal ``m_i`` and
 ``stdout`` entries mean bit-identical m_i and byte-identical CLI output,
@@ -47,6 +54,7 @@ ASCENT_CYCLE = ("haar-pure", "1-23", "fully-separable", "ghz-family")
 # draw 37 (a 1-23 state) sits on a flat omega maximum where starts creep to the
 # 500-iteration cap, so its iteration counts follow the last bit of any change
 FLAT_DRAW = 37
+SUBCOMMANDS = ("decompose", "evaluate", "optimize", "classify", "sample", "figure")
 
 
 def _sha(*arrays) -> str:
@@ -107,17 +115,26 @@ def stdout_digests() -> dict:
     calls += [["optimize", f"builtin:{name}", str(i)] for name in BUILTINS for i in (1, 2, 3)]
     calls += [["optimize", f"builtin:{name}", "--omega", "--seed", str(seed)]
               for name in BUILTINS for seed in OMEGA_SEEDS]
+    calls += [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    calls += [["sample", "--class", "nonsense"], ["classify", "builtin:nope"]]
     out = {}
     for argv in calls:
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):
-            code = main(argv)
-        out[" ".join(argv)] = f"exit {code} " + hashlib.sha256(text.getvalue().encode()).hexdigest()
+        text, errors = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(errors):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help, and argparse's refusals
+                code = exc.code
+        entry = f"exit {code} " + hashlib.sha256(text.getvalue().encode()).hexdigest()
+        if errors.getvalue():
+            entry += " stderr " + hashlib.sha256(errors.getvalue().encode()).hexdigest()
+        out[" ".join(argv)] = entry
     return out
 
 
 def main() -> int:
     sys.path.insert(0, SRC)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal's width otherwise
     print(json.dumps({**m_i_digests(), "omega": omega_ascents(), "stdout": stdout_digests()},
                      indent=1))
     return 0
