@@ -5,17 +5,20 @@
   brackets m_i through the reduction
   m_i^2 = max over unit s of sigma_1^2 + sigma_2^2 of T(s) + |alpha_i x s|^2
   (Horodecki et al., Phys. Lett. A 200, 340 (1995)), with T(s) the
-  three-body tensor contracted along slot i.  Each triangle of the search
-  is bounded by the smaller of its corner bound and its chord bound, the
-  norm of the linear function through its three corner values
-  (:func:`_bound`).  Two closed-form global ceilings can end the search
-  early: a Frobenius bound, exact when another
-  qubit is in a product with the rest, and one from the leading singular
-  term of the 3x9 unfolding Q_(i), exact on states that are products across
-  cut i.  Both ceilings' top eigenvectors are points of the first level, so
-  on such states the search ends there.  The reported value is the
-  search's lower end, and its best direction becomes explicit settings in
-  closed form (:func:`_sphere_settings`), which the dense path rechecks.
+  three-body tensor contracted along slot i.  Its unit of work is the live
+  triangle: its three edge midpoints take one (3 x 3)(3 x 9) product with
+  its state's tensor (:func:`_sphere_values`), and of its four children
+  only those that survive pruning are copied.  Each triangle is bounded by
+  the smaller of its corner bound and its chord bound, the norm of the
+  linear function through its three corner values (:func:`_bound`).  Two
+  closed-form global ceilings can end the search early: a Frobenius bound,
+  exact when another qubit is in a product with the rest, and one from the
+  leading singular term of the 3x9 unfolding Q_(i), exact on states that are
+  products across cut i.  Both ceilings' top eigenvectors are points of the
+  first level, so on such states the search ends there.  The reported value
+  is the search's lower end, and its best direction becomes explicit
+  settings in closed form (:func:`_sphere_settings`), which the dense path
+  rechecks.
 * :func:`maximize_omega` - the sum of the three squared expectations at one
   shared setting.  Each expectation is multi-affine in the slots:
   <D_i> = C_i[X_1, X_2, X_3] with X_j = (1, a_j, b_j), and
@@ -240,17 +243,22 @@ def _pair_power(t):
 
 
 def _sphere_values(alpha, q, owner, s):
-    """m(s) = sqrt(f(s)) at unit directions s (points, 3) of the states ``owner``.
+    """m(s) = sqrt(f(s)) at unit directions s (rows, width, 3), row k's of the state ``owner[k]``.
 
     f(s) = sigma_1^2 + sigma_2^2 of T(s) + |alpha|^2 - (alpha . s)^2, with
-    T(s) = sum_k s_k q[owner, k].  |alpha|^2 is taken once per state and
+    T(s) = sum_k s_k q[owner, k].  A row is one live triangle's three
+    midpoints or one state's first-level points, so q is gathered once per
+    row and T(s) is one (width x 3)(3 x 9) product per row; with ``s``
+    C-contiguous every row takes the same matmul path, so a row's bits do
+    not depend on the rows beside it.  |alpha|^2 is taken once per state and
     alpha . s component-first, its terms summed left to right as
-    ``np.sum(axis=1)`` would.
+    ``np.sum(axis=1)`` would.  Returns (rows, width).
     """
-    al, x = alpha[owner].T, s.T
-    t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
+    rows, width = s.shape[:2]
+    t = np.matmul(s, q[owner].reshape(rows, 3, 9)).reshape(-1, 3, 3)
+    al, x = alpha[owner].T[:, :, None], s.transpose(2, 0, 1)
     along = x[0] * al[0] + x[1] * al[1] + x[2] * al[2]
-    f = _pair_power(t) + np.sum(alpha * alpha, axis=1)[owner] - along * along
+    f = _pair_power(t).reshape(rows, width) + np.sum(alpha * alpha, axis=1)[owner, None] - along * along
     return np.sqrt(np.maximum(f, 0.0))
 
 
@@ -301,11 +309,14 @@ def _first_maxima(vals, who):
     return hit[np.concatenate(([True], who[hit[1:]] != who[hit[:-1]]))]
 
 
-def _bound(tri, vals):
-    """A certified bound on m over spherical triangles (n, 3, 3) with corner values m_k (n, 3).
+def _bound(v, m):
+    """A certified bound on m over spherical triangles, from their corners and corner values.
 
-    It is the smaller of two bounds, both from the convexity of m on the
-    flat triangle with corners v_k.  Take e1 = v1 - v0, e2 = v2 - v0, the
+    The corners come component-first, v[k, c] (3, 3, n) being component c of
+    corner k of every triangle, and their values as m[k] (3, n), so each
+    term below is one flat array over the triangles.  It is the smaller of
+    two bounds, both from the convexity of m on the flat triangle with
+    corners v_k.  Take e1 = v1 - v0, e2 = v2 - v0, the
     normal n = e1 x e2, det = n . v0 and h = |det| / |n|, the distance from
     the origin to the triangle's plane:
 
@@ -337,8 +348,7 @@ def _bound(tri, vals):
     it is ``max_k m_k / h`` bit for bit as ``np.cross``, ``np.sum`` and
     ``np.linalg.norm`` would give it.
     """
-    v0, v1, v2 = np.ascontiguousarray(tri.transpose(1, 2, 0))
-    m0, m1, m2 = np.ascontiguousarray(vals.T)
+    (v0, v1, v2), (m0, m1, m2) = v, m
     e1, e2 = v1 - v0, v2 - v0
     n0, n1, n2 = _cross(e1, e2)
     c0, c1, c2 = _cross(v0, (m2 - m0) * e1 - (m1 - m0) * e2)
@@ -372,9 +382,16 @@ def _sphere_search(alpha, q):
     normalized edge midpoints, ``VERTEX_BLOCK`` children at a time.  The best
     point is the lower end; a triangle whose bound is within ``SPHERE_TOL``
     of it is pruned, and a state stops when its global ceiling is that close.
-    Each block's children are pruned before the next block is split, and the
-    whole level once more at its final lower ends, so that no state's result
-    depends on the other states of its batch.
+    Each block's children are pruned before the next block is split, and,
+    when a level took more than one block, the whole level once more at its
+    final lower ends, so that no state's result depends on the other states
+    of its batch; a single block was already pruned at them.  The unit of
+    work is the live triangle: one evaluation row holds its three midpoints
+    (:func:`_sphere_values`), its four children are bounded from
+    component-first corners gathered out of its six points against one
+    pruning threshold, and only the surviving children are gathered as
+    triangles.  Every block reuses one scratch of ``18 * VERTEX_BLOCK``
+    floats for its points, their values and its children's corners.
     The ceiling is the smaller of two closed forms, with
     O = |alpha|^2 I - alpha alpha^T:
 
@@ -400,11 +417,12 @@ def _sphere_search(alpha, q):
     depends on its batch, that changes no value.  Level 0 of a chunk is one
     evaluation of at most ``VERTEX_BLOCK`` points: each of the ten face
     vertices once, then the leading term's and the Frobenius ceiling's top
-    eigenvectors, in that order so that ties keep a vertex, and before any
-    pruning; where either ceiling is exact it closes the bracket before any
-    split.  A state left with more than ``MAX_LIVE`` triangles stops with its
-    live bounds.  Returns the best direction (n, 3), the lower end (n,),
-    which is the value there, and the certified upper end (n,).
+    eigenvectors, in that order so that ties keep a vertex, one row per
+    state, and before any pruning; where either ceiling is exact it closes
+    the bracket before any split.  A state left with more than ``MAX_LIVE``
+    triangles stops with its live bounds.  Returns the best direction (n, 3),
+    the lower end (n,), which is the value there, and the certified upper end
+    (n,).
     """
     n = len(alpha)
     vertices, faces = _half_icosahedron()
@@ -423,33 +441,59 @@ def _sphere_search(alpha, q):
     lower = np.full(n, -np.inf)
     best = np.zeros((n, 3))
     live_bound = np.full(n, -np.inf)
+    # one scratch per search, in one allocation, that every block reuses for its six
+    # points and their values and its children's component-first corners and values;
+    # allocating these per block made the C allocator return their pages to the system
+    # and fault them back in on every level
+    scratch = np.empty(18 * VERTEX_BLOCK)
+    gathered, block = scratch[:12 * VERTEX_BLOCK], scratch[12 * VERTEX_BLOCK:]
 
     def evaluate(points, owner):
-        """Values at points (rows, k, 3) of the states ``owner``; raises lower ends."""
-        rows, width = points.shape[:2]
-        who, at = np.repeat(owner, width), points.reshape(-1, 3)
-        vals = _sphere_values(alpha, q, who, at)
+        """Values (rows, width) at points (rows, width, 3), row k's of ``owner[k]``; raises lower ends."""
+        vals = _sphere_values(alpha, q, owner, points)
         # owners arrive in non-decreasing order, which the pick of each state's best
         # point relies on: level 0 is arange, every filter keeps order, and children
-        # repeat their parent's owner in place, in blocks joined in order
-        first = _first_maxima(vals, who)
-        up = first[vals[first] > lower[who[first]]]
-        lower[who[up]] = vals[up]
-        best[who[up]] = at[up]
-        return vals.reshape(rows, width)
+        # repeat their parent's owner in place, in blocks joined in order.  The pick is
+        # the first largest value of the first row that holds the state's largest value
+        peak = vals.max(axis=1)
+        first = _first_maxima(peak, owner)
+        up = first[peak[first] > lower[owner[first]]]
+        at = (up, np.argmax(vals[up], axis=1))
+        lower[owner[up]] = vals[at]
+        best[owner[up]] = points[at]
+        return vals
 
-    def survivors(tri, vals, owner, bound):
-        """Triangles whose ``bound`` still exceeds their state's lower end by the tolerance."""
-        keep = (bound > lower[owner] + SPHERE_TOL) & (ceiling[owner] > lower[owner] + SPHERE_TOL)
-        return tri[keep], vals[keep], owner[keep], bound[keep]
+    def live(bound, owner):
+        """Which children's ``bound`` (rows, c) still exceed their state's lower end by the tolerance."""
+        floor = lower[owner] + SPHERE_TOL
+        return (bound > floor[:, None]) & (ceiling[owner] > floor)[:, None]
+
+    def children(points, vals, owner, table):
+        """The live children of each row: corners (m, 3, 3), values (m, 3), owners and bounds.
+
+        Child j of a row has the corners ``table[j]`` among the row's points
+        (k, width, 3) with values (k, width).  The bound reads component-first
+        corners gathered straight from the points, and only the children that
+        survive it are gathered as triangles, in row then child order.
+        """
+        k, width = vals.shape
+        at = width * np.arange(k)[:, None] + table.T[:, None, :]  # (corner, row, child)
+        # components then values of the corners, (4, corner, row, child); mode "clip" writes
+        # straight into the scratch, as every index is in range, where "raise" would buffer
+        corners = gathered[:4 * at.size].reshape((4,) + at.shape)
+        points.reshape(-1, 3).T.take(at, axis=1, out=corners[:3], mode="clip")
+        vals.reshape(-1).take(at, out=corners[3], mode="clip")
+        v = np.moveaxis(corners[:3], 1, 0).reshape(3, 3, -1)
+        bound = _bound(v, corners[3].reshape(3, -1)).reshape(k, -1)
+        row, child = np.nonzero(live(bound, owner))
+        at = width * row[:, None] + table[child]
+        tri = points.reshape(-1, 3).take(at, axis=0)
+        return tri, vals.reshape(-1).take(at), owner[row], bound[row, child]
 
     # level 0: each vertex once, then both ceilings' top eigenvectors, so ties keep a vertex
     eigen = np.stack([top_vec[:, :, -1], frob_vec[:, :, -1]], axis=1)
     points = np.concatenate([np.broadcast_to(vertices, (n,) + vertices.shape), eigen], axis=1)
-    vals = evaluate(points, np.arange(n))[:, faces].reshape(-1, 3)
-    tri = np.tile(vertices[faces], (n, 1, 1))
-    bound = _bound(tri, vals)
-    tri, vals, owner, bound = survivors(tri, vals, np.repeat(np.arange(n), len(faces)), bound)
+    tri, vals, owner, bound = children(points, evaluate(points, np.arange(n)), np.arange(n), faces)
     while True:
         stop = (np.bincount(owner, minlength=n) > MAX_LIVE)[owner]
         if stop.any():
@@ -461,15 +505,17 @@ def _sphere_search(alpha, q):
         kept = []
         for lo in range(0, len(owner), VERTEX_BLOCK // 4):
             t, v, o = (x[lo:lo + VERTEX_BLOCK // 4] for x in (tri, vals, owner))
-            mids = _midpoints(t)
-            points = np.concatenate([t, mids], axis=1)
-            point_vals = np.concatenate([v, evaluate(mids, o)], axis=1)
-            children = points[:, _CHILDREN].reshape(-1, 3, 3)
-            child_vals = point_vals[:, _CHILDREN].reshape(-1, 3)
-            bound = _bound(children, child_vals)
-            kept.append(survivors(children, child_vals, np.repeat(o, 4), bound))
-        # again at the final lower ends, which a state's later blocks may have raised
-        tri, vals, owner, bound = survivors(*(np.concatenate(x) for x in zip(*kept)))
+            mids, k = _midpoints(t), len(o)
+            points = np.concatenate([t, mids], axis=1, out=block[:18 * k].reshape(k, 6, 3))
+            v = np.concatenate([v, evaluate(mids, o)], axis=1, out=block[18 * k:24 * k].reshape(k, 6))
+            kept.append(children(points, v, o, _CHILDREN))
+        tri, vals, owner, bound = kept[0]
+        if len(kept) > 1:
+            # again at the final lower ends, which a state's later blocks may have raised;
+            # a single block was pruned at them already
+            tri, vals, owner, bound = (np.concatenate(x) for x in zip(*kept))
+            keep = live(bound[:, None], owner)[:, 0]
+            tri, vals, owner, bound = tri[keep], vals[keep], owner[keep], bound[keep]
     upper = np.minimum(ceiling, np.maximum(live_bound, lower + SPHERE_TOL))
     return best, lower, upper
 

@@ -54,6 +54,7 @@ from tribell.states import (
     random_in_class,
     random_local_unitaries,
     random_pure,
+    reduced_qubit,
     to_density,
     w_state,
 )
@@ -164,6 +165,32 @@ class TestSeesaw:
                     assert abs(res.value - expected) <= 1e-12, (partition, alpha, i, res.value)
                     assert res.converged
 
+    def test_pure_states_with_mixed_marginals_exceed_one(self):
+        """Conjecture P's evidence: pure states with no nearly pure marginal have every m_i > 1.
+
+        The 40 Haar states random_pure(0..39) and 40 Acin draws, lambda a
+        normalized |normal| draw and phi uniform on [0, pi], redrawn until
+        every one-qubit marginal has purity <= 0.99.  Every lower end, a
+        value the dense path rechecks, exceeds 1; convergence is not
+        required, as a problem may stop at MAX_LIVE.  A failure here is a
+        counterexample to the conjecture, not a tolerance to loosen.
+        """
+        def purities(psi):
+            rho = to_density(psi)
+            return [np.trace(red @ red).real for red in (reduced_qubit(rho, k) for k in (1, 2, 3))]
+
+        rng = np.random.default_rng(4)
+        haar = [random_pure(seed) for seed in range(40)]
+        assert all(max(purities(psi)) <= 0.99 for psi in haar)
+        acin = []
+        while len(acin) < 40:
+            lam = np.abs(rng.standard_normal(5))
+            psi = acin_state(AcinParameters(lam / np.linalg.norm(lam), rng.uniform(0.0, np.pi)))
+            if max(purities(psi)) <= 0.99:
+                acin.append(psi)
+        results = seesaw_max_abs_d_many([to_density(psi) for psi in haar + acin], (1, 2, 3))
+        assert min(res.value for res in results) > 1.0
+
     def test_schmidt_form_product_respects_stretched_axis(self):
         """A pure single-pair product: the distinguished axis caps at sqrt(2)."""
         rho = random_in_class("12-3", 1, 77, pure_factors=True)
@@ -193,16 +220,16 @@ class TestSeesaw:
 
         Some levels of the merged search hold more than VERTEX_BLOCK // 4
         triangles, so they split into blocks and some states straddle a
-        block edge; a full block has VERTEX_BLOCK children.
+        block edge; a full block bounds VERTEX_BLOCK children at once.
         """
         rng = np.random.default_rng(seed)
         states = [_draw_state(source, rng) for _ in range(n)]
         children = []
         bound = opt._bound
 
-        def spy(tri, vals):
-            children.append(len(tri))
-            return bound(tri, vals)
+        def spy(v, m):
+            children.append(m[0].size)  # one corner value per child
+            return bound(v, m)
 
         with mock.patch.object(opt, "_bound", spy):
             merged = seesaw_max_abs_d_many(states, (1, 2, 3))
@@ -414,12 +441,16 @@ def assert_same_result(one, other):
 
 
 def counted_points(call):
-    """``call()``'s result and the number of sphere points it evaluated."""
+    """``call()``'s result and the number of sphere points it evaluated.
+
+    ``s[..., 0].size`` counts the points of one ``_sphere_values`` call
+    whether they come flat (points, 3) or in rows (rows, width, 3).
+    """
     seen = []
     values = opt._sphere_values
 
     def spy(alpha, q, owner, s):
-        seen.append(len(s))
+        seen.append(s[..., 0].size)
         return values(alpha, q, owner, s)
 
     with mock.patch.object(opt, "_sphere_values", spy):
@@ -504,6 +535,16 @@ class TestSphereSearch:
         )
         assert points <= 18_150
 
+    def test_sphere_points_on_haar_draws_stay_few(self):
+        """Work guard: sample_region's optimized Haar draws at seed 0, 8 states, stay under a fixed count.
+
+        No ceiling is exact on Haar states, so every problem splits down to
+        the tolerance; the batch takes 25,059 sphere points.  The ceiling is
+        about 10 % above that, as in the biseparable guard.
+        """
+        _, points = counted_points(lambda: sample_region("haar-pure", 8, 0, "optimized"))
+        assert points <= 27_560
+
     def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
         """More than VERTEX_BLOCK // 12 problems run in chunks of that many, bit for bit.
 
@@ -524,7 +565,7 @@ class TestSphereSearch:
 
         def recorded(alpha, q, owner, s):
             rows.append(len(alpha))
-            sizes.append(len(s))
+            sizes.append(s[..., 0].size)
             ordered.append(bool(np.all(owner[1:] >= owner[:-1])))
             return values(alpha, q, owner, s)
 
@@ -648,12 +689,12 @@ class TestTriangleBound:
         centers = np.where(np.arange(len(owner))[:, None] % 12 < 6,
                            best[owner] + 0.3 * edges[:, None] * wander, wander)
         tri = triangles_around(centers / np.linalg.norm(centers, axis=1, keepdims=True), edges, rng)
-        corners = opt._sphere_values(alpha, q, np.repeat(owner, 3), tri.reshape(-1, 3)).reshape(-1, 3)
-        bound = opt._bound(tri, corners)
+        corners = opt._sphere_values(alpha, q, owner, tri)
+        bound = opt._bound(tri.transpose(1, 2, 0), corners.T)
         points = np.einsum("gk,nkc->ngc", self.GRID, tri)
         points /= np.linalg.norm(points, axis=2, keepdims=True)
+        values = opt._sphere_values(alpha, q, owner, points)
         at = (np.repeat(owner, len(self.GRID)), points.reshape(-1, 3))
-        values = opt._sphere_values(alpha, q, *at).reshape(len(tri), -1)
         reference = sphere_values_reference(alpha, q, *at).reshape(len(tri), -1)
         assert np.all(values.max(axis=1) <= bound)
         assert np.all(bound <= corner_bound_reference(tri, corners))
@@ -673,7 +714,12 @@ class TestTriangleBound:
         rng = np.random.default_rng(26)
         states = [_draw_state(c, rng) for c in ("haar-pure", "1-23", "fully-separable") for _ in range(16)]
         chord = seesaw_max_abs_d_many(states, (1, 2, 3))
-        with mock.patch.object(opt, "_bound", corner_bound_reference):
+
+        def corner_bound(v, m):
+            """The reference on the search's component-first corners (3, 3, n) and values (3, n)."""
+            return corner_bound_reference(v.transpose(2, 0, 1), m.T)
+
+        with mock.patch.object(opt, "_bound", corner_bound):
             corner = seesaw_max_abs_d_many(states, (1, 2, 3))
         for k, (one, other) in enumerate(zip(chord, corner, strict=True)):
             assert max(one.value, other.value) <= min(one.upper, other.upper) + 1e-12, k
@@ -828,9 +874,10 @@ class TestSearchArithmetic:
         vals = np.random.default_rng(12).random((4**3 * len(tri), 3))
         for level in range(4):
             corner = vals[:len(tri)]
-            assert_bits_equal(opt._bound(tri, corner), bound_reference(tri, corner))
+            v = tri.transpose(1, 2, 0)  # component-first corners, as the search passes them
+            assert_bits_equal(opt._bound(v, corner.T), bound_reference(tri, corner))
             flat = np.repeat(corner[:, :1], 3, axis=1)
-            assert_bits_equal(opt._bound(tri, flat), corner_bound_reference(tri, flat))
+            assert_bits_equal(opt._bound(v, flat.T), corner_bound_reference(tri, flat))
             if level < 3:
                 mids, children = split_reference(tri)
                 assert_bits_equal(opt._midpoints(tri), mids)
@@ -884,16 +931,39 @@ class TestSearchArithmetic:
         np.testing.assert_allclose(values, pair_power_svd(rank_one), rtol=opt._VALUE_ERROR)
 
     def test_sphere_values_match_numpy(self):
+        """Each row's T(s) is its own (width x 3)(3 x 9) product with its state's q, for widths 3 and 12."""
         rng = np.random.default_rng(14)
         alpha, q = rng.standard_normal((20, 3)) / 3, rng.standard_normal((20, 3, 3, 3)) / 3
-        owner = np.sort(rng.integers(0, 20, 400))
-        s = rng.standard_normal((400, 3))
-        s /= np.linalg.norm(s, axis=1, keepdims=True)
-        al = alpha[owner]
-        t = np.matmul(s[:, None, :], q[owner].reshape(-1, 3, 9)).reshape(-1, 3, 3)
-        along = np.sum(s * al, axis=1)
-        f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
-        assert_bits_equal(opt._sphere_values(alpha, q, owner, s), np.sqrt(np.maximum(f, 0.0)))
+        for width in (3, 12):
+            owner = np.sort(rng.integers(0, 20, 100))
+            s = rng.standard_normal((100, width, 3))
+            s /= np.linalg.norm(s, axis=2, keepdims=True)
+            t = np.stack([s[r] @ q[owner[r]].reshape(3, 9) for r in range(len(s))]).reshape(-1, 3, 3)
+            al = np.repeat(alpha[owner], width, axis=0)
+            along = np.sum(s.reshape(-1, 3) * al, axis=1)
+            f = _pair_power(t) + np.sum(al * al, axis=1) - along * along
+            expected = np.sqrt(np.maximum(f, 0.0)).reshape(-1, width)
+            assert_bits_equal(opt._sphere_values(alpha, q, owner, s), expected)
+
+    @pytest.mark.parametrize("width", [3, 12], ids=["midpoints", "level-0"])
+    def test_each_row_is_independent_of_the_batch(self, width):
+        """A row's values are the same bits alone and inside every stack of 1 to 64 rows.
+
+        Rows of Haar, 1-23 and fully separable problems on all axes, with
+        sorted owners as the search passes them: a row of three midpoints
+        and a row of one problem's twelve first-level points.
+        """
+        rng = np.random.default_rng(33)
+        states = [_draw_state(c, rng) for c in ("haar-pure", "1-23", "fully-separable") for _ in range(4)]
+        alpha, q = search_problems(states)
+        owner = np.sort(rng.integers(0, len(alpha), 64))
+        s = rng.standard_normal((64, width, 3))
+        s /= np.linalg.norm(s, axis=2, keepdims=True)
+        full = opt._sphere_values(alpha, q, owner, s)
+        for rows in range(1, 65):
+            assert_bits_equal(opt._sphere_values(alpha, q, owner[:rows], s[:rows]), full[:rows])
+            lone = rows - 1
+            assert_bits_equal(opt._sphere_values(alpha, q, owner[lone:rows], s[lone:rows]), full[lone:rows])
 
 
 class TestBestPointPick:
@@ -920,10 +990,10 @@ class TestBestPointPick:
             ordered.append(bool(np.all(owner[1:] >= owner[:-1])))
             return values(alpha, q, owner, s)
 
-        def spy_bound(tri, vals):
-            # each split halves the edges, so a block's edge gives its level
-            levels.add(round(float(np.log2(edge / np.linalg.norm(tri[0, 1] - tri[0, 0])))))
-            return bound(tri, vals)
+        def spy_bound(v, m):
+            # each split halves the edges, so a block's edge gives its level; v is component-first
+            levels.add(round(float(np.log2(edge / np.linalg.norm(v[1, :, 0] - v[0, :, 0])))))
+            return bound(v, m)
 
         with mock.patch.object(opt, "_sphere_values", spy_values), \
                 mock.patch.object(opt, "_bound", spy_bound):

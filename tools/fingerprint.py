@@ -3,7 +3,7 @@
     python3 tools/fingerprint.py > fingerprint.json
 
 It takes no options, imports the package from the ``src`` directory of the
-checkout it sits in and prints one JSON object with four entries:
+checkout it sits in and prints one JSON object with five entries:
 
 * ``m_i``: one sha256 over the value, upper end, converged flag and settings
   bytes of the 366 m_i problems of GHZ, W and 20 draws of each of the six
@@ -11,6 +11,10 @@ checkout it sits in and prints one JSON object with four entries:
 * ``m_i_printed``: one sha256 over the same problems' value and upper end
   as the CLI prints them (its own ``_fmt``, 9 significant digits) and their
   converged flags;
+* ``search_points``: the number of sphere points the m_i search evaluates
+  over those 366 problems, counted as ``s[..., 0].size`` per
+  ``_sphere_values`` call, so it reads the same whether a call takes its
+  points flat (points, 3) or in rows (rows, width, 3);
 * ``omega``: for each of 63 states (GHZ, W, phi+ (x) 0, I/8 and 59 draws
   from ``default_rng(5)`` cycling haar-pure, 1-23, fully-separable and
   ghz-family), the sha256 of every start's iteration count and certificate
@@ -31,7 +35,8 @@ Run it on two checkouts and diff the two outputs: equal ``m_i`` and
 ``stdout`` entries mean bit-identical m_i and byte-identical CLI output,
 the ``omega`` entries show which states' ascents took another course, and
 an equal ``m_i_printed`` under a changed ``m_i`` means that m_i moved only
-below the printed digits.
+below the printed digits.  An equal ``search_points`` means that the search
+evaluated as many points: a refactor that keeps the same search keeps it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -65,20 +71,29 @@ def _sha(*arrays) -> str:
 
 
 def m_i_digests() -> dict:
+    from tribell import optimize as opt
     from tribell.classify import SOURCE_CLASSES, _draw_state
     from tribell.cli import _fmt
-    from tribell.optimize import seesaw_max_abs_d_many
     from tribell.states import ghz, to_density, w_state
 
     rng = np.random.default_rng(5)
     states = [to_density(ghz()), to_density(w_state())]
     states += [_draw_state(c, rng) for c in SOURCE_CLASSES for _ in range(20)]
-    results = seesaw_max_abs_d_many(states, (1, 2, 3))
+    points = []
+    values = opt._sphere_values
+
+    def counted(alpha, q, owner, s):
+        points.append(s[..., 0].size)
+        return values(alpha, q, owner, s)
+
+    with mock.patch.object(opt, "_sphere_values", counted):
+        results = opt.seesaw_max_abs_d_many(states, (1, 2, 3))
     printed = " ".join(f"{_fmt(r.value)},{_fmt(r.upper)},{r.converged}" for r in results)
     return {
         "m_i": _sha(*(x for r in results for x in (np.float64(r.value), np.float64(r.upper),
                                                    np.bool_(r.converged), r.settings.a, r.settings.b))),
         "m_i_printed": hashlib.sha256(printed.encode()).hexdigest(),
+        "search_points": sum(points),
     }
 
 
