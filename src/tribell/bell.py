@@ -44,7 +44,7 @@ the whole stack in one call of :func:`tribell.core._expectations`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -95,19 +95,19 @@ class MeasurementSettings:
 
     a: np.ndarray
     b: np.ndarray
-    tol: float = field(default=UNIT_TOL, repr=False, compare=False)
+    tol: InitVar[float] = UNIT_TOL
 
-    def __post_init__(self):
-        _check_real("tol", self.tol, 0)
-        object.__setattr__(self, "a", _check_unit_rows(self.a, "a", self.tol))
-        object.__setattr__(self, "b", _check_unit_rows(self.b, "b", self.tol))
+    def __post_init__(self, tol):
+        _check_real("tol", tol, 0)
+        object.__setattr__(self, "a", _check_unit_rows(self.a, "a", tol))
+        object.__setattr__(self, "b", _check_unit_rows(self.b, "b", tol))
 
     @classmethod
     def _from_checked(cls, a, b) -> "MeasurementSettings":
         """Settings around rows (3, 3) that :func:`_check_unit_rows` already checked and froze."""
         settings = object.__new__(cls)
-        for name, value in (("a", a), ("b", b), ("tol", UNIT_TOL)):
-            object.__setattr__(settings, name, value)
+        object.__setattr__(settings, "a", a)
+        object.__setattr__(settings, "b", b)
         return settings
 
     @classmethod

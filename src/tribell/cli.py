@@ -64,14 +64,12 @@ def _fmt(x: float) -> str:
 
 
 def _rounded(obj):
-    """Round every float to 9 significant digits for stable JSON output."""
-    if isinstance(obj, (float, np.floating)):
+    """Round every float to 9 significant digits; payloads hold Python scalars, dicts and lists."""
+    if isinstance(obj, float):
         return float(_fmt(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]
     return obj
 
@@ -195,17 +193,6 @@ def _cmd_evaluate(args, out) -> int:
     return EXIT_OK
 
 
-def _result_payload(res) -> dict:
-    return {
-        "value": res.value,
-        "settings": _settings_payload(res.settings),
-        "sweeps_used": res.sweeps_used,
-        "converged": res.converged,
-        "per_start_values": list(res.per_start_values),
-        "degenerate_updates": res.degenerate_updates,
-    }
-
-
 def _cmd_optimize(args, out) -> int:
     if (args.i is None) == (not args.omega):
         raise ValidationError("provide exactly one of: an operator index i, or --omega")
@@ -213,11 +200,13 @@ def _cmd_optimize(args, out) -> int:
     # --starts and --seed are checked for either form; only the omega ascent reads them
     cfg = OptimizerConfig(n_starts=args.starts, seed=args.seed)
     if args.omega:
-        payload = _result_payload(maximize_omega(rho, cfg))
+        res = maximize_omega(rho, cfg)
+        tail = {"newton_iterations": res.sweeps_used, "converged": res.converged,
+                "per_start_values": list(res.per_start_values)}
     else:
         res = seesaw_max_abs_d(rho, args.i)
-        payload = dict(_result_payload(res), upper=res.upper)
-    _emit_json(payload, out)
+        tail = {"converged": res.converged, "upper": res.upper}
+    _emit_json({"value": res.value, "settings": _settings_payload(res.settings), **tail}, out)
     return EXIT_OK
 
 
@@ -309,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("i", type=int, choices=(1, 2, 3), nargs="?", help="operator index")
     p.add_argument("--omega", action="store_true", help="maximize the quadratic form instead")
-    p.add_argument("--starts", type=int, default=32,
+    p.add_argument("--starts", type=int, default=OptimizerConfig.n_starts,
                    help="random starts of the --omega ascent (the |<D_i>| search has none)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the --omega starts")
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="seed of the --omega starts")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("classify", help="separability-class exclusion report")

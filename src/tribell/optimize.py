@@ -124,8 +124,8 @@ class OptimizerConfig:
     """Parameters of the omega ascent: its starts and their seed.
 
     ``max_sweeps``, a constant and not a field, caps every start's Newton
-    iterations; the name is kept from the coordinate sweeps they replaced.
-    The |<D_i>| search runs no ascent and takes none of these.
+    iterations; its sweep name remains only because ``bench/tracer.py``
+    reads it.  The |<D_i>| search runs no ascent and takes none of these.
     """
 
     max_sweeps: ClassVar[int] = 500
@@ -148,8 +148,9 @@ class OptimizationResult:
     inf, since it has no certificate, and ``converged`` only means that the
     reported start passed the local-maximum certificate of the Newton ascent,
     which says nothing about other maxima; ``sweeps_used`` counts its Newton
-    iterations.  ``degenerate_updates`` is a constant 0, not a field, kept
-    for the CLI JSON and the bench tracer.
+    iterations (the CLI's ``newton_iterations``).  ``degenerate_updates``, a
+    constant 0, and m_i's ``sweeps_used`` and ``per_start_values`` are not
+    printed: they remain only because ``bench/tracer.py`` reads them.
     """
 
     degenerate_updates: ClassVar[int] = 0
@@ -628,9 +629,10 @@ def seesaw_max_abs_d(rho, i: int) -> OptimizationResult:
     (:func:`_sphere_settings`), and the dense path rechecks ``value`` at
     them.  ``converged`` means upper - value <= ``SPHERE_TOL``.  No
     sweeps run: ``sweeps_used`` is 0, ``degenerate_updates`` is the
-    result's constant 0 and ``per_start_values`` holds ``value`` alone.  The
-    name is kept from the see-saw ascent this search replaced.  This is the
-    one-state, one-index case of :func:`seesaw_max_abs_d_many`.
+    result's constant 0 and ``per_start_values`` holds ``value`` alone; the
+    CLI prints none of them.  They and the see-saw name remain only because
+    ``bench/tracer.py`` reads them.  This is the one-state, one-index case
+    of :func:`seesaw_max_abs_d_many`.
     """
     return seesaw_max_abs_d_many([rho], (i,))[0]
 

@@ -45,6 +45,17 @@ def trapped_1_23():
     return [_draw_state(c, rng) for c in ["fully-separable"] * 5 + ["1-23"] * 5][8]
 
 
+def open_1_23():
+    """Draw 125 (0-based) of ``_draw_state("1-23", default_rng(7))``.
+
+    On axis 1 its live triangles pass ``MAX_LIVE``, so the m_i search stops
+    with the open bracket [0.8591490706, 0.8592035181]; a 4096 budget closes
+    it at 0.8591491825.
+    """
+    rng = np.random.default_rng(7)
+    return [_draw_state("1-23", rng) for _ in range(126)][125]
+
+
 def cross_cut_mixture():
     """rho_x = (1/3) sum_k |0><0|_k (x) |Phi+><Phi+|_rest: biseparable by construction.
 

@@ -14,12 +14,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from test_classify import capture_draws
+from test_classify import capture_draws, open_1_23
 
 import tribell
-from tribell.bell import expectation_bell
+from tribell.bell import expectation_bell, random_settings
 from tribell.classify import CLASSIFICATION_NOTE, GENUINE_FLAG, SOURCE_CLASSES
 from tribell.cli import EXIT_CONSISTENCY, EXIT_INPUT, EXIT_OK, load_state, main
+from tribell.optimize import OptimizerConfig, maximize_omega
 
 SQ2 = np.sqrt(2.0)
 
@@ -180,7 +181,7 @@ class TestOptimize:
         payload = json.loads(out)
         assert code == EXIT_OK
         assert payload["value"] == pytest.approx(SQ2, abs=1e-6)
-        assert len(payload["per_start_values"]) == 1
+        assert list(payload) == ["value", "settings", "converged", "upper"]
         a = np.asarray(payload["settings"]["a"])
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-8)
 
@@ -193,15 +194,17 @@ class TestOptimize:
         assert len(json.loads(out)["per_start_values"]) == 5
 
     def test_upper_only_for_operator_index(self, capsys):
-        """The certified upper end is an additive key of ``optimize <i>`` alone."""
+        """Each search prints its own record: the certified upper end is ``optimize <i>``'s alone."""
         _, out, _ = run_cli(capsys, "optimize", "builtin:ghz", "1")
         payload = json.loads(out)
         assert payload["value"] <= payload["upper"] <= SQ2 + 1e-8
         _, out, _ = run_cli(capsys, "optimize", "builtin:000", "--omega", "--starts", "2")
-        assert list(json.loads(out)) == [
-            "value", "settings", "sweeps_used", "converged", "per_start_values",
-            "degenerate_updates",
+        payload = json.loads(out)
+        assert list(payload) == [
+            "value", "settings", "newton_iterations", "converged", "per_start_values",
         ]
+        res = maximize_omega(load_state("builtin:000"), OptimizerConfig(n_starts=2))
+        assert payload["newton_iterations"] == res.sweeps_used <= OptimizerConfig.max_sweeps
 
     @pytest.mark.parametrize("seed", ["2", "5"])
     def test_settings_rounding_noise_prints_as_zero(self, capsys, seed):
@@ -238,6 +241,26 @@ class TestOptimize:
         assert code == EXIT_OK
         assert payload["value"] == self.OMEGA_PINNED[name]
         assert payload["converged"] is True
+
+    def test_open_bracket_prints_as_open(self, tmp_path, capsys):
+        """A search stopped at ``MAX_LIVE`` prints ``converged`` false and its open upper end.
+
+        Draw 125 of ``_draw_state("1-23", default_rng(7))`` is open on axis 1
+        alone.  ROADMAP item 2 will close this bracket on purpose and restate
+        these pins then.
+        """
+        rho = open_1_23().matrix
+        path = tmp_path / "open.json"
+        data = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
+        path.write_text(json.dumps({"kind": "density", "data": data}))
+        code, out, _ = run_cli(capsys, "optimize", str(path), "1")
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["converged"] is False
+        assert (payload["value"], payload["upper"]) == (0.859149071, 0.859203518)
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["converged"] == [False, True, True]
 
     def test_index_and_omega_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "builtin:ghz", "1", "--omega")
@@ -526,6 +549,29 @@ class TestFormatting:
         _, out, _ = run_cli(capsys, "optimize", "builtin:ghz", "1")
         value = json.loads(out)["value"]
         assert value == float(f"{value:.9g}")
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "000", "mixed-identity", "phi-plus-otimes-0"])
+    def test_every_json_output_is_plain_and_rounded(self, tmp_path, capsys, name):
+        """Every JSON subcommand prints plain JSON whose every number has at most 9 significant digits.
+
+        The output layer rounds Python floats only, so a numpy scalar or
+        array reaching it would fail to serialize or print unrounded.
+        """
+        m = random_settings(3)
+        settings = write_settings(tmp_path / "settings.json", m.a.tolist(), m.b.tolist())
+        state = f"builtin:{name}"
+        calls = [["decompose", state], ["classify", state], ["optimize", state, "--omega", "--starts", "4"]]
+        calls += [["evaluate", state, settings, str(i)] for i in (1, 2, 3)]
+        calls += [["optimize", state, str(i)] for i in (1, 2, 3)]
+        for argv in calls:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_OK, err
+            floats = []
+            json.loads(out, parse_float=lambda text: floats.append(text) or text,
+                       parse_constant=lambda text: pytest.fail(f"{argv}: non-standard {text}"))
+            assert floats, argv
+            for text in floats:
+                assert float(format(float(text), ".9g")) == float(text), (argv, text)
 
     def test_pure_file_at_nine_digits_flows_through(self, tmp_path, capsys):
         """A pure state rounded to 9 significant digits must evaluate cleanly."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
-from test_classify import trapped_1_23
+from test_classify import open_1_23, trapped_1_23
 
 from tribell.bell import (
     MeasurementSettings,
@@ -505,6 +505,37 @@ class TestSphereSearch:
         assert res.converged
         assert res.value == pytest.approx(frobenius_bound(rho, i), abs=1e-12)
         assert points <= 12
+
+    def test_search_stopped_at_max_live_reports_its_open_bracket(self, monkeypatch):
+        """A problem whose live triangles pass ``MAX_LIVE`` stops with an honest, open bracket.
+
+        Draw 125 stops with a gap of 5.44e-5; a 4096 budget closes it at a
+        value inside that bracket.  ROADMAP item 2 (a second pass for the
+        stopped problems) will close this bracket on purpose: its change
+        restates the default run's pins, which must not be loosened here.
+        """
+        rho = open_1_23()
+        res = seesaw_max_abs_d(rho, 1)
+        assert res.converged is False
+        assert res.upper - res.value > SPHERE_TOL
+        assert (res.value, res.upper) == pytest.approx((0.8591490706, 0.8592035181), abs=1e-10)
+        monkeypatch.setattr(opt, "MAX_LIVE", 4096)
+        closed = seesaw_max_abs_d(rho, 1)
+        assert closed.converged is True
+        assert closed.value == pytest.approx(0.8591491825, abs=1e-10)
+        assert res.value <= closed.value <= res.upper
+
+    def test_tiny_budget_leaves_a_bracket_around_the_maximum(self, monkeypatch):
+        """With ``MAX_LIVE`` = 4, W on axis 1 stops open, and its bracket holds the full-budget m_1."""
+        w = to_density(w_state())
+        full = seesaw_max_abs_d(w, 1)
+        assert full.converged is True
+        assert full.value == pytest.approx(1.20185043, abs=1e-8)
+        monkeypatch.setattr(opt, "MAX_LIVE", 4)
+        res = seesaw_max_abs_d(w, 1)
+        assert res.converged is False
+        assert (res.value, res.upper) == pytest.approx((1.2018504, 1.3743685), abs=1e-7)
+        assert res.value <= full.value <= res.upper
 
     def test_half_icosahedron_vertices_gather_into_its_faces(self):
         """Ten read-only vertices, numbered by first appearance in the faces, rebuild the faces exactly."""

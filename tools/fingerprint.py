@@ -3,7 +3,7 @@
     python3 tools/fingerprint.py > fingerprint.json
 
 It takes no options, imports the package from the ``src`` directory of the
-checkout it sits in and prints one JSON object with five entries:
+checkout it sits in and prints one JSON object with six entries:
 
 * ``m_i``: one sha256 over the value, upper end, converged flag and settings
   bytes of the 366 m_i problems of GHZ, W and 20 draws of each of the six
@@ -20,6 +20,10 @@ checkout it sits in and prints one JSON object with five entries:
   ghz-family), the sha256 of every start's iteration count and certificate
   and of the best row of the Newton ascent from the 32 default starts at
   seeds 0 and 31, and the best omega at each seed;
+* ``json_keys``: for each JSON command form it runs (``classify``,
+  ``optimize <i>`` and ``optimize --omega``), the ordered key list of the
+  output; every call of a form must print the same keys, or the tool exits
+  with an error naming the form;
 * ``stdout``: the exit code and the sha256 of the stdout of every
   ``classify``, ``optimize <i>`` and ``optimize --omega --seed s`` call (s in
   0, 1, 2, 5, 31, 32) on the eight built-in states below, then of the
@@ -37,6 +41,8 @@ the ``omega`` entries show which states' ascents took another course, and
 an equal ``m_i_printed`` under a changed ``m_i`` means that m_i moved only
 below the printed digits.  An equal ``search_points`` means that the search
 evaluated as many points: a refactor that keeps the same search keeps it.
+A changed ``json_keys`` list names an interface change directly, where
+``stdout`` shows only which calls' digests changed.
 """
 
 from __future__ import annotations
@@ -123,16 +129,20 @@ def omega_ascents() -> dict:
     return out
 
 
-def stdout_digests() -> dict:
+def stdout_digests() -> tuple[dict, dict]:
+    """The ``stdout`` digests of every call, and the ``json_keys`` of each JSON command form."""
     from tribell.cli import main
 
-    calls = [["classify", f"builtin:{name}"] for name in BUILTINS]
-    calls += [["optimize", f"builtin:{name}", str(i)] for name in BUILTINS for i in (1, 2, 3)]
-    calls += [["optimize", f"builtin:{name}", "--omega", "--seed", str(seed)]
-              for name in BUILTINS for seed in OMEGA_SEEDS]
+    forms = {
+        "classify": [["classify", f"builtin:{name}"] for name in BUILTINS],
+        "optimize <i>": [["optimize", f"builtin:{name}", str(i)] for name in BUILTINS for i in (1, 2, 3)],
+        "optimize --omega": [["optimize", f"builtin:{name}", "--omega", "--seed", str(seed)]
+                             for name in BUILTINS for seed in OMEGA_SEEDS],
+    }
+    calls = [argv for argvs in forms.values() for argv in argvs]
     calls += [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
     calls += [["sample", "--class", "nonsense"], ["classify", "builtin:nope"]]
-    out = {}
+    out, texts = {}, {}
     for argv in calls:
         text, errors = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(text), contextlib.redirect_stderr(errors):
@@ -144,13 +154,21 @@ def stdout_digests() -> dict:
         if errors.getvalue():
             entry += " stderr " + hashlib.sha256(errors.getvalue().encode()).hexdigest()
         out[" ".join(argv)] = entry
-    return out
+        texts[" ".join(argv)] = text.getvalue()
+    keys = {}
+    for form, argvs in forms.items():
+        seen = {tuple(json.loads(texts[" ".join(argv)])) for argv in argvs}
+        if len(seen) != 1:
+            raise SystemExit(f"fingerprint: the {form!r} calls print different JSON keys: {sorted(seen)}")
+        keys[form] = list(seen.pop())
+    return out, keys
 
 
 def main() -> int:
     sys.path.insert(0, SRC)
     os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal's width otherwise
-    print(json.dumps({**m_i_digests(), "omega": omega_ascents(), "stdout": stdout_digests()},
+    stdout, keys = stdout_digests()
+    print(json.dumps({**m_i_digests(), "omega": omega_ascents(), "json_keys": keys, "stdout": stdout},
                      indent=1))
     return 0
 
