@@ -42,9 +42,9 @@ search over the stacked problems, one settings pass over the stacked
 problems, one unit-row intake of the stacked settings and one stacked dense
 recheck per axis.  That is how the Monte Carlo bound sweeps and
 ``classify`` get all three m_i of a state.  The search runs over
-consecutive chunks of at most ``VERTEX_BLOCK // 12`` problems, so its
-memory does not grow with the batch; every result is the single-state
-entry point's, bit for bit.
+consecutive chunks of at most ``VERTEX_BLOCK // 12`` = 682 problems, so
+its memory does not grow with the batch, and a sample call of 140 states
+is one chunk; every result is the single-state entry point's, bit for bit.
 """
 
 from __future__ import annotations
@@ -93,10 +93,13 @@ SPHERE_TOL = 1e-9
 #: refining and keeps its bracket, whose gap then usually exceeds SPHERE_TOL
 MAX_LIVE = 1024
 #: points per evaluation and children per block of the split loop.  The search
-#: runs on chunks of VERTEX_BLOCK // 12 problems, whose level 0 takes 12 points
-#: each, and splits VERTEX_BLOCK // 4 triangles at a time, which add at most
-#: 3 * VERTEX_BLOCK // 4 midpoints; bounds the memory of a search whatever the batch size
-VERTEX_BLOCK = 4096
+#: runs on chunks of VERTEX_BLOCK // 12 = 682 problems, whose level 0 takes 12
+#: points each, and splits VERTEX_BLOCK // 4 triangles at a time, which add at
+#: most 3 * VERTEX_BLOCK // 4 midpoints; bounds the memory of a search whatever
+#: the batch size.  A search's scratch is 1.18 MB, and tracemalloc's peak over
+#: one three-axis call on 140 1-23 draws is 4.14 MB; 4096 gave 2.64 MB, but split
+#: that call into two chunks and evaluated the same points in twice the passes
+VERTEX_BLOCK = 8192
 # _pair_power takes lambda_min from eigvalsh where the shifted cubic's arccos
 # argument is within _EDGE_COS of +1, next to a double smallest root
 _EDGE_COS = 1e-3
@@ -392,7 +395,7 @@ def _sphere_search(alpha, q):
     component-first corners gathered out of its six points against one
     pruning threshold, and only the surviving children are gathered as
     triangles.  Every block reuses one scratch of ``18 * VERTEX_BLOCK``
-    floats for its points, their values and its children's corners.
+    floats (1.18 MB) for its points, their values and its children's corners.
     The ceiling is the smaller of two closed forms, with
     O = |alpha|^2 I - alpha alpha^T:
 
@@ -413,8 +416,8 @@ def _sphere_search(alpha, q):
       bound alone certifies such flat maxima only on triangles about 5e-5
       wide, and often stops at ``MAX_LIVE`` first.
 
-    More than ``VERTEX_BLOCK // 12`` states run as consecutive chunks of at
-    most that many, whose results are concatenated; since no state's result
+    More than ``VERTEX_BLOCK // 12`` = 682 states run as consecutive chunks
+    of at most that many, whose results are concatenated; since no state's result
     depends on its batch, that changes no value.  Level 0 of a chunk is one
     evaluation of at most ``VERTEX_BLOCK`` points: each of the ten face
     vertices once, then the leading term's and the Frobenius ceiling's top
@@ -574,8 +577,8 @@ def seesaw_max_abs_d_many(states, axes):
     results: the j-th index's result for state k sits at
     ``j * len(states) + k``.  Each state is decomposed once, and all the
     (state, axis) problems run one sphere search, in chunks of at most
-    ``VERTEX_BLOCK // 12`` problems, so a call's memory is bounded whatever
-    the batch size.  One settings pass over the stacked problems gives their
+    ``VERTEX_BLOCK // 12`` = 682 problems, so a call's memory is bounded
+    whatever the batch size.  One settings pass over the stacked problems gives their
     settings, which pass one stacked unit-row intake, and one stacked dense
     call per axis rechecks them.  Every result is bit for bit the
     single-state entry point's.

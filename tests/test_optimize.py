@@ -1,6 +1,7 @@
 """The certified m_i search, omega maximization, planar oracles and grid cross-checks."""
 
 import dataclasses
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -206,8 +207,9 @@ class TestSeesaw:
                 assert_same_result(res, single)
 
     @pytest.mark.parametrize("source, seed, n", [
-        # 64 draws: with fewer, the tighter triangle bound leaves no level a full block
-        ("1-23", 31, 64),
+        # 128 draws: with 96 or fewer, no level of the merged search fills a
+        # block of VERTEX_BLOCK = 8192 children (64 draws reach 5,592 at most)
+        ("1-23", 31, 128),
         # a block edge splits the level of state 2's axis-2 search; pruned only
         # block by block, that level kept triangles which its lower end, raised
         # in the next block, rules out, and the merged value came out 2.5e-11
@@ -576,16 +578,45 @@ class TestSphereSearch:
         _, points = counted_points(lambda: sample_region("haar-pure", 8, 0, "optimized"))
         assert points <= 27_560
 
+    def test_a_sample_sized_call_is_one_chunk_in_bounded_memory(self):
+        """Traffic and memory guard: 140 states on three axes search as one chunk, under 5 MB.
+
+        The 420 problems fit one chunk of VERTEX_BLOCK // 12 = 682, so the
+        search is entered once; with VERTEX_BLOCK = 4096 it was entered three
+        times (the call, then chunks of 341 and 79).  tracemalloc's peak over
+        the call, which numpy's buffers count towards, was 2.64 MB at 4096
+        and is 4.14 MB at 8192, the rise being the arrays sized by the block
+        and the chunk; 16384 gives 6.39 MB, past the 5 MB bound.
+        """
+        rng = np.random.default_rng(31)
+        states = [_draw_state("1-23", rng) for _ in range(140)]
+        entries = []
+        search = opt._sphere_search
+
+        def counted(alpha, q):
+            entries.append(len(alpha))
+            return search(alpha, q)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(opt, "_sphere_search", counted):
+                seesaw_max_abs_d_many(states, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries == [420]
+        assert peak < 5_000_000
+
     def test_level_zero_batch_beyond_one_block_matches_its_halves(self):
         """More than VERTEX_BLOCK // 12 problems run in chunks of that many, bit for bit.
 
         Qubit 2 is in a product with the rest, so on axes 1 and 3 the
         Frobenius ceiling and on axis 2 the leading term's closes each
-        problem at level 0, on its 12 points.  342 problems make two chunks
-        and 684 make three; no evaluation sees more than one chunk's
-        problems or more than VERTEX_BLOCK points.
+        problem at level 0, on its 12 points.  683 problems make two chunks
+        and 1,365 make three (682 + 682 + 1); no evaluation sees more than one
+        chunk's problems or more than VERTEX_BLOCK points.
         """
-        for n, axes in ((VERTEX_BLOCK // 12 + 1, (1,)), (228, (1, 2, 3))):
+        for n, axes in ((VERTEX_BLOCK // 12 + 1, (1,)), (455, (1, 2, 3))):
             self._check_chunks_match_halves(n, axes)
 
     @staticmethod

@@ -3,7 +3,7 @@
     python3 tools/fingerprint.py > fingerprint.json
 
 It takes no options, imports the package from the ``src`` directory of the
-checkout it sits in and prints one JSON object with six entries:
+checkout it sits in and prints one JSON object with seven entries:
 
 * ``m_i``: one sha256 over the value, upper end, converged flag and settings
   bytes of the 366 m_i problems of GHZ, W and 20 draws of each of the six
@@ -15,6 +15,8 @@ checkout it sits in and prints one JSON object with six entries:
   over those 366 problems, counted as ``s[..., 0].size`` per
   ``_sphere_values`` call, so it reads the same whether a call takes its
   points flat (points, 3) or in rows (rows, width, 3);
+* ``search_passes``: the number of those ``_sphere_values`` calls, each one
+  evaluation pass of at most ``VERTEX_BLOCK`` points;
 * ``omega``: for each of 63 states (GHZ, W, phi+ (x) 0, I/8 and 59 draws
   from ``default_rng(5)`` cycling haar-pure, 1-23, fully-separable and
   ghz-family), the sha256 of every start's iteration count and certificate
@@ -41,6 +43,9 @@ the ``omega`` entries show which states' ascents took another course, and
 an equal ``m_i_printed`` under a changed ``m_i`` means that m_i moved only
 below the printed digits.  An equal ``search_points`` means that the search
 evaluated as many points: a refactor that keeps the same search keeps it.
+``search_passes`` counts how the search split that work: the same points in
+fewer passes mean larger blocks or chunks, more passes a search that splits
+its work again.
 A changed ``json_keys`` list names an interface change directly, where
 ``stdout`` shows only which calls' digests changed.
 """
@@ -100,6 +105,7 @@ def m_i_digests() -> dict:
                                                    np.bool_(r.converged), r.settings.a, r.settings.b))),
         "m_i_printed": hashlib.sha256(printed.encode()).hexdigest(),
         "search_points": sum(points),
+        "search_passes": len(points),
     }
 
 
