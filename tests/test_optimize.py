@@ -946,7 +946,7 @@ class TestSearchArithmetic:
                 tri = children
 
     def test_pair_power_matches_numpy(self):
-        """On rank-deficient draws, where eigvalsh takes the rows next to a double root, and on random T.
+        """On rank-deficient draws, whose rows next to a double root take the deflated form, and on random T.
 
         Within ``_VALUE_ERROR`` relative of np.linalg.svd's sigma_1^2 + sigma_2^2,
         so no row undershoots by more either.
@@ -966,8 +966,9 @@ class TestSearchArithmetic:
 
         The three roots of T^T T cluster as eps falls, and a generalized GHZ
         state's T(s) has a double root above its smallest.  None of them goes
-        to eigvalsh, and all stay within ``_VALUE_ERROR`` of the SVD; a rank-1
-        T, whose double root is its smallest, still does.
+        to eigvalsh, nor does a rank-1 T, whose double root is its smallest
+        and which takes the deflated form, and all stay within
+        ``_VALUE_ERROR`` of the SVD.
         """
         rng = np.random.default_rng(30)
         eps = np.r_[10.0 ** -np.arange(1, 11), 0.0]
@@ -981,16 +982,56 @@ class TestSearchArithmetic:
         for d in (0.0, 1e-8, -1e-6, 1e-4, -1e-3, 1e-2):
             q = decompose(rank_deficient_state("ghz", np.pi / 4 + d, 7)).Q
             stacks += [np.einsum("nk,klm->nlm", s, np.moveaxis(q, i, 0)) for i in range(3)]
+        stacks.append(np.einsum("ni,nk->nik", rng.standard_normal((4, 3)), rng.standard_normal((4, 3))))
         t = np.concatenate(stacks)
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
             values = _pair_power(t)
         reference = pair_power_svd(t)
         assert np.all(np.abs(values - reference) <= opt._VALUE_ERROR * reference)
-        rank_one = np.einsum("ni,nk->nik", rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-            values = _pair_power(rank_one)
-        assert sum(len(call.args[0]) for call in spy.call_args_list) == len(rank_one)
-        np.testing.assert_allclose(values, pair_power_svd(rank_one), rtol=opt._VALUE_ERROR)
+
+    def test_deflated_rows_never_undershoot(self):
+        """Rows next to a double smallest root stay within ``_VALUE_ERROR`` of the SVD.
+
+        T = c U diag(1, s, s (1 + eta)) V^T for eta = 1e-1 .. 1e-15 and 0,
+        near rank 1 as c U diag(1, eta, eta) V^T, and exact triple roots
+        T = c U.  The chord bound is sound only if no value falls below the
+        SVD's by more than that error, which the two-sided check covers.
+        Every row with eta <= 1e-3 has
+        cos theta within ``_EDGE_COS`` of +1, so it takes the deflated form.
+        Then the 140-draw 1-23 call of the memory guard (next to a double
+        root on 11,945 points, which went to eigvalsh in 27 calls before the
+        deflation) runs without eigvalsh.
+        """
+        rng = np.random.default_rng(36)
+        eta = np.r_[10.0 ** -np.arange(1, 16), 0.0]
+        n = 64
+        stacks, near = [], []
+        for e in eta:
+            u, v = (np.linalg.qr(rng.standard_normal((n, 3, 3)))[0] for _ in range(2))
+            c, s = rng.uniform(0.1, 2.0, n), rng.uniform(0.05, 0.95, n)
+            for diag in (np.stack([np.ones(n), s, s * (1.0 + e)], axis=1), np.array([1.0, e, e])):
+                diag = np.broadcast_to(diag, (n, 3))
+                stacks.append(c[:, None, None] * np.einsum("nij,nj,nkj->nik", u, diag, v))
+                near.append(np.full(n, e <= 1e-3))
+        u = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+        stacks.append(rng.uniform(0.1, 2.0, n)[:, None, None] * u)
+        near.append(np.zeros(n, dtype=bool))
+        t, near = np.concatenate(stacks), np.concatenate(near)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
+            values = _pair_power(t)
+        reference = pair_power_svd(t)
+        assert np.all(np.abs(values - reference) <= opt._VALUE_ERROR * reference)
+        lam = np.linalg.svd(t[near], compute_uv=False) ** 2
+        mean = lam.sum(axis=1) / 3.0
+        radius = np.sqrt(np.sum((lam - mean[:, None]) ** 2, axis=1) / 6.0)
+        third = (lam[:, 0] - mean) / (2.0 * radius)  # cos(theta / 3)
+        assert np.all(4.0 * third**3 - 3.0 * third > 1.0 - opt._EDGE_COS)
+
+        rng = np.random.default_rng(31)
+        states = [_draw_state("1-23", rng) for _ in range(140)]
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
+            results = seesaw_max_abs_d_many(states, (1, 2, 3))
+        assert len(results) == 3 * len(states)
 
     def test_sphere_values_match_numpy(self):
         """Each row's T(s) is its own (width x 3)(3 x 9) product with its state's q, for widths 3 and 12."""
